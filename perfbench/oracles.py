@@ -130,10 +130,11 @@ def polynomial_field(decl):
 
 def nonlinear_steer(f, T, x0, x1, u_of, history, converged):
     """Endpoint under solve_ivp, convergence, and contraction of the
-    fixed-point error history."""
-    if not converged or history[-1] > 1e-9:
+    fixed-point error history. A history of one pass is a first pass that
+    already landed within tolerance; it has no step to contract."""
+    if not converged or not history or history[-1] > 1e-9:
         return f"steering did not converge (errors {history})"
-    if len(history) < 2 or any(b > 0.5 * a for a, b in zip(history, history[1:])):
+    if any(b > 0.5 * a for a, b in zip(history, history[1:])):
         return f"error history {history} does not contract"
     end = _flow(lambda t, x: f(x, np.atleast_1d(u_of(t))), x0, T)
     miss = float(np.linalg.norm(end - x1))

@@ -30,6 +30,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -41,6 +42,73 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 SETUP_REPEATS = 5
+SAMPLE_PERIOD_S = 0.02       # wall time between two speed samples
+REF_NOMINAL_S = 60e-6        # one reference unit in the reference machine's fast state
+NEAREST = 8                  # fewest samples behind one task's scale
+
+
+class SpeedProbe:
+    """Reads the machine's speed while tasks and set-ups run.
+
+    A shared host can run this process at two speeds a factor of two
+    apart, switching every second or few. Every SAMPLE_PERIOD_S of wall
+    time a SIGALRM handler times a fixed reference unit (small numpy
+    products in a Python loop, the mix of lincontrol's inner loops), but
+    only while a task or a set-up is being timed, so the samples fall on
+    timed work in proportion to it. The unit runs once untimed first: the
+    task has just pushed it out of the caches, and a cold unit would read
+    how much memory the task touches, not the speed. `scales` converts
+    each timed span to the speed at which the unit takes REF_NOMINAL_S.
+    """
+
+    def __init__(self):
+        import numpy as np
+        self._A = np.random.default_rng(0).standard_normal((8, 8))
+        self._I = np.eye(8)
+        self.times, self.samples = [], []
+        self.active = False
+        self._previous = None
+
+    def reference(self):
+        t0 = time.perf_counter()
+        x = self._A
+        for _ in range(25):
+            x = x @ self._A * 0.1 + self._I     # contracts: entries stay O(1)
+        return time.perf_counter() - t0
+
+    def _on_alarm(self, signum, frame):
+        if self.active:
+            self.reference()
+            self.samples.append(self.reference())
+            self.times.append(time.perf_counter())
+
+    def install(self):
+        self._previous = signal.signal(signal.SIGALRM, self._on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_PERIOD_S, SAMPLE_PERIOD_S)
+
+    def uninstall(self):
+        if self._previous is not None:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, self._previous)
+            self._previous = None
+
+    def scales(self, spans):
+        """Per (start, end) of a timed span: REF_NOMINAL_S over the mean of
+        the samples taken during it, or of the NEAREST samples to its middle
+        when fewer fell inside."""
+        import numpy as np
+        t, d = np.array(self.times), np.array(self.samples)
+        kept = d <= 5.0 * np.median(d)      # five times the median: preempted, not slowed
+        t, d = t[kept], d[kept]
+        out = []
+        for t0, t1 in spans:
+            lo, hi = np.searchsorted(t, (t0, t1))
+            if hi - lo < NEAREST:
+                lo = int(np.clip(np.searchsorted(t, 0.5 * (t0 + t1)) - NEAREST // 2,
+                                 0, max(0, len(t) - NEAREST)))
+                hi = lo + NEAREST
+            out.append(REF_NOMINAL_S / d[lo:hi].mean())
+        return out
 
 
 def import_lincontrol():
@@ -73,18 +141,22 @@ def run(workload, seed, seconds, trace):
     build = WORKLOADS[workload]
     work = OUT / f"{workload}-{seed}-{os.getpid()}"
     setup = []
+    probe = SpeedProbe()
 
     def set_up(where):
         """Import lincontrol afresh, generate the inputs, write the files."""
         shutil.rmtree(where, ignore_errors=True)
         where.mkdir(parents=True)
+        probe.active = True
         t0 = time.perf_counter()
         import_afresh()
         built = build(lc, seed, where)
-        setup.append(time.perf_counter() - t0)
+        setup.append((t0, time.perf_counter()))
+        probe.active = False
         return built
 
     try:
+        probe.install()
         tasks = set_up(work)
 
         kinds = set()
@@ -100,7 +172,7 @@ def run(workload, seed, seconds, trace):
             recorder.install()
             quiet = recorder.paused
 
-        latencies = [[] for _ in tasks]     # per task, one entry per pass
+        spans_of = [[] for _ in tasks]      # per task, (start, end) of each pass
         counters = {}
         attempted = failed = passes = 0
         problems, first = [], {}
@@ -108,6 +180,7 @@ def run(workload, seed, seconds, trace):
         while True:
             for i, task in enumerate(tasks):
                 attempted += 1
+                probe.active = True
                 t0 = time.perf_counter()
                 try:
                     out = task.run()
@@ -115,7 +188,9 @@ def run(workload, seed, seconds, trace):
                     failed += 1
                     print(f"# FAILED {task.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
                     continue
-                latencies[i].append(time.perf_counter() - t0)
+                finally:
+                    probe.active = False
+                spans_of[i].append((t0, time.perf_counter()))
                 with quiet():                   # outside the timed region
                     fp = task.fingerprint(out)
                     problem = None
@@ -132,7 +207,7 @@ def run(workload, seed, seconds, trace):
             passes += 1
             # The remaining set-ups are spread over the run, so their median
             # does not hang on the machine's state during one moment.
-            elapsed = time.perf_counter() - start - sum(setup[1:])
+            elapsed = time.perf_counter() - start - sum(t1 - t0 for t0, t1 in setup[1:])
             if len(setup) < 1 + (SETUP_REPEATS - 1) * min(1.0, elapsed / seconds):
                 with quiet():
                     set_up(work.with_name(work.name + "-again"))
@@ -140,15 +215,17 @@ def run(workload, seed, seconds, trace):
                 break
         while len(setup) < SETUP_REPEATS:
             set_up(work.with_name(work.name + "-again"))
+        probe.uninstall()
 
-        # Each task is timed by its best pass: the machine's speed flips
-        # between states for seconds at a time, and the best of several
-        # passes is the figure that repeats from run to run.
-        best = [min(lat) for lat in latencies if lat]
+        # Every set-up's and task's time, scaled to the reference speed.
+        def scaled_times(spans):
+            return [(t1 - t0) * k for (t0, t1), k in zip(spans, probe.scales(spans))]
+        scaled = [scaled_times(sp) for sp in spans_of if sp]
+        typical = [statistics.median(lat) for lat in scaled]
         metrics = {
-            "setup_s": {"value": statistics.median(setup), "unit": "s"},
-            "tasks_per_s": {"value": len(best) / sum(best), "unit": "1/s"},
-            "task_p50_ms": {"value": 1e3 * statistics.median(best), "unit": "ms"},
+            "setup_s": {"value": statistics.median(scaled_times(setup)), "unit": "s"},
+            "tasks_per_s": {"value": sum(map(len, scaled)) / sum(map(sum, scaled)), "unit": "1/s"},
+            "task_p50_ms": {"value": 1e3 * statistics.median(typical), "unit": "ms"},
             "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                             "unit": "MB"},
         }
@@ -160,10 +237,12 @@ def run(workload, seed, seconds, trace):
             print("# traced: " + " ".join(f"{k}={v['value']:.6g}" for k, v in metrics.items()))
             metrics = layer_metrics(recorder.reduce(), counters, passes)
     finally:
+        probe.uninstall()
         shutil.rmtree(work, ignore_errors=True)
         shutil.rmtree(work.with_name(work.name + "-again"), ignore_errors=True)
 
     print(f"# workload={workload} seed={seed} passes={passes} tasks/pass={len(tasks)} "
+          f"speed_samples={len(probe.samples)} "
           f"blas_threads={BLAS_THREADS} nproc={os.cpu_count()} python={platform.python_version()} "
           f"numpy={np.__version__} scipy={scipy.__version__}")
     print(json.dumps({"correct": not problems, "attempted": attempted, "failed": failed,
