@@ -423,6 +423,13 @@ HANDLERS = {
 }
 
 
+def _grid_points(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"a grid needs at least two points, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lincontrol",
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--x0", required=True, help="comma-separated initial state")
     p.add_argument("--x1", required=True, help="comma-separated target state")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=_grid_points, default=1001)
 
     p = sub.add_parser("place", help="state-feedback pole placement")
     common(p)
@@ -471,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--xi", default=None, help="initial state for the optimal run")
-    p.add_argument("--points", type=int, default=1001, help="CSV sample count")
+    p.add_argument("--points", type=_grid_points, default=1001, help="CSV sample count")
 
     p = sub.add_parser("are", help="infinite-horizon value matrix")
     common(p)
@@ -489,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--u", default=None, help="constant control vector")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=_grid_points, default=1001)
 
     p = sub.add_parser("steer-nl", help="local steering of a nonlinear field")
     common(p, system=False)
@@ -501,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xeq", default=None, help="reference equilibrium state")
     p.add_argument("--ueq", default=None, help="reference equilibrium control")
     p.add_argument("--delta", type=float, default=0.1, help="trust radius")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=_grid_points, default=1001)
 
     return parser
 

@@ -51,53 +51,39 @@ def polynomial_field(decl: dict) -> VectorField:
     rhs = decl["rhs"]
     if len(rhs) != n:
         raise ValueError(f"rhs must list {n} components, got {len(rhs)}")
-    terms = []
-    for comp in rhs:
-        comp_terms = []
+    rows, coeffs, powers = [], [], []
+    for i, comp in enumerate(rhs):
         for term in comp:
-            coeff = float(term["coeff"])
             xpow = np.asarray(term.get("x", [0] * n), dtype=int)
             upow = np.asarray(term.get("u", [0] * p), dtype=int)
             if xpow.size != n or upow.size != p:
                 raise ValueError("term powers must match state/control dims")
             if np.any(xpow < 0) or np.any(upow < 0):
                 raise ValueError("powers must be nonnegative")
-            comp_terms.append((coeff, xpow, upow))
-        terms.append(comp_terms)
+            rows.append(i)
+            coeffs.append(float(term["coeff"]))
+            powers.append(np.concatenate([xpow, upow]))
+    # Terms are stacked once: E holds the powers of z = (x, u) per term, S
+    # scatters coefficient-weighted monomials onto their components, and
+    # lowered[t, k] is E[t] with the k-th power reduced by the power rule
+    # (clipped at 0, where the factor E[t, k] is 0 anyway).
+    E = np.array(powers, dtype=int).reshape(-1, n + p)
+    S = np.zeros((n, E.shape[0]))
+    S[rows, np.arange(E.shape[0])] = coeffs
+    lowered = np.maximum(E[:, None, :] - np.eye(n + p, dtype=int), 0)
 
-    def _mono(z, powers):
-        return float(np.prod(np.power(z, powers)))
+    def _partials(x, u, cols):
+        z = np.concatenate([x, u])
+        return S @ (E[:, cols] * np.prod(np.power(z, lowered[:, cols]), axis=2))
 
     def f(x, u):
-        return np.array([
-            sum(c * _mono(x, xp) * _mono(u, up) for c, xp, up in comp)
-            for comp in terms])
-
-    def _dmono(z, powers, k):
-        # d/dz_k of prod z_i^{p_i}
-        if powers[k] == 0:
-            return 0.0
-        lowered = powers.copy()
-        lowered[k] -= 1
-        return powers[k] * float(np.prod(np.power(z, lowered)))
+        return S @ np.prod(np.power(np.concatenate([x, u]), E), axis=1)
 
     def fx(x, u):
-        J = np.zeros((n, n))
-        for i, comp in enumerate(terms):
-            for c, xp, up in comp:
-                uval = _mono(u, up)
-                for k in range(n):
-                    J[i, k] += c * uval * _dmono(x, xp, k)
-        return J
+        return _partials(x, u, slice(0, n))
 
     def fu(x, u):
-        J = np.zeros((n, p))
-        for i, comp in enumerate(terms):
-            for c, xp, up in comp:
-                xval = _mono(x, xp)
-                for k in range(p):
-                    J[i, k] += c * xval * _dmono(u, up, k)
-        return J
+        return _partials(x, u, slice(n, n + p))
 
     return VectorField(state_dim=n, control_dim=p, f=f, fx=fx, fu=fu)
 

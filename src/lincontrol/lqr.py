@@ -8,6 +8,14 @@ differential equation
 and the optimal feedback is u = -B^T P_T(t) x with adjoint
 y(t) = P_T(t) x(t). The infinite-horizon value matrix is obtained as the
 horizon limit of P_T(0) and satisfies the algebraic Riccati equation.
+
+Both Riccati paths use one exact propagator. The flow of the equation
+over a duration tau is the linear-fractional map of expm(tau H), with the
+Hamiltonian H = [[-A, B B^T], [C^T C, A^T]], written as a triple
+(alpha, beta, gamma) that doubles in closed form (Anderson & Moore,
+Optimal Filtering, 1979). `riccati_finite` applies the triple of one grid
+step per sample; `are_solve` doubles the horizon. Neither integrates, so
+cfg.ode_step sets no error there.
 """
 
 from __future__ import annotations
@@ -101,46 +109,70 @@ def _rde_rhs(P: np.ndarray, A: np.ndarray, BBt: np.ndarray, CtC: np.ndarray) -> 
     return -(PA + PA.T - P @ BBt @ P + CtC)
 
 
-def _integrate_rde(A, BBt, CtC, P_terminal, duration, h_target):
-    """March the backward equation over `duration`, returning the value at
-    the early end. Symmetry is restored after every step.
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.T)
 
-    The RK4 stages are unrolled: this loop dominates the cost of the
-    horizon-doubling limit, and symmetric stage values let A^T P be
-    taken as (P A)^T.
+
+def _check_escape(P: np.ndarray, where: str) -> None:
+    if not np.abs(P).max() < BLOWUP_NORM:  # also catches nan
+        raise EscapeTimeError(f"Riccati solution blew up {where}")
+
+
+def _flow_triple(A, BBt, CtC, duration, P0):
+    """Triple (alpha, beta, gamma) of the backward Riccati flow over
+    `duration`, acting on the deviation D = P - P0 from the terminal weight:
+
+        D  |->  gamma + alpha^T D (I + beta D)^{-1} alpha.
+
+    The shear [[I, 0], [P0, I]] moves the Hamiltonian to the graph of P0,
+    where it reads [[-Ac, B B^T], [R(P0), Ac^T]] with Ac = A - B B^T P0 and
+    R(P0) the Riccati residual at P0. Anchored at 0 instead, alpha and
+    beta grow like e^{lambda tau} and e^{2 lambda tau} along an unstable
+    mode that C does not see, and the doubling turns singular. The
+    exponential is taken on a step with unit 1-norm and doubled back up.
     """
-    m = max(1, math.ceil(duration / h_target))
-    h = -duration / m
-    P = P_terminal
-    check_every = max(1, m // 64)
-    for i in range(m):
-        PA = P @ A
-        k1 = -(PA + PA.T - P @ BBt @ P + CtC)
-        Q = P + (0.5 * h) * k1
-        QA = Q @ A
-        k2 = -(QA + QA.T - Q @ BBt @ Q + CtC)
-        Q = P + (0.5 * h) * k2
-        QA = Q @ A
-        k3 = -(QA + QA.T - Q @ BBt @ Q + CtC)
-        Q = P + h * k3
-        QA = Q @ A
-        k4 = -(QA + QA.T - Q @ BBt @ Q + CtC)
-        P = P + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        P = 0.5 * (P + P.T)
-        if i % check_every == 0 and not np.abs(P).max() < BLOWUP_NORM:
-            raise EscapeTimeError("Riccati solution blew up during integration")
-    return P
+    Ac = A - BBt @ P0
+    P0A = P0 @ A
+    R = CtC + P0A + P0A.T - P0 @ BBt @ P0
+    H = np.block([[-Ac, BBt], [R, Ac.T]])
+    scale = np.linalg.norm(H, 1)
+    s = max(0, math.ceil(math.log2(duration) + math.log2(scale))) if scale > 0 else 0
+    Phi = kernels.expm((duration / 2.0 ** s) * H)
+    n = A.shape[0]
+    try:
+        alpha = np.linalg.inv(Phi[:n, :n])
+    except np.linalg.LinAlgError as exc:
+        raise EscapeTimeError("Riccati flow lost invertibility") from exc
+    triple = (alpha, _sym(alpha @ Phi[:n, n:]), _sym(Phi[n:, :n] @ alpha))
+    for _ in range(s):
+        triple = _double(triple)
+    return triple
+
+
+def _double(triple):
+    """The triple of the flow over twice the duration: the map composed
+    with itself, in closed form (the doubling step of Anderson & Moore)."""
+    alpha, beta, gamma = triple
+    W = np.eye(alpha.shape[0]) + beta @ gamma
+    try:
+        Wa, Wba = np.split(np.linalg.solve(W, np.hstack([alpha, beta @ alpha.T])), 2, axis=1)
+    except np.linalg.LinAlgError as exc:
+        raise EscapeTimeError("Riccati flow lost invertibility") from exc
+    return (alpha @ Wa, _sym(beta + alpha @ Wba), _sym(gamma + alpha.T @ gamma @ Wa))
 
 
 def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                    step: Optional[float] = None) -> RiccatiSolution:
-    """Backward RK4 sweep of the Riccati equation with dense storage.
+    """Backward sweep of the Riccati equation with dense storage.
 
-    The step defaults to min(cfg.ode_step, T/2000) so the layer near
-    t = T stays resolved when P0 = 0 and C is large. Samples are
-    symmetrized every step and monitored for positive semidefiniteness;
-    the reported max_residual re-evaluates the equation on the stored
-    grid with central differences.
+    Each sample is the previous one carried back over one grid step by
+    the exact flow of the equation (the triple of `_flow_triple`,
+    anchored at P0), so the samples carry no time-discretization error.
+    The spacing defaults to min(cfg.ode_step, T/2000) so the Hermite
+    dense output resolves the layer near t = T when P0 = 0 and C is
+    large. Samples are symmetrized every step and monitored for positive
+    semidefiniteness; the reported max_residual re-evaluates the
+    equation on the stored grid with central differences.
     """
     if not math.isfinite(prob.horizon):
         raise DomainError("riccati_finite needs a finite horizon")
@@ -153,16 +185,16 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     h = T / m
     K = m + 1
     n = prob.sys.n
+    alpha, beta, gamma = _flow_triple(A, BBt, CtC, h, prob.P0)
+    eye = np.eye(n)
     P = np.empty((K, n, n))
     P[K - 1] = prob.P0
-    cur = prob.P0
+    D = np.zeros((n, n))
     for k in range(K - 1, 0, -1):
-        cur = kernels.rk4_step(lambda t, M: _rde_rhs(M, A, BBt, CtC), 0.0, cur, -h)
-        cur = 0.5 * (cur + cur.T)
-        if not np.all(np.isfinite(cur)) or np.abs(cur).max() > BLOWUP_NORM:
-            raise EscapeTimeError(
-                f"Riccati solution blew up near t = {(k - 1) * h:.6g}")
-        P[k - 1] = cur
+        # D (I + beta D)^{-1} = (I + D beta)^{-1} D
+        D = _sym(gamma + alpha.T @ np.linalg.solve(eye + D @ beta, D) @ alpha)
+        P[k - 1] = prob.P0 + D
+        _check_escape(P[k - 1], f"near t = {(k - 1) * h:.6g}")
     grid = np.linspace(0.0, T, K)
 
     min_eig = min(float(np.linalg.eigvalsh(Pk)[0]) for Pk in P[:: max(1, K // 256)])
@@ -256,33 +288,39 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
               max_doublings: int = 20) -> AreSolution:
     """Stabilizing solution of A^T P + P A - P B B^T P + C^T C = 0.
 
-    P is the horizon limit of the value matrix: the Riccati equation is
-    integrated backward over horizons T, 2T, 4T, ... until
+    P is the horizon limit of the value matrix with terminal weight I:
+    the values P_T(0), P_{2T}(0), P_{4T}(0), ... are taken until
     ||P_{2T}(0) - P_T(0)||_F drops below the convergence tolerance.
-    Since the equation is autonomous, each doubling reuses the previous
-    value as terminal data, so horizon 2^k T costs one extra sweep of
-    length 2^{k-1} T. The terminal weight is the identity, which steers
-    the limit to the stabilizing root even when C misses unstable modes.
+    Each is exact, not integrated: the triple of the Riccati flow over
+    T (anchored at I, see `_flow_triple`) doubles in closed form, so
+    horizon 2^k T costs k doublings at O(n^3) each. The terminal weight
+    I steers the limit to the stabilizing root even when C misses
+    unstable modes.
     """
+    if not (math.isfinite(initial_horizon) and initial_horizon > 0.0):
+        raise DomainError(f"initial horizon must be finite and positive, got {initial_horizon}")
+    if max_doublings < 0:
+        raise DomainError(f"max_doublings must be nonnegative, got {max_doublings}")
     check_finite_cost_condition(sys, cfg)
     tol = cfg.residual_tol if convergence_tol is None else convergence_tol
     A, B, C = sys.A, sys.B, sys.C
     BBt = B @ B.T
     CtC = C.T @ C
-    n = sys.n
-
-    def leg_step(duration: float) -> float:
-        return min(cfg.ode_step, duration / 2000.0)
+    eye = np.eye(sys.n)
 
     T = initial_horizon
-    P_prev = _integrate_rde(A, BBt, CtC, np.eye(n), T, leg_step(T))
+    triple = _flow_triple(A, BBt, CtC, T, eye)
+    P_prev = eye + triple[2]
+    _check_escape(P_prev, f"within horizon {T:.6g}")
     converged = False
     diff = math.inf
     for _ in range(max_doublings):
-        P_next = _integrate_rde(A, BBt, CtC, P_prev, T, leg_step(T))
+        triple = _double(triple)
+        P_next = eye + triple[2]
+        T *= 2.0
+        _check_escape(P_next, f"within horizon {T:.6g}")
         diff = float(np.linalg.norm(P_next - P_prev))
         P_prev = P_next
-        T *= 2.0
         if diff <= tol:
             converged = True
             break
@@ -290,7 +328,7 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
         raise ConvergenceError(
             f"value matrix did not settle within horizon {T:.6g} "
             f"(last doubling moved {diff:.3e}, tolerance {tol:.1e})")
-    P = 0.5 * (P_prev + P_prev.T)
+    P = P_prev
     residual = float(np.linalg.norm(A.T @ P + P @ A - P @ BBt @ P + CtC))
     closed = spectral_abscissa(A - BBt @ P)
     if closed >= 0.0:

@@ -264,3 +264,43 @@ class TestExitCodes:
         assert run(["simulate", path, "--t1", "1", "--x0", "1",
                     "--config", str(cpath), "--out-dir", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", [
+        "--initial-horizon=0", "--initial-horizon=nan", "--initial-horizon=inf",
+        "--initial-horizon=-1", "--max-doublings=-3",
+    ])
+    def test_are_degenerate_argument_is_2(self, tmp_path, capsys, flag):
+        path = write(tmp_path, SCALAR)
+        assert run(["are", path, flag, "--out-dir", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_are_zero_doublings_is_4(self, tmp_path, capsys):
+        path = write(tmp_path, SCALAR)
+        assert run(["are", path, "--max-doublings", "0",
+                    "--out-dir", str(tmp_path)]) == 4
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["errors"][0]["type"] == "ConvergenceError"
+
+    @pytest.mark.parametrize("points", ["1", "0", "-5"])
+    def test_lqr_too_few_points_is_2(self, tmp_path, capsys, points):
+        path = write(tmp_path, SCALAR)
+        assert run(["lqr", path, "--horizon", "1", f"--points={points}",
+                    "--out-dir", str(tmp_path)]) == 2
+        capsys.readouterr()
+        assert not (tmp_path / "scalar__lqr.json").exists()
+
+    @pytest.mark.parametrize("points", ["1", "0", "-5"])
+    def test_steer_nl_too_few_points_is_2(self, tmp_path, capsys, points):
+        assert run(["steer-nl", "--field", "pendulum", "--t1", "1",
+                    "--x0", f"{math.pi + 0.05},0", "--x1", f"{math.pi - 0.05},0",
+                    f"--points={points}", "--out-dir", str(tmp_path)]) == 2
+        capsys.readouterr()
+        assert not (tmp_path / "pendulum__steer-nl.json").exists()
+
+    def test_two_points_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, SCALAR)
+        assert run(["lqr", path, "--horizon", "1", "--xi", "1", "--points", "2",
+                    "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "scalar__lqr_value.csv").read_text().strip().split("\n")
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 1.0]

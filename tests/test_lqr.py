@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from lincontrol import (
     ControlSignal,
     ConvergenceError,
     DimensionError,
+    DomainError,
     FiniteCostViolationError,
     LqrProblem,
     LtiSystem,
@@ -20,6 +22,7 @@ from lincontrol import (
     uniform_grid,
 )
 from lincontrol.kernels import rk4_path
+from lincontrol.lqr import _double, _flow_triple
 
 
 @pytest.fixture
@@ -239,3 +242,100 @@ class TestAreSolve:
         slow = LtiSystem([[0.01]], [[1.0]], [[1.0]])
         with pytest.raises(ConvergenceError):
             are_solve(slow, initial_horizon=0.25, max_doublings=1)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_degenerate_initial_horizon_rejected(self, scalar_sys, horizon):
+        with pytest.raises(DomainError):
+            are_solve(scalar_sys, initial_horizon=horizon)
+
+    def test_negative_doubling_budget_rejected(self, scalar_sys):
+        with pytest.raises(DomainError):
+            are_solve(scalar_sys, max_doublings=-3)
+
+    def test_zero_doubling_budget_does_not_converge(self, scalar_sys):
+        with pytest.raises(ConvergenceError):
+            are_solve(scalar_sys, max_doublings=0)
+
+
+def _oracle_draw(rng, n, blind):
+    """Stabilizable pair with two inputs; with `blind`, A gets the real
+    unstable eigenvalue 0.5 on a direction that C annihilates."""
+    A = rng.standard_normal((n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
+    B = rng.standard_normal((n, 2))
+    C = rng.standard_normal((n // 2, n))
+    if blind:
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        A = A - np.outer(A @ v, v) + 0.5 * np.outer(v, v)
+        C = C - np.outer(C @ v, v)
+    return A, B, C
+
+
+def _admitted_by_scipy(A, B, C):
+    """SciPy's CARE solution when the problem is well posed: a moderate
+    solution and Hamiltonian eigenvalues clear of the imaginary axis."""
+    X = scipy.linalg.solve_continuous_are(A, B, C.T @ C, np.eye(B.shape[1]))
+    H = np.block([[A, -B @ B.T], [-C.T @ C, -A.T]])
+    gap = np.abs(np.linalg.eigvals(H).real).min()
+    return X if np.linalg.norm(X) <= 1e4 and gap >= 0.05 else None
+
+
+class TestAreScipyOracle:
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_matches_scipy_care(self, n, blind):
+        rng = np.random.default_rng([n, int(blind)])
+        admitted = 0
+        for _ in range(40):
+            A, B, C = _oracle_draw(rng, n, blind)
+            X = _admitted_by_scipy(A, B, C)
+            if X is None:
+                continue
+            if blind:  # the planted mode is unstable and unobserved
+                assert np.linalg.matrix_rank(np.vstack([A - 0.5 * np.eye(n), C])) < n
+            sol = are_solve(LtiSystem(A, B, C))
+            assert np.linalg.norm(sol.P - X) <= 1e-8 * np.linalg.norm(X)
+            assert np.linalg.eigvals(A - B @ B.T @ sol.P).real.max() < 0
+            assert sol.closed_loop_abscissa < 0
+            admitted += 1
+            if admitted == 3:
+                break
+        assert admitted == 3
+
+
+class TestRiccatiPropagator:
+    @staticmethod
+    def _apply(triple, D):
+        alpha, beta, gamma = triple
+        return gamma + alpha.T @ D @ np.linalg.solve(np.eye(len(D)) + beta @ D, alpha)
+
+    def test_doubled_triple_is_two_steps(self, rng):
+        n = 4
+        A = rng.uniform(-1, 1, (n, n))
+        B = rng.uniform(-1, 1, (n, 2))
+        C = rng.uniform(-1, 1, (3, n))
+        P0 = rng.uniform(-1, 1, (n, n))
+        P0 = P0 @ P0.T
+        once = _flow_triple(A, B @ B.T, C.T @ C, 0.3, P0)
+        twice = _double(once)
+        for D in (np.zeros((n, n)), 0.1 * P0, np.eye(n)):
+            two_steps = self._apply(once, self._apply(once, D))
+            assert_allclose(self._apply(twice, D), two_steps, rtol=1e-12, atol=1e-12)
+        for got, want in zip(twice, _flow_triple(A, B @ B.T, C.T @ C, 0.6, P0)):
+            assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_triple_matches_integrated_flow(self, rng):
+        # gamma is the deviation from P0 reached by the backward equation
+        A = rng.uniform(-1, 1, (3, 3))
+        B = rng.uniform(-1, 1, (3, 1))
+        C = rng.uniform(-1, 1, (2, 3))
+        P0 = np.eye(3)
+        BBt, CtC = B @ B.T, C.T @ C
+
+        def rhs(t, y):
+            P = y.reshape(3, 3)
+            return (P @ A + A.T @ P - P @ BBt @ P + CtC).ravel()
+
+        integrated = rk4_path(rhs, P0.ravel(), [0.0, 2.0], 1e-3)[-1].reshape(3, 3)
+        _, _, gamma = _flow_triple(A, BBt, CtC, 2.0, P0)
+        assert_allclose(P0 + gamma, integrated, atol=1e-10)

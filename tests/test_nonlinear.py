@@ -56,6 +56,31 @@ class TestVectorField:
         bare = VectorField(2, 1, vf.f)
         assert np.abs(bare.jacobian_x(x, u) - vf.fx(x, u)).max() < 1e-8
 
+    def test_polynomial_field_matches_per_term_formula(self, rng):
+        n, p = 3, 2
+        rhs = [[{"coeff": float(rng.uniform(-2, 2)),
+                 "x": [int(k) for k in rng.integers(0, 4, n)],
+                 "u": [int(k) for k in rng.integers(0, 3, p)]}
+                for _ in range(int(rng.integers(0, 4)))]
+               for _ in range(n)]
+        vf = polynomial_field({"state_dim": n, "control_dim": p, "rhs": rhs})
+        bare = VectorField(n, p, vf.f)
+
+        def per_term(x, u):
+            return np.array([
+                sum(t["coeff"] * math.prod(x[k] ** t["x"][k] for k in range(n))
+                    * math.prod(u[k] ** t["u"][k] for k in range(p)) for t in comp)
+                for comp in rhs])
+
+        for _ in range(5):
+            x = rng.uniform(-1.5, 1.5, n)
+            u = rng.uniform(-1.5, 1.5, p)
+            assert_allclose(vf(x, u), per_term(x, u), rtol=1e-13, atol=1e-13)
+            assert np.abs(bare.jacobian_x(x, u) - vf.fx(x, u)).max() < 1e-6
+            assert np.abs(bare.jacobian_u(x, u) - vf.fu(x, u)).max() < 1e-6
+        zero = vf.fx(np.zeros(n), np.zeros(p))  # 0 ** 0 = 1, no 0 ** -1
+        assert np.all(np.isfinite(zero))
+
 
 class TestLinearization:
     def test_pendulum_upright(self, pend_field, upright_ref):
