@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
-from .systems import LtiSystem, Trajectory, simulate, uniform_grid
+from .systems import ControlSignal, LtiSystem, Trajectory, simulate, uniform_grid, write_csv
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,7 +77,7 @@ def _dump(value, indent: int) -> str:
         return str(value)
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError("verdict payloads must be finite")
+            raise NumericalError("verdict payload overflowed to a non-finite value")
         return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
@@ -157,9 +157,12 @@ def load_config(path: Path | None):
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vec = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ParseFailure(f"cannot parse {what}={text!r}: {exc}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise ParseFailure(f"{what}={text!r} has a non-finite entry")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +252,8 @@ def cmd_steer(args, cfg, extra_fields, out_dir: Path):
 
 def _parse_target(args, n: int) -> synthesis.MonicPolynomial:
     if args.roots is not None:
-        roots = [complex(v) for v in args.roots.split(",")]
         try:
+            roots = [complex(v) for v in args.roots.split(",")]
             return synthesis.MonicPolynomial.from_roots(roots)
         except ValueError as exc:
             raise ParseFailure(f"bad --roots: {exc}") from exc
@@ -288,18 +291,13 @@ def cmd_lqr(args, cfg, extra_fields, out_dir: Path):
     sys_obj, name = load_system(Path(args.system))
     prob = lqr_mod.LqrProblem(sys_obj, None, args.horizon)
     ric = lqr_mod.riccati_finite(prob, cfg)
-    outputs = []
-    every = max(1, (ric.grid.size - 1) // (args.points - 1))
-    sample_idx = np.arange(0, ric.grid.size, every)
-    value_csv = _traj_path(out_dir, name, "lqr", "_value")
     n = sys_obj.n
-    with open(value_csv, "w", newline="\n") as fh:
-        header = ["t"] + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-        fh.write(",".join(header) + "\n")
-        for k in sample_idx:
-            row = [ric.grid[k]] + list(ric.P_samples[k].reshape(-1))
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    outputs.append(value_csv)
+    value = Trajectory(grid=ric.grid, states=ric.P_samples.reshape(ric.grid.size, -1))
+    value = value.subsample(args.points)
+    value_csv = _traj_path(out_dir, name, "lqr", "_value")
+    write_csv(value_csv, ["t"] + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)],
+              np.hstack([value.grid[:, None], value.states]))
+    outputs = [value_csv]
     results = {
         "horizon": args.horizon,
         "value_at_0": ric.P_samples[0],
@@ -309,10 +307,7 @@ def cmd_lqr(args, cfg, extra_fields, out_dir: Path):
         xi = _parse_vector(args.xi, "xi")
         run = lqr_mod.lqr_trajectory(prob, ric, xi, None, cfg)
         traj_csv = _traj_path(out_dir, name, "lqr", "_trajectory")
-        sub = Trajectory(grid=run.trajectory.grid[sample_idx],
-                         states=run.trajectory.states[sample_idx],
-                         controls=run.trajectory.controls[sample_idx])
-        sub.to_csv(traj_csv)
+        run.trajectory.subsample(args.points).to_csv(traj_csv)
         outputs.append(traj_csv)
         results["cost"] = run.cost
     params = {"system": args.system, "horizon": args.horizon,
@@ -360,8 +355,6 @@ def cmd_simulate(args, cfg, extra_fields, out_dir: Path):
         uvec = _parse_vector(args.u, "u")
         if uvec.size != sys_obj.p:
             raise ParseFailure(f"--u needs {sys_obj.p} components")
-        from .systems import ControlSignal
-
         control = ControlSignal(args.t0, args.t1, sys_obj.p, lambda t: uvec)
     traj = simulate(sys_obj, x0, control, grid, cfg)
     csv_path = _traj_path(out_dir, name, "simulate")
@@ -392,11 +385,7 @@ def cmd_steer_nl(args, cfg, extra_fields, out_dir: Path):
         raise ParseFailure(str(exc)) from exc
     result = nonlinear.steer_nonlinear(vf, ref, x0, x1, cfg, delta=args.delta)
     csv_path = _traj_path(out_dir, args.field, "steer-nl")
-    stride = max(1, (result.trajectory.grid.size - 1) // (args.points - 1))
-    idx = np.arange(0, result.trajectory.grid.size, stride)
-    Trajectory(grid=result.trajectory.grid[idx],
-               states=result.trajectory.states[idx],
-               controls=result.trajectory.controls[idx]).to_csv(csv_path)
+    result.trajectory.subsample(args.points).to_csv(csv_path)
     results = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -423,6 +412,13 @@ HANDLERS = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _grid_points(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -444,20 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="directory for emitted files")
 
     p = sub.add_parser("analyze", help="controllability, observability, stability")
+    common(p, system=False)
     p.add_argument("system", nargs="?", default=None, help="system JSON file")
     p.add_argument("--dir", default=None, help="analyze every *.json in a directory")
-    p.add_argument("--config", default=None, help="tolerance config JSON")
-    p.add_argument("--out-dir", default=".", help="directory for emitted files")
 
     p = sub.add_parser("gramian", help="controllability Gramian on [t0, t1]")
     common(p)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, required=True)
 
     p = sub.add_parser("steer", help="minimum-energy steering")
     common(p)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, required=True)
     p.add_argument("--x0", required=True, help="comma-separated initial state")
     p.add_argument("--x1", required=True, help="comma-separated target state")
     p.add_argument("--points", type=_grid_points, default=1001)
@@ -476,24 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lqr", help="finite-horizon value matrix and optimal run")
     common(p)
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--horizon", type=_finite, required=True)
     p.add_argument("--xi", default=None, help="initial state for the optimal run")
     p.add_argument("--points", type=_grid_points, default=1001, help="CSV sample count")
 
     p = sub.add_parser("are", help="infinite-horizon value matrix")
     common(p)
-    p.add_argument("--initial-horizon", type=float, default=1.0)
+    p.add_argument("--initial-horizon", type=_finite, default=1.0)
     p.add_argument("--max-doublings", type=int, default=20)
 
     p = sub.add_parser("gramian-stab", help="prescribed-decay stabilization")
     common(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True,
                    help="prescribed exponential decay rate")
 
     p = sub.add_parser("simulate", help="open-loop simulation")
     common(p)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--u", default=None, help="constant control vector")
     p.add_argument("--points", type=_grid_points, default=1001)
@@ -501,13 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steer-nl", help="local steering of a nonlinear field")
     common(p, system=False)
     p.add_argument("--field", required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, default=1.0)
     p.add_argument("--x0", required=True)
     p.add_argument("--x1", required=True)
     p.add_argument("--xeq", default=None, help="reference equilibrium state")
     p.add_argument("--ueq", default=None, help="reference equilibrium control")
-    p.add_argument("--delta", type=float, default=0.1, help="trust radius")
+    p.add_argument("--delta", type=_finite, default=0.1, help="trust radius")
     p.add_argument("--points", type=_grid_points, default=1001)
 
     return parser
@@ -541,27 +536,14 @@ def main(argv=None) -> int:
         verdict_path.write_text(dumps(payload))
         manifest["outputs"] = [str(p) for p in [verdict_path, *outputs]]
         manifest["verdicts"] = {"ok": True}
-    except ParseFailure as exc:
+    except (ParseFailure, DimensionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DimensionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        manifest["errors"].append(
-            {"type": type(exc).__name__, "message": str(exc)})
-        manifest["verdicts"] = {"ok": False}
-        exit_code = EXIT_PRECONDITION
-    except NumericalError as exc:
-        manifest["errors"].append(
-            {"type": type(exc).__name__, "message": str(exc)})
-        manifest["verdicts"] = {"ok": False}
-        exit_code = EXIT_NUMERICAL
     except LinControlError as exc:
         manifest["errors"].append(
             {"type": type(exc).__name__, "message": str(exc)})
         manifest["verdicts"] = {"ok": False}
-        exit_code = EXIT_NUMERICAL
+        exit_code = EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_NUMERICAL
 
     sys.stdout.write(dumps(manifest))
     return exit_code

@@ -114,14 +114,21 @@ def spectra_separation(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.abs(la[:, None] + lb[None, :]).min())
 
 
+def rank_of_singular_values(s: np.ndarray, shape: tuple,
+                            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
+    """Count the descending singular values s of a matrix of the given
+    shape above rank_rtol * max(rows, cols) * sigma_max."""
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > cfg.rank_rtol * max(shape) * s[0]))
+
+
 def numerical_rank(A, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Count singular values above rank_rtol * max(rows, cols) * sigma_max."""
+    """Rank by the singular-value cutoff of `rank_of_singular_values`."""
     A = as_matrix(A, "A")
     if A.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    cutoff = cfg.rank_rtol * max(A.shape) * s[0]
-    return int(np.count_nonzero(s > cutoff))
+    return rank_of_singular_values(np.linalg.svd(A, compute_uv=False), A.shape, cfg)
 
 
 def solve_sylvester(A, Bm, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:

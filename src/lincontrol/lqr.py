@@ -36,10 +36,13 @@ from .errors import (
     NumericalInconsistencyError,
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
-from .stability import STABILITY_MARGIN, spectral_abscissa
+from .stability import spectral_abscissa
 from .systems import LtiSystem, LtvSystem, Trajectory, simulate
 
 BLOWUP_NORM = 1e12
+# Bound on the ARE residual of an accepted limit, relative to the size of
+# its terms 1 + 2||PA|| + ||PB||^2 + ||C^T C||.
+ARE_RESIDUAL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -273,13 +276,11 @@ def check_finite_cost_condition(sys: LtiSystem,
                                 cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> None:
     """Stabilizability in PBH form: rank [lam I - A, B] = n on every
     eigenvalue in the closed right half plane. Raises when violated."""
-    for lam in kernels.eigenvalues(sys.A):
-        if lam.real < -STABILITY_MARGIN:
-            continue
-        if reachability.hautus_rank_at(sys.A, sys.B, complex(lam), cfg) < sys.n:
-            raise FiniteCostViolationError(
-                f"unstable mode at {lam:.6g} is unreachable from the input; "
-                "the finite cost condition fails", bad_eigenvalue=complex(lam))
+    lam = reachability.unstabilizable_mode(sys.A, sys.B, cfg)
+    if lam is not None:
+        raise FiniteCostViolationError(
+            f"unstable mode at {lam:.6g} is unreachable from the input; "
+            "the finite cost condition fails", bad_eigenvalue=lam)
 
 
 def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -295,7 +296,10 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     T (anchored at I, see `_flow_triple`) doubles in closed form, so
     horizon 2^k T costs k doublings at O(n^3) each. The terminal weight
     I steers the limit to the stabilizing root even when C misses
-    unstable modes.
+    unstable modes. A limit whose ARE residual exceeds ARE_RESIDUAL_TOL
+    relative to 1 + 2||PA|| + ||PB||^2 + ||C^T C|| is refused: with an
+    initial horizon far below the time scale of the system, P_T and
+    P_2T both stay near I and pass the stopping rule.
     """
     if not (math.isfinite(initial_horizon) and initial_horizon > 0.0):
         raise DomainError(f"initial horizon must be finite and positive, got {initial_horizon}")
@@ -330,6 +334,11 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
             f"(last doubling moved {diff:.3e}, tolerance {tol:.1e})")
     P = P_prev
     residual = float(np.linalg.norm(A.T @ P + P @ A - P @ BBt @ P + CtC))
+    scale = 1.0 + 2.0 * np.linalg.norm(P @ A) + np.linalg.norm(P @ B) ** 2 + np.linalg.norm(CtC)
+    if not residual <= ARE_RESIDUAL_TOL * scale:
+        raise NumericalInconsistencyError(
+            f"limit matrix misses the ARE: residual {residual:.3e} is "
+            f"{residual / scale:.3e} of the size of its terms (bound {ARE_RESIDUAL_TOL:.0e})")
     closed = spectral_abscissa(A - BBt @ P)
     if closed >= 0.0:
         raise NumericalInconsistencyError(

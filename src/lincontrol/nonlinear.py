@@ -163,6 +163,9 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     """
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")
+    if x0.size != vf.state_dim or x1.size != vf.state_dim:
+        raise DimensionError(
+            f"x0 and x1 must have length {vf.state_dim}, got {x0.size} and {x1.size}")
     t0, t1 = ref.t0, ref.t1
     xbar0 = np.asarray(ref.xbar(t0), dtype=float)
     xbar1 = np.asarray(ref.xbar(t1), dtype=float)
@@ -177,22 +180,19 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
             f"beyond the trust radius {delta}")
 
     ltv = linearize_along(vf, ref)
-    nodes, E, dE, B_at = reachability._transition_samples(ltv, t0, t1, cfg)
-    G = reachability._gramian_from_samples(nodes, E, B_at)
-    min_eig = float(np.linalg.eigvalsh(G)[0])
-    if min_eig <= reachability.gramian_invertibility_cutoff(G, cfg):
+    (nodes, E, dE, _), report = reachability._gramian(ltv, t0, t1, cfg)
+    if not report.invertible:
         raise LinearTestInapplicableError(
             "the linearized system is not controllable on the interval "
-            f"(Gramian min eigenvalue {min_eig:.3e})", min_eigenvalue=min_eig)
+            f"(Gramian min eigenvalue {report.min_eigenvalue:.3e})",
+            min_eigenvalue=report.min_eigenvalue)
+    G = report.gramian
     R10 = E[0]
-    h = nodes[1] - nodes[0]
     grid = nodes  # simulate on the quadrature grid; spacing <= ode_step
 
     def control_for(phi: np.ndarray) -> ControlSignal:
         z = np.linalg.solve(G, (phi - xbar1) - R10 @ dx0)
-        w = np.einsum("kji,j->ki", E, z)
-        dw = np.einsum("kji,j->ki", dE, z)
-        w_fun = kernels.SampledMatrixFunction(nodes[0], h, w, dw)
+        w_fun = reachability._adjoint(nodes, E, dE, z)
 
         def u_of(s, _w=w_fun):
             return (np.atleast_1d(np.asarray(ref.ubar(s), float))

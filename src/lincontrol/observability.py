@@ -2,7 +2,8 @@
 
 The rank test stacks C, CA, ..., CA^{n-1}; the Gramian route integrates
 R_T = int_0^T e^{tA^T} C^T C e^{tA} dt. Both are computed and must agree.
-Everything dualizes: (A, C) is observable iff (A^T, C^T) is controllable.
+Everything dualizes: (A, C) is observable iff (A^T, C^T) is controllable,
+and each object here is the controllability object of (A^T, C^T).
 """
 
 from __future__ import annotations
@@ -35,37 +36,18 @@ class DetectabilityReport:
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
+    """The stack [C; CA; ...; CA^{n-1}], the transposed Kalman matrix of (A^T, C^T)."""
+    return reachability.kalman_matrix(A.T, C.T).T
 
 
 def observation_gramian(A, C, horizon: float,
                         cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramianReport:
-    """Simpson quadrature of R_T on [0, horizon]."""
-    if not horizon > 0.0:
-        raise DomainError("horizon must be positive")
-    A = kernels.require_square(A, "A")
+    """R_T on [0, horizon], by duality: substituting s = horizon - t, R_T
+    is the controllability Gramian of (A^T, C^T) on [0, horizon], so it
+    comes from the same Simpson quadrature and invertibility cutoff."""
     C = kernels.as_matrix(C, "C")
-    m_int = kernels.simpson_intervals(horizon, cfg.ode_step)
-    h = horizon / m_int
-    Eh = kernels.expm(h * A)
-    G = np.empty((m_int + 1,) + C.shape)
-    G[0] = C
-    for k in range(m_int):
-        G[k + 1] = G[k] @ Eh
-    w = kernels.simpson_weights(m_int) * (h / 3.0)
-    R = np.einsum("k,kli,klj->ij", w, G, G)
-    R = 0.5 * (R + R.T)
-    min_eig = float(np.linalg.eigvalsh(R)[0])
-    return GramianReport(
-        gramian=R,
-        interval=(0.0, horizon),
-        min_eigenvalue=min_eig,
-        invertible=min_eig > reachability.gramian_invertibility_cutoff(R, cfg),
-    )
+    return reachability.controllability_gramian(
+        LtiSystem(kernels.require_square(A, "A").T, C.T), 0.0, horizon, cfg)
 
 
 def observability_test(A, C, horizon: float = 1.0,
@@ -109,36 +91,27 @@ def _default_targets(count: int) -> np.ndarray:
 def detectability_test(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> DetectabilityReport:
     """PBH test on the closed right half plane, with an explicit witness.
 
-    (A, C) is detectable iff rank [lam I - A; C] = n at every eigenvalue
-    with Re lam >= 0. When detectable, a gain L with A + L C stable is
-    synthesized: by dual pole placement if (A, C) is observable,
-    otherwise on the observable subsystem of the dual decomposition with
-    zero gain on the remaining stable modes.
+    (A, C) is detectable iff (A^T, C^T) is stabilizable, i.e.
+    rank [lam I - A; C] = n at every eigenvalue with Re lam >= 0. When
+    detectable, a gain L with A + L C stable is synthesized on the
+    observable block of the dual Kalman decomposition, in its orthonormal
+    coordinates, with zero gain on the remaining (stable) modes; an
+    observable pair is the case where that block is the whole state.
     """
     A = kernels.require_square(A, "A")
     C = kernels.as_matrix(C, "C")
     n = A.shape[0]
     m = C.shape[0]
-    for lam in kernels.eigenvalues(A):
-        if lam.real < -STABILITY_MARGIN:
-            continue
-        #  rank [lam I - A; C] = rank [conj(lam) I - A^T, C^T]
-        if reachability.hautus_rank_at(A.T, C.T, complex(lam), cfg) < n:
-            return DetectabilityReport(detectable=False, witness_L=None)
+    if reachability.unstabilizable_mode(A.T, C.T, cfg) is not None:
+        return DetectabilityReport(detectable=False, witness_L=None)
 
-    if synthesis._dual_controllable(A, C, cfg):
-        target = synthesis.MonicPolynomial.from_roots(_default_targets(n))
-        L = synthesis.design_observer(A, C, target, cfg).L
-    else:
-        dual = reachability.kalman_decomposition(LtiSystem(A.T, C.T), cfg)
-        r = dual.r
-        if r == 0:
-            L = np.zeros((n, m))
-        else:
-            target = synthesis.MonicPolynomial.from_roots(_default_targets(r))
-            F1 = synthesis.pole_place(dual.A1, dual.B1, target, cfg).F
-            F_tilde = np.hstack([F1, np.zeros((m, n - r))])
-            L = (F_tilde @ dual.T.T).T
+    dual = reachability.kalman_decomposition(LtiSystem(A.T, C.T), cfg)
+    r = dual.r
+    L = np.zeros((n, m))
+    if r > 0:
+        target = synthesis.MonicPolynomial.from_roots(_default_targets(r))
+        F1 = synthesis.pole_place(dual.A1, dual.B1, target, cfg).F
+        L = (np.hstack([F1, np.zeros((m, n - r))]) @ dual.T.T).T
     closed = spectral_abscissa(A + L @ C)
     if closed >= -STABILITY_MARGIN:
         raise NumericalInconsistencyError(

@@ -12,13 +12,14 @@ decomposition into controllable and uncontrollable blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, UncontrollableIntervalError
+from .errors import DimensionError, DomainError, UncontrollableIntervalError
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
+from .stability import STABILITY_MARGIN
 from .systems import ControlSignal, LtiSystem, LtvSystem
 
 
@@ -74,14 +75,16 @@ def kalman_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def is_controllable(A: np.ndarray, B: np.ndarray,
+                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+    """The controllability gate: rank [B, AB, ..., A^{n-1}B] = n."""
+    return kernels.numerical_rank(kalman_matrix(A, B), cfg) == A.shape[0]
+
+
 def _range_split(M: np.ndarray, cfg: ToleranceConfig):
     """Rank and orthonormal bases of range(M) and its complement via SVD."""
     U, s, _ = np.linalg.svd(M)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        cutoff = cfg.rank_rtol * max(M.shape) * s[0]
-        r = int(np.count_nonzero(s > cutoff))
+    r = kernels.rank_of_singular_values(s, M.shape, cfg)
     reachable = kernels.sign_normalize_columns(U[:, :r])
     unreachable = kernels.sign_normalize_columns(U[:, r:])
     return r, reachable, unreachable
@@ -128,53 +131,67 @@ def hautus_test(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Ha
     return HautusReport(records=tuple(records))
 
 
+def unstabilizable_mode(A: np.ndarray, B: np.ndarray,
+                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Optional[complex]:
+    """PBH test on the closed right half plane.
+
+    Returns the first eigenvalue lam of A with Re lam >= -STABILITY_MARGIN
+    at which rank [lam I - A, B] < n, or None when (A, B) is
+    stabilizable. Stable eigenvalues are not evaluated.
+    """
+    for lam in kernels.eigenvalues(A):
+        if (lam.real >= -STABILITY_MARGIN
+                and hautus_rank_at(A, B, complex(lam), cfg) < A.shape[0]):
+            return complex(lam)
+    return None
+
+
 def _transition_samples(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
                         cfg: ToleranceConfig):
     """Samples of E(s) = R(t1, s) on Simpson nodes of [t0, t1].
 
     Returns (nodes, E, dE, B_at) where dE(s) = -E(s) A(s) supports cubic
     Hermite dense output and B_at samples the input matrix at the nodes.
-    For constant systems E is accumulated from e^{h A} products; for
-    time-varying systems the adjoint resolvent ODE is integrated
-    backward from E(t1) = I.
+    For constant systems E holds the powers of e^{h A}, built by
+    doubling; for time-varying systems the adjoint resolvent ODE is
+    integrated backward from E(t1) = I, one RK4 step per node.
     """
     span = t1 - t0
     m = kernels.simpson_intervals(span, cfg.ode_step)
     nodes = np.linspace(t0, t1, m + 1)
     h = span / m
+    n = sys.n
     if isinstance(sys, LtiSystem):
-        A, B = sys.A, sys.B
-        n = sys.n
-        Eh = kernels.expm(h * A)
-        E = np.empty((m + 1, n, n))
-        E[m] = np.eye(n)
-        for k in range(m, 0, -1):
-            E[k - 1] = Eh @ E[k]
-        dE = -E @ A
-        B_at = np.broadcast_to(B, (m + 1,) + B.shape)
+        A_at, B_at = sys.A, np.broadcast_to(sys.B, (m + 1,) + sys.B.shape)
+        Eh = kernels.expm(h * sys.A)
+        # P[j] = Eh^j, doubled until it covers the m + 1 nodes with one
+        # stacked product per doubling: Eh^(K + j) = Eh^j Eh^K
+        P = np.eye(n)[None]
+        while P.shape[0] <= m:
+            P = np.concatenate([P, (P.reshape(-1, n) @ (P[-1] @ Eh)).reshape(P.shape)])
+        E = P[m::-1]
     else:
         slack = 1e-9 * (1.0 + abs(sys.t1 - sys.t0))
         if t0 < sys.t0 - slack or t1 > sys.t1 + slack:
             raise DomainError(
                 f"[{t0}, {t1}] leaves the system interval [{sys.t0}, {sys.t1}]")
-        n = sys.n
-        E = np.empty((m + 1, n, n))
-        E[m] = np.eye(n)
-        A_nodes = np.array([sys.A_of(s) for s in nodes])
-        cur = np.eye(n)
-        for k in range(m, 0, -1):
-            cur = kernels.rk4_step(lambda s, M: -(M @ sys.A_of(s)), nodes[k], cur, -h)
-            E[k - 1] = cur
-        dE = -np.einsum("kij,kjl->kil", E, A_nodes)
+        A_at = np.array([sys.A_of(s) for s in nodes])
         B_at = np.array([sys.B_of(s) for s in nodes])
-    return nodes, E, dE, B_at
+        E = kernels.rk4_path(lambda s, M: -(M @ sys.A_of(s)), np.eye(n), nodes[::-1], span)[::-1]
+    return nodes, E, E @ -A_at, B_at
 
 
 def _gramian_from_samples(nodes: np.ndarray, E: np.ndarray, B_at: np.ndarray) -> np.ndarray:
+    """Composite-Simpson sum of w_k F_k F_k^T with F_k = E_k B_at[k].
+
+    The scaled factors sqrt(w_k) F_k are laid side by side in one
+    n x (K p) matrix M, so the sum is the single product M M^T.
+    """
     h = nodes[1] - nodes[0]
-    F = np.einsum("kij,kjl->kil", E, B_at)
     w = kernels.simpson_weights(nodes.size - 1) * (h / 3.0)
-    G = np.einsum("k,kil,kjl->ij", w, F, F)
+    F = (E @ B_at) * np.sqrt(w)[:, None, None]
+    M = F.transpose(1, 0, 2).reshape(F.shape[1], -1)
+    G = M @ M.T
     return 0.5 * (G + G.T)
 
 
@@ -191,20 +208,34 @@ def gramian_invertibility_cutoff(G: np.ndarray,
     return floor * (1.0 + float(np.linalg.norm(G, 2)))
 
 
-def controllability_gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
-                            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramianReport:
-    """Composite-Simpson quadrature of the controllability Gramian on [t0, t1]."""
+def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
+             cfg: ToleranceConfig):
+    """The transition samples of `_transition_samples` on [t0, t1] and
+    the GramianReport built from them."""
     if not t0 < t1:
         raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
-    nodes, E, _, B_at = _transition_samples(sys, t0, t1, cfg)
+    samples = _transition_samples(sys, t0, t1, cfg)
+    nodes, E, _, B_at = samples
     G = _gramian_from_samples(nodes, E, B_at)
     min_eig = float(np.linalg.eigvalsh(G)[0])
-    return GramianReport(
+    return samples, GramianReport(
         gramian=G,
         interval=(t0, t1),
         min_eigenvalue=min_eig,
         invertible=min_eig > gramian_invertibility_cutoff(G, cfg),
     )
+
+
+def _adjoint(nodes: np.ndarray, E: np.ndarray, dE: np.ndarray,
+             z: np.ndarray) -> kernels.SampledMatrixFunction:
+    """Dense output of w(s) = E(s)^T z; the steering control is B(s)^T w(s)."""
+    return kernels.SampledMatrixFunction(nodes[0], nodes[1] - nodes[0], z @ E, z @ dE)
+
+
+def controllability_gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
+                            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramianReport:
+    """Composite-Simpson quadrature of the controllability Gramian on [t0, t1]."""
+    return _gramian(sys, t0, t1, cfg)[1]
 
 
 def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
@@ -215,25 +246,21 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     z = Gc^{-1} (x1 - R(t1, t0) x0) and cost = <z, Gc z>, the exact
     minimum of int ||u||^2 over all steering controls.
     """
-    if not t0 < t1:
-        raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")
-    nodes, E, dE, B_at = _transition_samples(sys, t0, t1, cfg)
-    G = _gramian_from_samples(nodes, E, B_at)
-    min_eig = float(np.linalg.eigvalsh(G)[0])
-    if min_eig <= gramian_invertibility_cutoff(G, cfg):
+    if x0.size != sys.n or x1.size != sys.n:
+        raise DimensionError(
+            f"x0 and x1 must have length {sys.n}, got {x0.size} and {x1.size}")
+    (nodes, E, dE, B_at), report = _gramian(sys, t0, t1, cfg)
+    if not report.invertible:
         raise UncontrollableIntervalError(
             f"controllability Gramian on [{t0}, {t1}] is singular "
-            f"(min eigenvalue {min_eig:.3e})", min_eigenvalue=min_eig)
-    defect = x1 - E[0] @ x0
-    z = np.linalg.solve(G, defect)
+            f"(min eigenvalue {report.min_eigenvalue:.3e})",
+            min_eigenvalue=report.min_eigenvalue)
+    G = report.gramian
+    z = np.linalg.solve(G, x1 - E[0] @ x0)
     cost = float(z @ G @ z)
-
-    h = nodes[1] - nodes[0]
-    w_samples = np.einsum("kji,j->ki", E, z)       # w(s) = E(s)^T z
-    dw_samples = np.einsum("kji,j->ki", dE, z)
-    w_fun = kernels.SampledMatrixFunction(nodes[0], h, w_samples, dw_samples)
+    w_fun = _adjoint(nodes, E, dE, z)
 
     if isinstance(sys, LtiSystem):
         B = sys.B
@@ -245,25 +272,6 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
             return np.asarray(_B(s)).T @ _w(s)
 
     return ControlSignal(t0, t1, B_at.shape[2], u_of), cost
-
-
-def steering_endpoint_by_quadrature(sys, t0: float, t1: float, u: ControlSignal,
-                                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """int R(t1, s) B(s) u(s) ds, the from-zero endpoint of the input map."""
-    nodes, E, _, B_at = _transition_samples(sys, t0, t1, cfg)
-    h = nodes[1] - nodes[0]
-    vals = np.array([E[k] @ (B_at[k] @ np.asarray(u.u_of(s), dtype=float))
-                     for k, s in enumerate(nodes)])
-    return kernels.composite_simpson(vals, h)
-
-
-def control_energy(u: ControlSignal, t0: float, t1: float,
-                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Simpson quadrature of int_{t0}^{t1} ||u(s)||^2 ds."""
-    m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
-    nodes = np.linspace(t0, t1, m + 1)
-    vals = np.array([float(np.sum(np.asarray(u.u_of(s)) ** 2)) for s in nodes])
-    return float(kernels.composite_simpson(vals, nodes[1] - nodes[0]))
 
 
 def kalman_decomposition(sys: LtiSystem,

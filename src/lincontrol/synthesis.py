@@ -133,14 +133,6 @@ def _companion_last_row(alphas: np.ndarray) -> np.ndarray:
     return A
 
 
-def _krylov(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    cols = [b]
-    for _ in range(n - 1):
-        cols.append(A @ cols[-1])
-    return np.column_stack(cols)
-
-
 def controller_form(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ControllerForm:
     """Similarity onto the companion realization (A#, e_n).
 
@@ -153,13 +145,14 @@ def controller_form(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Controll
     n = A.shape[0]
     if b.size != n:
         raise DimensionError(f"b must have length {n}")
-    if kernels.numerical_rank(_krylov(A, b), cfg) < n:
+    if not reachability.is_controllable(A, b[:, None], cfg):
         raise UncontrollableError("(A, b) is not controllable")
     alphas = characteristic_polynomial(A).alphas
     A_sharp = _companion_last_row(alphas)
     b_sharp = np.zeros(n)
     b_sharp[-1] = 1.0
-    T = _krylov(A, b) @ np.linalg.inv(_krylov(A_sharp, b_sharp))
+    T = reachability.kalman_matrix(A, b[:, None]) @ np.linalg.inv(
+        reachability.kalman_matrix(A_sharp, b_sharp[:, None]))
     T_inv = np.linalg.inv(T)
     scale = 1.0 + np.abs(A).max()
     err = max(
@@ -176,8 +169,7 @@ def _place_single_input(A: np.ndarray, b: np.ndarray, target: MonicPolynomial,
                         cfg: ToleranceConfig) -> np.ndarray:
     """Row f with chi_{A + b f} = target, via the controller form."""
     form = controller_form(A, b, cfg)
-    alphas = characteristic_polynomial(A).alphas
-    f_sharp = target.alphas - alphas
+    f_sharp = target.alphas - form.A_sharp[-1]
     # A# + b# f# replaces the last row (a_k) by the target row exactly.
     return f_sharp @ np.linalg.inv(form.T)
 
@@ -226,7 +218,7 @@ def pole_place(A, B, target: MonicPolynomial,
     n, p = B.shape
     if target.degree != n:
         raise DimensionError(f"target degree {target.degree} must equal n={n}")
-    if kernels.numerical_rank(reachability.kalman_matrix(A, B), cfg) < n:
+    if not reachability.is_controllable(A, B, cfg):
         raise UncontrollableError("(A, B) is not controllable")
     if p == 1:
         F = _place_single_input(A, B[:, 0], target, cfg).reshape(1, n)
@@ -248,19 +240,13 @@ def pole_place(A, B, target: MonicPolynomial,
     return FeedbackGain(F=F, achieved_spectrum=achieved, residual=residual)
 
 
-def _dual_controllable(A: np.ndarray, C: np.ndarray,
-                       cfg: ToleranceConfig) -> bool:
-    return kernels.numerical_rank(
-        reachability.kalman_matrix(A.T, C.T), cfg) == A.shape[0]
-
-
 def design_observer(A, C, target: MonicPolynomial,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ObserverGain:
     """Output-injection gain L with chi_{A + L C} = target, by duality:
     place poles for (A^T, C^T) and transpose the gain."""
     A = kernels.require_square(A, "A")
     C = kernels.as_matrix(C, "C")
-    if not _dual_controllable(A, C, cfg):
+    if not reachability.is_controllable(A.T, C.T, cfg):
         raise UnobservableError("(A, C) is not observable")
     dual = pole_place(A.T, C.T, target, cfg)
     L = dual.F.T
@@ -338,7 +324,7 @@ def gramian_stabilizer(A, B, decay_rate: float,
     A = kernels.require_square(A, "A")
     B = kernels.as_matrix(B, "B")
     n = A.shape[0]
-    if kernels.numerical_rank(reachability.kalman_matrix(A, B), cfg) < n:
+    if not reachability.is_controllable(A, B, cfg):
         raise UncontrollableError("(A, B) is not controllable")
     minimal = minimal_decay_rate(A)
     if not decay_rate > 0.0 or decay_rate < minimal:

@@ -90,13 +90,6 @@ class LtvSystem:
         return (self.t0, self.t1)
 
 
-def constant_ltv(A, B, t0: float, t1: float) -> LtvSystem:
-    """Wrap constant matrices as a time-varying system on [t0, t1]."""
-    A = kernels.require_square(A, "A")
-    B = as_matrix(B, "B")
-    return LtvSystem(t0, t1, lambda t: A, lambda t: B)
-
-
 @dataclass(frozen=True)
 class ControlSignal:
     """A control u: [t0, t1] -> R^p given by a reentrant callable."""
@@ -114,22 +107,6 @@ class ControlSignal:
     def zero(cls, dim: int, t0: float, t1: float) -> "ControlSignal":
         z = np.zeros(dim)
         return cls(t0, t1, dim, lambda t: z)
-
-    @classmethod
-    def from_samples(cls, grid, values) -> "ControlSignal":
-        """Piecewise-linear interpolation of sampled control values."""
-        grid = np.asarray(grid, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != grid.size:
-            values = values.T
-        if values.shape[0] != grid.size:
-            raise DimensionError("values must supply one row per grid point")
-        dim = values.shape[1]
-
-        def u_of(t, _g=grid, _v=values):
-            return np.array([np.interp(t, _g, _v[:, i]) for i in range(dim)])
-
-        return cls(float(grid[0]), float(grid[-1]), dim, u_of)
 
 
 @dataclass(frozen=True)
@@ -162,19 +139,29 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
+    def subsample(self, points: int) -> "Trajectory":
+        """Every k-th sample from the first, k = max(1, (K - 1) // (points - 1))
+        for K samples, so about `points` of them remain."""
+        idx = np.arange(0, self.grid.size, max(1, (self.grid.size - 1) // (points - 1)))
+        return Trajectory(grid=self.grid[idx], states=self.states[idx],
+                          controls=None if self.controls is None else self.controls[idx])
+
     def to_csv(self, path) -> None:
-        """Write `t,x1,...,xn[,u1,...,up]` rows at 17 significant digits."""
-        n = self.states.shape[1]
-        header = ["t"] + [f"x{i + 1}" for i in range(n)]
+        """Write `t,x1,...,xn[,u1,...,up]` rows through `write_csv`."""
+        header = ["t"] + [f"x{i + 1}" for i in range(self.n)]
         blocks = [self.grid[:, None], self.states]
         if self.controls is not None:
             header += [f"u{i + 1}" for i in range(self.controls.shape[1])]
             blocks.append(self.controls)
-        data = np.hstack(blocks)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in data:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        write_csv(path, header, np.hstack(blocks))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and numeric rows at 17 significant digits."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def uniform_grid(t0: float, t1: float, points: int) -> np.ndarray:

@@ -9,8 +9,10 @@ sampled integrands.
 import numpy as np
 import scipy.linalg
 
-from lincontrol import LtiSystem, kalman_test
+from lincontrol import ControlSignal, DimensionError, LtiSystem, LtvSystem, kalman_test
+from lincontrol import kernels
 from lincontrol.kernels import DEFAULT_TOLERANCES
+from lincontrol.reachability import _transition_samples
 
 
 def random_system(rng, n, p, shift=0.0):
@@ -99,6 +101,46 @@ def weighted_gramian_by_quadrature(A, B, lam, count=8000):
 def control_quadrature_cost(u_of, t0, t1, count=2000):
     return float(simpson_integral(
         lambda s: np.sum(np.asarray(u_of(s)) ** 2), t0, t1, count))
+
+
+def constant_ltv(A, B, t0, t1):
+    """Wrap constant matrices as a time-varying system on [t0, t1]."""
+    A = kernels.require_square(A, "A")
+    B = kernels.as_matrix(B, "B")
+    return LtvSystem(t0, t1, lambda t: A, lambda t: B)
+
+
+def control_from_samples(grid, values):
+    """Piecewise-linear interpolation of sampled control values."""
+    grid = np.asarray(grid, dtype=float)
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if values.shape[0] != grid.size:
+        values = values.T
+    if values.shape[0] != grid.size:
+        raise DimensionError("values must supply one row per grid point")
+    dim = values.shape[1]
+
+    def u_of(t, _g=grid, _v=values):
+        return np.array([np.interp(t, _g, _v[:, i]) for i in range(dim)])
+
+    return ControlSignal(float(grid[0]), float(grid[-1]), dim, u_of)
+
+
+def steering_endpoint_by_quadrature(sys, t0, t1, u, cfg=DEFAULT_TOLERANCES):
+    """int R(t1, s) B(s) u(s) ds, the from-zero endpoint of the input map."""
+    nodes, E, _, B_at = _transition_samples(sys, t0, t1, cfg)
+    h = nodes[1] - nodes[0]
+    vals = np.array([E[k] @ (B_at[k] @ np.asarray(u.u_of(s), dtype=float))
+                     for k, s in enumerate(nodes)])
+    return kernels.composite_simpson(vals, h)
+
+
+def control_energy(u, t0, t1, cfg=DEFAULT_TOLERANCES):
+    """Simpson quadrature of int_{t0}^{t1} ||u(s)||^2 ds."""
+    m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
+    nodes = np.linspace(t0, t1, m + 1)
+    vals = np.array([float(np.sum(np.asarray(u.u_of(s)) ** 2)) for s in nodes])
+    return float(kernels.composite_simpson(vals, nodes[1] - nodes[0]))
 
 
 def grid(t0, t1, points=401):

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lincontrol.cli import main
 
@@ -274,6 +277,46 @@ class TestExitCodes:
         assert run(["are", path, flag, "--out-dir", str(tmp_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_are_tiny_initial_horizon_is_4(self, tmp_path, capsys):
+        # exact P = 2; from T = 1e-12 the doublings stop at P = 1
+        path = write(tmp_path, {"name": "gain2", "A": [[0]], "B": [[1]], "C": [[2]]})
+        assert run(["are", path, "--initial-horizon", "1e-12",
+                    "--out-dir", str(tmp_path)]) == 4
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["errors"][0]["type"] == "NumericalInconsistencyError"
+
+    @pytest.mark.parametrize("system, argv", [
+        (PEND, ["place", "--roots=abc"]),
+        (DI, ["steer", "--t1", "1", "--x0", "0,0,0", "--x1", "1,0"]),
+        (DI, ["steer", "--t1", "1", "--x0", "nan,0", "--x1", "1,0"]),
+        (PEND, ["simulate", "--t1", "1", "--x0", "0,0", "--u", "nan"]),
+        (None, ["steer-nl", "--field", "pendulum", "--x0", "3.1", "--x1", "3.14,0"]),
+    ], ids=["place-roots-abc", "steer-x0-length", "steer-x0-nan", "simulate-u-nan",
+            "steer-nl-x0-length"])
+    def test_bad_vector_argument_is_2(self, tmp_path, capsys, system, argv):
+        if system is not None:
+            argv = [argv[0], write(tmp_path, system), *argv[1:]]
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 2
+        capsys.readouterr()
+        assert not list(tmp_path.glob("*__*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t1", "nan", "--x0", "0,0"],
+        ["steer", "--t1", "inf", "--x0", "0,0", "--x1", "0,0"],
+        ["gramian-stab", "--lambda", "nan"],
+    ], ids=["simulate-t1-nan", "steer-t1-inf", "gramian-stab-lambda-nan"])
+    def test_nonfinite_number_flag_is_2(self, tmp_path, capsys, argv):
+        argv = [argv[0], write(tmp_path, PEND), *argv[1:]]
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_simulate_overflow_is_4(self, tmp_path, capsys):
+        path = write(tmp_path, PEND)
+        assert run(["simulate", path, "--t1", "1", "--x0", "1e308,1e308",
+                    "--out-dir", str(tmp_path)]) == 4
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["errors"][0]["type"] == "NumericalError"
+
     def test_are_zero_doublings_is_4(self, tmp_path, capsys):
         path = write(tmp_path, SCALAR)
         assert run(["are", path, "--max-doublings", "0",
@@ -304,3 +347,22 @@ class TestExitCodes:
         capsys.readouterr()
         rows = (tmp_path / "scalar__lqr_value.csv").read_text().strip().split("\n")
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 1.0]
+
+
+VECTOR_TEXT = st.one_of(st.text(max_size=12),
+                        st.text(alphabet="0123456789.,+-eEinfatj ", max_size=16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag=st.sampled_from(["x0", "u", "roots"]), text=VECTOR_TEXT)
+def test_arbitrary_vector_text_exits_with_a_code(tmp_path_factory, flag, text):
+    out = tmp_path_factory.mktemp("fuzz")
+    path = write(out, PEND)
+    if flag == "roots":
+        argv = ["place", path, f"--roots={text}"]
+    else:
+        argv = ["simulate", path, "--t1", "0.01", "--points", "3",
+                "--x0=0,0", "--u=0", f"--{flag}={text}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--out-dir", str(out)])
+    assert code in (0, 2, 3, 4)

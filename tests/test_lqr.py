@@ -12,6 +12,7 @@ from lincontrol import (
     DomainError,
     FiniteCostViolationError,
     LqrProblem,
+    NumericalInconsistencyError,
     LtiSystem,
     ToleranceConfig,
     are_solve,
@@ -23,6 +24,8 @@ from lincontrol import (
 )
 from lincontrol.kernels import rk4_path
 from lincontrol.lqr import _double, _flow_triple
+
+from helpers import control_from_samples
 
 
 @pytest.fixture
@@ -151,7 +154,7 @@ class TestLqrTrajectory:
         xi = np.array([1.0])
         run = lqr_trajectory(prob, ric, xi)
         grid = run.trajectory.grid
-        base = ControlSignal.from_samples(grid, run.trajectory.controls)
+        base = control_from_samples(grid, run.trajectory.controls)
         for _ in range(20):
             a, f = rng.uniform(-0.5, 0.5), rng.uniform(0.5, 8.0)
             u = ControlSignal(0, 1, 1,
@@ -247,6 +250,15 @@ class TestAreSolve:
     def test_degenerate_initial_horizon_rejected(self, scalar_sys, horizon):
         with pytest.raises(DomainError):
             are_solve(scalar_sys, initial_horizon=horizon)
+
+    def test_tiny_initial_horizon_refused_by_residual(self):
+        # A = 0, B = 1, C = 2 has P = 2. From T = 1e-12 both P_T(0) and
+        # P_2T(0) stay at the terminal weight I and pass the stopping
+        # rule; the ARE residual 3 is half the size of the terms.
+        sys = LtiSystem([[0.0]], [[1.0]], [[2.0]])
+        with pytest.raises(NumericalInconsistencyError):
+            are_solve(sys, initial_horizon=1e-12)
+        assert are_solve(sys).P[0, 0] == pytest.approx(2.0, abs=1e-8)
 
     def test_negative_doubling_budget_rejected(self, scalar_sys):
         with pytest.raises(DomainError):

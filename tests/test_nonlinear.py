@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lincontrol import (
+    DimensionError,
     DivergenceError,
     LinearTestInapplicableError,
     ToleranceConfig,
@@ -132,6 +133,10 @@ class TestReferences:
 
 
 class TestSteering:
+    def test_wrong_length_endpoint_rejected(self, pend_field, upright_ref):
+        with pytest.raises(DimensionError):
+            steer_nonlinear(pend_field, upright_ref, [PI], [PI, 0.0])
+
     def test_reference_endpoints_one_pass(self, pend_field, upright_ref):
         res = steer_nonlinear(pend_field, upright_ref, [PI, 0.0], [PI, 0.0])
         assert res.converged and res.iterations == 1

@@ -83,6 +83,16 @@ class TestGramianEquivalences:
             for T in (0.1, 1.0, 10.0):
                 assert observation_gramian(A, C, T).invertible == by_rank
 
+    def test_gramian_matches_stepped_quadrature(self, rng):
+        # R_T by duality against e^{tA^T} C^T C e^{tA} stepped forward in t
+        for n, m in ((1, 1), (3, 1), (4, 2)):
+            A = rng.uniform(-1, 1, (n, n))
+            C = rng.uniform(-1, 1, (m, n))
+            expected = helpers._stepped_simpson(lambda E: E.T @ C.T @ C @ E, A, 1.0, 1000)
+            rep = observation_gramian(A, C, 1.0)
+            assert rep.interval == (0.0, 1.0)
+            assert np.abs(rep.gramian - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
     def test_gramian_symmetric_psd(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 5))

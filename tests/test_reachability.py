@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from lincontrol import (
     ControlSignal,
+    DimensionError,
     DomainError,
     LtiSystem,
     UncontrollableIntervalError,
@@ -19,13 +20,15 @@ from lincontrol import (
     uniform_grid,
 )
 from lincontrol.reachability import (
-    control_energy,
+    _gramian_from_samples,
+    _transition_samples,
+    is_controllable,
     kalman_matrix,
-    steering_endpoint_by_quadrature,
+    unstabilizable_mode,
 )
-from lincontrol.systems import constant_ltv
 
 import helpers
+from helpers import constant_ltv, control_energy, steering_endpoint_by_quadrature
 
 
 class TestKalman:
@@ -145,8 +148,38 @@ class TestGramian:
         with pytest.raises(DomainError):
             controllability_gramian(pendulum, 1.0, 1.0)
 
+    def test_constant_samples_match_expm(self, rng):
+        # the doubled powers of e^{hA} against e^{(t1 - s) A} at each node
+        A = rng.uniform(-1, 1, (4, 4))
+        sys = LtiSystem(A, np.ones((4, 1)))
+        nodes, E, dE, _ = _transition_samples(sys, 0.0, 1.5, helpers.CFG)
+        for k in (0, 1, 700, nodes.size - 1):
+            R = expm((1.5 - nodes[k]) * A)
+            assert np.abs(E[k] - R).max() <= 1e-12 * np.abs(R).max()
+            assert np.abs(dE[k] + R @ A).max() <= 1e-12 * np.abs(R @ A).max()
+
+    def test_contraction_matches_weighted_sum(self, rng):
+        # the one-product Simpson contraction against the term-by-term sum
+        for n, p in ((1, 1), (3, 2), (5, 5)):
+            sys = helpers.random_system(rng, n, p)
+            nodes, E, _, B_at = _transition_samples(sys, 0.0, 1.0, helpers.CFG)
+            F = E @ B_at
+            w = np.ones(nodes.size)
+            w[1:-1:2] = 4.0
+            w[2:-1:2] = 2.0
+            w *= (nodes[1] - nodes[0]) / 3.0
+            expected = sum(wk * Fk @ Fk.T for wk, Fk in zip(w, F))
+            G = _gramian_from_samples(nodes, E, B_at)
+            assert np.abs(G - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
+
 
 class TestMinEnergy:
+    @pytest.mark.parametrize("x0, x1", [([0.0, 0.0, 0.0], [1.0, 0.0]),
+                                        ([0.0, 0.0], [1.0])])
+    def test_wrong_length_endpoint_rejected(self, double_integrator, x0, x1):
+        with pytest.raises(DimensionError):
+            min_energy_control(double_integrator, 0.0, 1.0, x0, x1)
+
     def test_scalar_integrator_constant_control(self):
         sys = LtiSystem([[0.0]], [[1.0]])
         u, cost = min_energy_control(sys, 0.0, 1.0, [0.0], [1.0])
@@ -225,6 +258,18 @@ class TestEnergyHelpers:
     def test_control_energy_constant(self):
         u = ControlSignal(0.0, 2.0, 2, lambda t: np.array([1.0, -1.0]))
         assert abs(control_energy(u, 0.0, 2.0) - 4.0) < 1e-10
+
+
+class TestGates:
+    def test_is_controllable(self, double_integrator):
+        assert is_controllable(double_integrator.A, double_integrator.B)
+        assert not is_controllable(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]))
+
+    def test_unstabilizable_mode(self):
+        A = np.diag([1.0, -1.0])
+        assert unstabilizable_mode(A, np.array([[0.0], [1.0]])) == pytest.approx(1.0)
+        # only the stable mode is missed: stabilizable
+        assert unstabilizable_mode(A, np.array([[1.0], [0.0]])) is None
 
 
 class TestDecomposition:

@@ -18,6 +18,7 @@ from lincontrol import (
 )
 
 import helpers
+from helpers import control_from_samples
 
 
 class TestModels:
@@ -116,7 +117,7 @@ class TestControlSignal:
     def test_from_samples_piecewise_linear(self):
         grid = np.array([0.0, 1.0, 2.0])
         vals = np.array([[0.0, 1.0], [2.0, 1.0], [2.0, 3.0]])
-        u = ControlSignal.from_samples(grid, vals)
+        u = control_from_samples(grid, vals)
         assert_allclose(u.u_of(0.5), [1.0, 1.0])
         assert_allclose(u.u_of(1.5), [2.0, 2.0])
         assert u.dim == 2
@@ -134,6 +135,15 @@ class TestTrajectory:
     def test_states_length_checked(self):
         with pytest.raises(DimensionError):
             Trajectory(grid=[0.0, 1.0], states=np.zeros((3, 1)))
+
+    def test_subsample_keeps_every_kth_sample(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        traj = Trajectory(grid=grid, states=grid[:, None] ** 2, controls=-grid[:, None])
+        sub = traj.subsample(6)
+        assert_allclose(sub.grid, grid[::2])
+        assert_allclose(sub.states[:, 0], grid[::2] ** 2)
+        assert_allclose(sub.controls[:, 0], -grid[::2])
+        assert Trajectory(grid=grid, states=grid[:, None]).subsample(50).grid.size == 11
 
     def test_csv_format(self, tmp_path):
         traj = Trajectory(grid=[0.0, 0.5],
