@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -166,7 +167,9 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (results, emitted trajectories)
+# command implementations; each returns (name, parameters, results, files),
+# files a list of (path, write) pairs that `main` writes with write(path)
+# once the verdict has serialized
 
 
 def _traj_path(out_dir: Path, name: str, command: str, suffix: str = "") -> Path:
@@ -239,7 +242,6 @@ def cmd_steer(args, cfg, extra_fields, out_dir: Path):
     traj = simulate(sys_obj, x0, control, grid, cfg)
     err = float(np.linalg.norm(traj.final_state() - x1))
     csv_path = _traj_path(out_dir, name, "steer")
-    traj.to_csv(csv_path)
     results = {
         "predicted_cost": cost,
         "endpoint_error": err,
@@ -247,7 +249,7 @@ def cmd_steer(args, cfg, extra_fields, out_dir: Path):
     }
     params = {"system": args.system, "t0": args.t0, "t1": args.t1,
               "x0": args.x0, "x1": args.x1, "points": args.points}
-    return name, params, results, [csv_path]
+    return name, params, results, [(csv_path, traj.to_csv)]
 
 
 def _parse_target(args, n: int) -> synthesis.MonicPolynomial:
@@ -295,9 +297,9 @@ def cmd_lqr(args, cfg, extra_fields, out_dir: Path):
     value = Trajectory(grid=ric.grid, states=ric.P_samples.reshape(ric.grid.size, -1))
     value = value.subsample(args.points)
     value_csv = _traj_path(out_dir, name, "lqr", "_value")
-    write_csv(value_csv, ["t"] + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)],
-              np.hstack([value.grid[:, None], value.states]))
-    outputs = [value_csv]
+    header = ["t"] + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    rows = np.hstack([value.grid[:, None], value.states])
+    outputs = [(value_csv, lambda path: write_csv(path, header, rows))]
     results = {
         "horizon": args.horizon,
         "value_at_0": ric.P_samples[0],
@@ -307,8 +309,7 @@ def cmd_lqr(args, cfg, extra_fields, out_dir: Path):
         xi = _parse_vector(args.xi, "xi")
         run = lqr_mod.lqr_trajectory(prob, ric, xi, None, cfg)
         traj_csv = _traj_path(out_dir, name, "lqr", "_trajectory")
-        run.trajectory.subsample(args.points).to_csv(traj_csv)
-        outputs.append(traj_csv)
+        outputs.append((traj_csv, run.trajectory.subsample(args.points).to_csv))
         results["cost"] = run.cost
     params = {"system": args.system, "horizon": args.horizon,
               "xi": args.xi, "points": args.points}
@@ -355,14 +356,14 @@ def cmd_simulate(args, cfg, extra_fields, out_dir: Path):
         uvec = _parse_vector(args.u, "u")
         if uvec.size != sys_obj.p:
             raise ParseFailure(f"--u needs {sys_obj.p} components")
-        control = ControlSignal(args.t0, args.t1, sys_obj.p, lambda t: uvec)
+        control = ControlSignal.vectorized(
+            args.t0, args.t1, sys_obj.p, lambda t: np.full(np.shape(t) + uvec.shape, uvec))
     traj = simulate(sys_obj, x0, control, grid, cfg)
     csv_path = _traj_path(out_dir, name, "simulate")
-    traj.to_csv(csv_path)
     results = {"final_state": traj.final_state()}
     params = {"system": args.system, "t0": args.t0, "t1": args.t1,
               "x0": args.x0, "u": args.u, "points": args.points}
-    return name, params, results, [csv_path]
+    return name, params, results, [(csv_path, traj.to_csv)]
 
 
 def cmd_steer_nl(args, cfg, extra_fields, out_dir: Path):
@@ -385,7 +386,7 @@ def cmd_steer_nl(args, cfg, extra_fields, out_dir: Path):
         raise ParseFailure(str(exc)) from exc
     result = nonlinear.steer_nonlinear(vf, ref, x0, x1, cfg, delta=args.delta)
     csv_path = _traj_path(out_dir, args.field, "steer-nl")
-    result.trajectory.subsample(args.points).to_csv(csv_path)
+    traj = result.trajectory.subsample(args.points)
     results = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -395,7 +396,7 @@ def cmd_steer_nl(args, cfg, extra_fields, out_dir: Path):
     }
     params = {"field": args.field, "t0": args.t0, "t1": args.t1,
               "x0": args.x0, "x1": args.x1, "delta": args.delta}
-    return args.field, params, results, [csv_path]
+    return args.field, params, results, [(csv_path, traj.to_csv)]
 
 
 HANDLERS = {
@@ -508,10 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -523,7 +529,7 @@ def main(argv=None) -> int:
             Path(args.config) if args.config else None)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        name, params, results, outputs = HANDLERS[args.command](
+        name, params, results, files = HANDLERS[args.command](
             args, cfg, extra_fields, out_dir)
         manifest["parameters"] = params
         verdict_path = out_dir / f"{name}__{args.command}.json"
@@ -533,8 +539,13 @@ def main(argv=None) -> int:
             "results": results,
             "errors": [],
         }
-        verdict_path.write_text(dumps(payload))
-        manifest["outputs"] = [str(p) for p in [verdict_path, *outputs]]
+        # serialized before any file is written: an overflowed verdict
+        # (exit 4) leaves no file behind
+        verdict = dumps(payload)
+        for path, write in files:
+            write(path)
+        verdict_path.write_text(verdict)
+        manifest["outputs"] = [str(p) for p in [verdict_path, *(path for path, _ in files)]]
         manifest["verdicts"] = {"ok": True}
     except (ParseFailure, DimensionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

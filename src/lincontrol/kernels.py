@@ -180,27 +180,135 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# Substeps per block of coefficient samples in rk4_linear: the stage
+# samples of one block are a few hundred (n, n) matrices, not the whole path.
+RK4_CHUNK = 256
+
+
+@dataclass(frozen=True)
+class Rk4Stages:
+    """The substeps RK4 takes through a grid.
+
+    Each grid gap is split uniformly into ceil(|gap| / max_step) substeps
+    (at least one). Substep s starts at t[s] and has length h[s] (negative
+    on a decreasing grid); stop[i] is the number of substeps taken on
+    reaching grid[i + 1]. `times[s]` holds the three stage times of
+    substep s, computed as `rk4_step` computes them: t, t + h/2, t + h.
+    """
+
+    t: np.ndarray
+    h: np.ndarray
+    stop: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.stack([self.t, self.t + 0.5 * self.h, self.t + self.h], axis=1)
+
+
+def rk4_stages(grid, max_step: float) -> Rk4Stages:
+    """The substep split of `rk4_path` and `rk4_linear` on the grid."""
+    grid = np.asarray(grid, dtype=float)
+    gaps = np.diff(grid)
+    m = np.maximum(1, np.ceil(np.abs(gaps) / max_step)).astype(int)
+    stop = np.cumsum(m)
+    h = np.repeat(gaps / m, m)
+    j = np.arange(h.size) - np.repeat(stop - m, m)
+    return Rk4Stages(t=np.repeat(grid[:-1], m) + j * h, h=h, stop=stop)
+
+
 def rk4_path(f: Callable, x0: np.ndarray, grid: np.ndarray, max_step: float) -> np.ndarray:
     """Integrate x' = f(t, x) through every grid point with RK4 substeps.
 
-    Each grid gap is split uniformly into substeps no longer than
-    max_step. Returns the states stacked along axis 0, one per grid
-    point, with the initial state stored exactly.
+    The substeps are those of `rk4_stages`. Returns the states stacked
+    along axis 0, one per grid point, with the initial state stored
+    exactly.
     """
     grid = np.asarray(grid, dtype=float)
+    stages = rk4_stages(grid, max_step)
     out = np.empty((grid.size,) + np.shape(x0), dtype=float)
     x = np.array(x0, dtype=float)
     out[0] = x
-    for i in range(grid.size - 1):
-        ta, tb = grid[i], grid[i + 1]
-        m = max(1, math.ceil(abs(tb - ta) / max_step))
-        h = (tb - ta) / m
-        t = ta
-        for _ in range(m):
+    s = 0
+    for i, stop in enumerate(stages.stop.tolist()):
+        for t, h in zip(stages.t[s:stop].tolist(), stages.h[s:stop].tolist()):
             x = rk4_step(f, t, x, h)
-            t += h
+        s = stop
         out[i + 1] = x
     return out
+
+
+def _rk4_step_maps(A: np.ndarray, b, h: np.ndarray):
+    """The RK4 steps of x' = A(t) x + b(t) as affine maps x -> M x + c.
+
+    A holds the coefficient at the three stage times of each substep,
+    shape (c, 3, n, n), or is one (n, n) matrix for constant coefficients;
+    b has shape (c, 3, n, k) or is None for b = 0. Stage j of RK4 is
+    k_j = P_j x + q_j (P1 = A0, q1 = b0), so M = I + h/6 (P1 + 2 P2 +
+    2 P3 + P4) and c = h/6 (q1 + 2 q2 + 2 q3 + q4), formed for all
+    substeps at once.
+    """
+    if A.ndim == 2:
+        A0 = Am = A1 = A
+    else:
+        A0, Am, A1 = A[:, 0], A[:, 1], A[:, 2]
+    hh = h[:, None, None]
+    half = 0.5 * hh
+    P2 = Am + half * (Am @ A0)
+    P3 = Am + half * (Am @ P2)
+    P4 = A1 + hh * (A1 @ P3)
+    M = np.eye(A.shape[-1]) + (hh / 6.0) * (A0 + 2.0 * P2 + 2.0 * P3 + P4)
+    if b is None:
+        return M, None
+    b0, bm, b1 = b[:, 0], b[:, 1], b[:, 2]
+    q2 = half * (Am @ b0) + bm
+    q3 = half * (Am @ q2) + bm
+    q4 = hh * (A1 @ q3) + b1
+    return M, (hh / 6.0) * (b0 + 2.0 * q2 + 2.0 * q3 + q4)
+
+
+def rk4_linear(coefficients: Callable, x0, stages: Rk4Stages) -> np.ndarray:
+    """RK4 for the linear system x' = A(t) x + b(t), x a vector or a matrix.
+
+    Takes the substeps of `stages` (see `rk4_stages`) in blocks of
+    RK4_CHUNK. For each block, `coefficients(sl)` returns (A, b) sampled
+    at `stages.times[sl]`: A of shape (c, 3, n, n), or one (n, n) matrix
+    when it is constant, and b of shape (c, 3) + x0.shape, or None for
+    b = 0. The step maps of the block are formed in batched products;
+    only their application is sequential. Returns the states at the grid
+    points that `stages` was built on, the first one x0 exactly.
+    """
+    x = np.array(x0, dtype=float)
+    col = x.reshape(x.shape[0], -1)
+    out = np.empty((stages.stop.size + 1,) + col.shape)
+    out[0] = col
+    stop = stages.stop.tolist()
+    i = 0
+    for lo in range(0, stages.h.size, RK4_CHUNK):
+        sl = slice(lo, min(lo + RK4_CHUNK, stages.h.size))
+        A, b = coefficients(sl)
+        if b is not None:
+            b = np.reshape(b, b.shape[:2] + col.shape)
+        M, c = _rk4_step_maps(np.asarray(A, dtype=float), b, stages.h[sl])
+        for s in range(M.shape[0]):
+            col = M[s] @ col if c is None else M[s] @ col + c[s]
+            if stop[i] == lo + s + 1:
+                i += 1
+                out[i] = col
+    return out.reshape((out.shape[0],) + x.shape)
+
+
+def sample_at(fn: Callable, times) -> np.ndarray:
+    """fn(t) at every entry of an array of times, calling fn once per
+    distinct time; the result has shape times.shape + the value's shape."""
+    times = np.asarray(times, dtype=float)
+    distinct, where = np.unique(times, return_inverse=True)
+    ts = distinct.tolist()
+    first = np.asarray(fn(ts[0]), dtype=float)
+    values = np.empty((len(ts),) + first.shape)  # filled row by row, no list of arrays
+    values[0] = first
+    for i in range(1, len(ts)):
+        values[i] = fn(ts[i])
+    return values[where.reshape(times.shape)]
 
 
 def resolvent(sys: "LtvSystem", s: float, t: float,
@@ -208,7 +316,8 @@ def resolvent(sys: "LtvSystem", s: float, t: float,
     """State-transition matrix R(t, s) of x' = A(tau) x.
 
     Solves the matrix ODE d/dt R(t, s) = A(t) R(t, s), R(s, s) = I with
-    fixed-step RK4 (step <= cfg.ode_step). Works in both time directions.
+    fixed-step RK4 (step <= cfg.ode_step), A sampled once per stage
+    time. Works in both time directions.
     """
     lo, hi = sys.t0, sys.t1
     slack = 1e-9 * (1.0 + abs(hi - lo))
@@ -218,8 +327,9 @@ def resolvent(sys: "LtvSystem", s: float, t: float,
     n = sys.n
     if t == s:
         return np.eye(n)
-    path = rk4_path(lambda tau, M: sys.A_of(tau) @ M, np.eye(n),
-                    np.array([s, t]), cfg.ode_step)
+    stages = rk4_stages([s, t], cfg.ode_step)
+    times = stages.times
+    path = rk4_linear(lambda sl: (sample_at(sys.A_of, times[sl]), None), np.eye(n), stages)
     return path[-1]
 
 
@@ -280,19 +390,34 @@ class SampledMatrixFunction:
     values: np.ndarray
     derivs: np.ndarray
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """The value at time t, or at every entry of an array of times
+        (shape t.shape + the trailing shape of the values)."""
         K = self.values.shape[0] - 1
-        u = (t - self.t0) / self.h
-        k = int(min(max(math.floor(u), 0), K - 1))
-        th = u - k
+        u = (np.asarray(t, dtype=float) - self.t0) / self.h
+        k = np.clip(np.floor(u), 0, K - 1).astype(int)
+        th = (u - k)[(...,) + (None,) * (self.values.ndim - 1)]
         th2 = th * th
         th3 = th2 * th
         h00 = 2.0 * th3 - 3.0 * th2 + 1.0
         h10 = th3 - 2.0 * th2 + th
         h01 = -2.0 * th3 + 3.0 * th2
         h11 = th3 - th2
-        return (h00 * self.values[k] + h01 * self.values[k + 1]
-                + self.h * (h10 * self.derivs[k] + h11 * self.derivs[k + 1]))
+        # np.take copies, so the four terms accumulate in place in three
+        # arrays the size of the result
+        out = np.take(self.values, k, axis=0)
+        out *= h00
+        term = np.take(self.values, k + 1, axis=0)
+        term *= h01
+        out += term
+        slope = np.take(self.derivs, k, axis=0)
+        slope *= h10
+        np.take(self.derivs, k + 1, axis=0, out=term, mode="clip")  # unbuffered
+        term *= h11
+        slope += term
+        slope *= self.h
+        out += slope
+        return out
 
 
 def sign_normalize_columns(U: np.ndarray) -> np.ndarray:

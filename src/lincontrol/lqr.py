@@ -37,7 +37,7 @@ from .errors import (
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
 from .stability import spectral_abscissa
-from .systems import LtiSystem, LtvSystem, Trajectory, simulate
+from .systems import LtiSystem, Trajectory, time_grid
 
 BLOWUP_NORM = 1e12
 # Bound on the ARE residual of an accepted limit, relative to the size of
@@ -83,8 +83,9 @@ class RiccatiSolution:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
-    def P_at(self, t: float) -> np.ndarray:
-        """Cubic-Hermite dense output between the stored samples."""
+    def P_at(self, t) -> np.ndarray:
+        """Cubic-Hermite dense output between the stored samples, at a
+        time or at every entry of an array of times."""
         return self._dense(t)
 
 
@@ -232,28 +233,34 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi,
                    grid=None, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LqrRun:
     """Closed-loop run x' = (A - B B^T P(t)) x from xi, with the sampled
-    optimal control, the adjoint y = P x, and the achieved cost."""
+    optimal control, the adjoint y = P x, and the achieved cost.
+
+    The run takes RK4 substeps no longer than cfg.ode_step on any grid;
+    P is read off the dense output once per block of stage times.
+    """
     xi = kernels.as_vector(xi, "xi")
     A, B = prob.sys.A, prob.sys.B
     T = ric.horizon
     if grid is None:
         grid = ric.grid
     else:
-        grid = np.asarray(grid, dtype=float)
+        grid = time_grid(grid)
         if grid[0] < -1e-12 or grid[-1] > T + 1e-12:
             raise DomainError(
                 f"grid [{grid[0]}, {grid[-1]}] does not match the Riccati "
                 f"solution on [0, {T}]")
-    closed = LtvSystem(
-        float(grid[0]), float(grid[-1]),
-        lambda t: A - B @ (B.T @ ric.P_at(t)),
-        lambda t: B,
-    )
-    traj = simulate(closed, xi, None, grid, cfg)
-    P_on_grid = np.array([ric.P_at(t) for t in grid])
-    adjoint = np.einsum("kij,kj->ki", P_on_grid, traj.states)
+    if xi.size != prob.sys.n:
+        raise DimensionError(f"xi must have length {prob.sys.n}")
+    stages = kernels.rk4_stages(grid, cfg.ode_step)
+    times = stages.times
+    states = kernels.rk4_linear(
+        lambda sl: (A - B @ (B.T @ ric.P_at(times[sl])), None), xi, stages)
+    adjoint = np.concatenate([
+        np.einsum("kij,kj->ki", ric.P_at(grid[lo:lo + kernels.RK4_CHUNK]),
+                  states[lo:lo + kernels.RK4_CHUNK])
+        for lo in range(0, grid.size, kernels.RK4_CHUNK)])
     controls = -np.einsum("ij,kj->ki", B.T, adjoint)
-    full = Trajectory(grid=traj.grid, states=traj.states, controls=controls)
+    full = Trajectory(grid=grid, states=states, controls=controls)
     return LqrRun(trajectory=full, adjoint=adjoint, cost=evaluate_cost(prob, full))
 
 

@@ -140,14 +140,33 @@ def linearize_along(vf: VectorField, ref: ReferenceTrajectory) -> LtvSystem:
     )
 
 
+def _sample_times(grid: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """The stage times of the RK4 flow through the grid, then the grid."""
+    times = kernels.rk4_stages(grid, cfg.ode_step).times.ravel()
+    return np.concatenate([times, grid])
+
+
 def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Trajectory:
-    """RK4 flow of x' = f(x, u(t)) through the grid points."""
+    """RK4 flow of x' = f(x, u(t)) through the grid points.
+
+    u is sampled once, in one array, at the stage times of the flow and
+    at the grid points; each RK4 stage reads its row by its time.
+    """
     x0 = kernels.as_vector(x0, "x0")
-    states = kernels.rk4_path(
-        lambda t, x: vf(x, u.u_of(t)), x0, np.asarray(grid, float), cfg.ode_step)
-    controls = np.array([np.atleast_1d(np.asarray(u.u_of(t), float)) for t in grid])
-    return Trajectory(grid=np.asarray(grid, float), states=states, controls=controls)
+    grid = np.asarray(grid, float)
+    times = _sample_times(grid, cfg)
+    U = u.at(times)
+    row = {t: i for i, t in enumerate(times[:-grid.size].tolist())}
+    states = kernels.rk4_path(lambda t, x: vf(x, U[row[t]]), x0, grid, cfg.ode_step)
+    return Trajectory(grid=grid, states=states, controls=U[-grid.size:])
+
+
+def _along(vf: VectorField, ref: ReferenceTrajectory, times: np.ndarray):
+    """ubar(t) and f_u(xbar(t), ubar(t))^T at an array of times."""
+    ubar = kernels.sample_at(lambda s: np.atleast_1d(ref.ubar(s)), times)
+    fuT = kernels.sample_at(lambda s: vf.jacobian_u(ref.xbar(s), ref.ubar(s)).T, times)
+    return ubar, fuT
 
 
 def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
@@ -180,7 +199,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
             f"beyond the trust radius {delta}")
 
     ltv = linearize_along(vf, ref)
-    (nodes, E, dE, _), report = reachability._gramian(ltv, t0, t1, cfg)
+    (nodes, E, A_at, _), report = reachability._gramian(ltv, t0, t1, cfg)
     if not report.invertible:
         raise LinearTestInapplicableError(
             "the linearized system is not controllable on the interval "
@@ -189,16 +208,22 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     G = report.gramian
     R10 = E[0]
     grid = nodes  # simulate on the quadrature grid; spacing <= ode_step
+    # every pass samples its control at these times: the reference part
+    # is sampled there once
+    times = _sample_times(grid, cfg)
+    kept = _along(vf, ref, times)
 
     def control_for(phi: np.ndarray) -> ControlSignal:
         z = np.linalg.solve(G, (phi - xbar1) - R10 @ dx0)
-        w_fun = reachability._adjoint(nodes, E, dE, z)
+        w = reachability._adjoint(nodes, E, A_at, z)
 
-        def u_of(s, _w=w_fun):
-            return (np.atleast_1d(np.asarray(ref.ubar(s), float))
-                    + vf.jacobian_u(ref.xbar(s), ref.ubar(s)).T @ _w(s))
+        def u_at(s):
+            s = np.asarray(s, dtype=float)
+            at_stages = s.shape == times.shape and np.array_equal(s, times)
+            ubar, fuT = kept if at_stages else _along(vf, ref, s)
+            return ubar + np.einsum("...pn,...n->...p", fuT, w(s))
 
-        return ControlSignal(t0, t1, vf.control_dim, u_of)
+        return ControlSignal.vectorized(t0, t1, vf.control_dim, u_at)
 
     phi = x1.copy()
     errors = []

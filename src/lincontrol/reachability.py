@@ -150,11 +150,12 @@ def _transition_samples(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
                         cfg: ToleranceConfig):
     """Samples of E(s) = R(t1, s) on Simpson nodes of [t0, t1].
 
-    Returns (nodes, E, dE, B_at) where dE(s) = -E(s) A(s) supports cubic
-    Hermite dense output and B_at samples the input matrix at the nodes.
-    For constant systems E holds the powers of e^{h A}, built by
-    doubling; for time-varying systems the adjoint resolvent ODE is
-    integrated backward from E(t1) = I, one RK4 step per node.
+    Returns (nodes, E, A_at, B_at): A_at and B_at sample the system
+    matrices at the nodes (A_at is the one matrix A for constant
+    systems). For constant systems E holds the powers of e^{h A}, built
+    by doubling; for time-varying systems the adjoint resolvent ODE
+    d/ds E^T = -A(s)^T E^T is integrated backward from E(t1) = I, one RK4
+    step per node, with A sampled once at the nodes and midpoints.
     """
     span = t1 - t0
     m = kernels.simpson_intervals(span, cfg.ode_step)
@@ -175,10 +176,15 @@ def _transition_samples(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
         if t0 < sys.t0 - slack or t1 > sys.t1 + slack:
             raise DomainError(
                 f"[{t0}, {t1}] leaves the system interval [{sys.t0}, {sys.t1}]")
-        A_at = np.array([sys.A_of(s) for s in nodes])
-        B_at = np.array([sys.B_of(s) for s in nodes])
-        E = kernels.rk4_path(lambda s, M: -(M @ sys.A_of(s)), np.eye(n), nodes[::-1], span)[::-1]
-    return nodes, E, E @ -A_at, B_at
+        stages = kernels.rk4_stages(nodes[::-1], span)
+        times = stages.times
+        A_all = kernels.sample_at(sys.A_of, np.concatenate([times.ravel(), nodes]))
+        A_at = A_all[times.size:]
+        minus_AT = -A_all[:times.size].reshape(times.shape + (n, n)).transpose(0, 1, 3, 2)
+        B_at = kernels.sample_at(sys.B_of, nodes)
+        ET = kernels.rk4_linear(lambda sl: (minus_AT[sl], None), np.eye(n), stages)
+        E = ET[::-1].transpose(0, 2, 1)
+    return nodes, E, A_at, B_at
 
 
 def _gramian_from_samples(nodes: np.ndarray, E: np.ndarray, B_at: np.ndarray) -> np.ndarray:
@@ -226,10 +232,13 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     )
 
 
-def _adjoint(nodes: np.ndarray, E: np.ndarray, dE: np.ndarray,
+def _adjoint(nodes: np.ndarray, E: np.ndarray, A_at: np.ndarray,
              z: np.ndarray) -> kernels.SampledMatrixFunction:
-    """Dense output of w(s) = E(s)^T z; the steering control is B(s)^T w(s)."""
-    return kernels.SampledMatrixFunction(nodes[0], nodes[1] - nodes[0], z @ E, z @ dE)
+    """Dense output of w(s) = E(s)^T z, which solves w' = -A(s)^T w; the
+    steering control is B(s)^T w(s)."""
+    w = z @ E
+    return kernels.SampledMatrixFunction(nodes[0], nodes[1] - nodes[0], w,
+                                         -(w[:, None] @ A_at)[:, 0])
 
 
 def controllability_gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
@@ -251,7 +260,7 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     if x0.size != sys.n or x1.size != sys.n:
         raise DimensionError(
             f"x0 and x1 must have length {sys.n}, got {x0.size} and {x1.size}")
-    (nodes, E, dE, B_at), report = _gramian(sys, t0, t1, cfg)
+    (nodes, E, A_at, B_at), report = _gramian(sys, t0, t1, cfg)
     if not report.invertible:
         raise UncontrollableIntervalError(
             f"controllability Gramian on [{t0}, {t1}] is singular "
@@ -260,18 +269,20 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     G = report.gramian
     z = np.linalg.solve(G, x1 - E[0] @ x0)
     cost = float(z @ G @ z)
-    w_fun = _adjoint(nodes, E, dE, z)
+    w = _adjoint(nodes, E, A_at, z)
 
     if isinstance(sys, LtiSystem):
         B = sys.B
 
-        def u_of(s, _w=w_fun, _B=B):
-            return _B.T @ _w(s)
+        def u_at(s):
+            return w(s) @ B
     else:
-        def u_of(s, _w=w_fun, _B=sys.B_of):
-            return np.asarray(_B(s)).T @ _w(s)
+        B_of = sys.B_of
 
-    return ControlSignal(t0, t1, B_at.shape[2], u_of), cost
+        def u_at(s):
+            return np.einsum("...np,...n->...p", kernels.sample_at(B_of, s), w(s))
+
+    return ControlSignal.vectorized(t0, t1, B_at.shape[2], u_at), cost
 
 
 def kalman_decomposition(sys: LtiSystem,

@@ -8,7 +8,7 @@ numerically at fourth order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,21 +92,42 @@ class LtvSystem:
 
 @dataclass(frozen=True)
 class ControlSignal:
-    """A control u: [t0, t1] -> R^p given by a reentrant callable."""
+    """A control u: [t0, t1] -> R^p given by a reentrant callable.
+
+    `u_of(t)` is the public view, one time at a time. `at(times)` returns
+    the samples at an array of times in one array: a control built by
+    `vectorized` answers it in one call, any other calls u_of once per
+    distinct time.
+    """
 
     t0: float
     t1: float
     dim: int
     u_of: Callable[[float], np.ndarray]
+    _u_at: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def interval(self) -> tuple:
         return (self.t0, self.t1)
 
+    def at(self, times) -> np.ndarray:
+        """u at every entry of an array of times, shape times.shape + (dim,)."""
+        times = np.asarray(times, dtype=float)
+        if self._u_at is not None:
+            return self._u_at(times)
+        return kernels.sample_at(self.u_of, times).reshape(times.shape + (self.dim,))
+
+    @classmethod
+    def vectorized(cls, t0: float, t1: float, dim: int,
+                   u_at: Callable[[np.ndarray], np.ndarray]) -> "ControlSignal":
+        """A control from u_at(times), which maps an array of times to
+        samples of shape times.shape + (dim,) and serves as u_of too."""
+        return cls(t0, t1, dim, u_at, u_at)
+
     @classmethod
     def zero(cls, dim: int, t0: float, t1: float) -> "ControlSignal":
-        z = np.zeros(dim)
-        return cls(t0, t1, dim, lambda t: z)
+        return cls.vectorized(t0, t1, dim, lambda t: np.zeros(np.shape(t) + (dim,)))
 
 
 @dataclass(frozen=True)
@@ -170,6 +191,15 @@ def uniform_grid(t0: float, t1: float, points: int) -> np.ndarray:
     return np.linspace(t0, t1, points)
 
 
+def time_grid(grid) -> np.ndarray:
+    """The grid as a float array, refused unless it is a strictly
+    increasing 1-D sequence of at least two times."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise DomainError("grid must be a strictly increasing 1-D sequence")
+    return grid
+
+
 def _check_grid(grid: np.ndarray, lo: float, hi: float, what: str) -> None:
     slack = 1e-9 * (1.0 + abs(hi - lo))
     if grid[0] < lo - slack or grid[-1] > hi + slack:
@@ -182,41 +212,42 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
     """Integrate the system from x0 along the grid, driven by u (or zero).
 
     States are produced at every grid point by RK4 with internal substeps
-    no longer than cfg.ode_step; the initial state is stored exactly.
-    Superposition holds to integration accuracy since everything is
-    linear in (x0, u).
+    no longer than cfg.ode_step (`kernels.rk4_linear`); the coefficients
+    and the control are sampled once per stage time, and the initial
+    state is stored exactly. Superposition holds to integration accuracy
+    since everything is linear in (x0, u).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be a strictly increasing 1-D sequence")
+    grid = time_grid(grid)
     x0 = as_vector(x0, "x0")
 
-    if isinstance(sys, LtiSystem):
-        if x0.size != sys.n:
-            raise DimensionError(f"x0 must have length {sys.n}")
-        A, B = sys.A, sys.B
-        A_of = lambda t: A
-        B_of = lambda t: B
-        p = sys.p
-    elif isinstance(sys, LtvSystem):
-        if x0.size != sys.n:
-            raise DimensionError(f"x0 must have length {sys.n}")
-        _check_grid(grid, sys.t0, sys.t1, "system")
-        A_of, B_of, p = sys.A_of, sys.B_of, sys.p
-    else:
+    if not isinstance(sys, (LtiSystem, LtvSystem)):
         raise TypeError(f"cannot simulate object of type {type(sys).__name__}")
+    if x0.size != sys.n:
+        raise DimensionError(f"x0 must have length {sys.n}")
+    if isinstance(sys, LtvSystem):
+        _check_grid(grid, sys.t0, sys.t1, "system")
+    p = sys.p
 
-    if u is None:
-        f = lambda t, x: A_of(t) @ x
-    else:
+    stages = kernels.rk4_stages(grid, cfg.ode_step)
+    times = stages.times
+    U = controls = None
+    if u is not None:
         if u.dim != p:
             raise DimensionError(f"control dimension {u.dim} does not match p={p}")
         _check_grid(grid, u.t0, u.t1, "control")
-        u_of = u.u_of
-        f = lambda t, x: A_of(t) @ x + B_of(t) @ np.asarray(u_of(t), dtype=float)
+        samples = u.at(np.concatenate([times.ravel(), grid]))
+        U = samples[:times.size].reshape(times.shape + (p,))
+        controls = samples[times.size:]
 
-    states = kernels.rk4_path(f, x0, grid, cfg.ode_step)
-    controls = None
-    if u is not None:
-        controls = np.array([np.asarray(u.u_of(t), dtype=float) for t in grid])
+    def coefficients(sl):
+        if isinstance(sys, LtiSystem):
+            A = sys.A
+            b = None if U is None else U[sl] @ sys.B.T
+        else:
+            A = kernels.sample_at(sys.A_of, times[sl])
+            b = None if U is None else np.einsum(
+                "sjnp,sjp->sjn", kernels.sample_at(sys.B_of, times[sl]), U[sl])
+        return A, b
+
+    states = kernels.rk4_linear(coefficients, x0, stages)
     return Trajectory(grid=grid, states=states, controls=controls)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lincontrol import cli
 from lincontrol.cli import main
 
 PEND = {
@@ -83,6 +84,17 @@ class TestDeterminism:
             pairs.append((out / "scalar__are.json").read_bytes()
                          + (out / "di__steer.csv").read_bytes())
         assert pairs[0] == pairs[1]
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        path = write(tmp_path, SCALAR)
+        assert run(["gramian", path, "--t1", "1", "--out-dir", str(tmp_path)]) == 0
+        assert run(["gramian", path]) == 2  # --t1 required
+        assert "required: --t1" in capsys.readouterr().err
+        assert len(built) == 1
 
 
 class TestCommands:
@@ -316,6 +328,14 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path)]) == 4
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["errors"][0]["type"] == "NumericalError"
+
+    def test_overflowed_run_leaves_no_file(self, tmp_path, capsys):
+        path = write(tmp_path, PEND)
+        out = tmp_path / "out"
+        assert run(["simulate", path, "--t1", "1", "--x0", "1e308,1e308",
+                    "--out-dir", str(out)]) == 4
+        assert json.loads(capsys.readouterr().out)["outputs"] == []
+        assert list(out.iterdir()) == []
 
     def test_are_zero_doublings_is_4(self, tmp_path, capsys):
         path = write(tmp_path, SCALAR)

@@ -17,7 +17,13 @@ from lincontrol import (
     resolvent,
     solve_sylvester,
 )
-from lincontrol.kernels import composite_simpson, rk4_path
+from lincontrol.kernels import (
+    SampledMatrixFunction,
+    composite_simpson,
+    rk4_path,
+    rk4_stages,
+    sample_at,
+)
 from lincontrol.systems import LtvSystem
 
 import helpers
@@ -177,6 +183,13 @@ class TestResolvent:
         Binv = resolvent(sys, 1.0, 0.0)
         assert np.abs(F @ Binv - np.eye(2)).max() < 1e-9
 
+    def test_matches_rk4_path_both_directions(self):
+        A_of = lambda t: np.array([[0.0, 1.0 + t], [-1.0, -0.3 * math.cos(3.0 * t)]])
+        sys = LtvSystem(0.0, 2.0, A_of, lambda t: np.ones((2, 1)))
+        for s, t in ((0.1, 1.9), (1.7, 0.2)):
+            ref = rk4_path(lambda tau, M: A_of(tau) @ M, np.eye(2), [s, t], 1e-3)[-1]
+            assert np.abs(resolvent(sys, s, t) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_outside_interval_raises(self):
         sys = constant_ltv(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 1.0)
         with pytest.raises(DomainError):
@@ -201,6 +214,46 @@ class TestQuadratureAndPaths:
             path = rk4_path(f, np.array([1.0]), np.array([0.0, 1.0]), h)
             errs.append(abs(path[-1, 0] - math.exp(-1.0)))
         assert errs[0] / errs[1] > 8.0
+
+
+class TestStageSampling:
+    def test_stages_reproduce_the_substep_split(self):
+        # ceil(|gap| / max_step) equal substeps per gap, on either time direction
+        for grid in ([0.0, 0.25, 0.3, 1.0], [1.0, 0.55, 0.0]):
+            stages = rk4_stages(grid, 0.1)
+            seen = 0
+            for i, (ta, tb) in enumerate(zip(grid, grid[1:])):
+                m = max(1, math.ceil(abs(tb - ta) / 0.1))
+                h = (tb - ta) / m
+                assert stages.stop[i] == seen + m
+                assert np.all(stages.h[seen:seen + m] == h)
+                assert_allclose(stages.t[seen:seen + m], ta + h * np.arange(m), rtol=0, atol=1e-15)
+                seen += m
+            times = stages.times
+            assert np.array_equal(times[:, 1], stages.t + 0.5 * stages.h)
+            assert np.array_equal(times[:, 2], stages.t + stages.h)
+
+    def test_vectorized_hermite_matches_scalar_calls(self, rng):
+        values = rng.standard_normal((6, 2, 3))
+        derivs = rng.standard_normal((6, 2, 3))
+        kept = values.copy(), derivs.copy()
+        f = SampledMatrixFunction(0.5, 0.2, values, derivs)
+        # nodes, interior points, and points past both ends (clamped cubics)
+        times = np.concatenate([np.linspace(0.3, 1.7, 29), [0.5, 0.7, 1.5]])
+        batch = f(times)
+        assert batch.shape == (times.size, 2, 3)
+        for t, row in zip(times, batch):
+            assert np.array_equal(row, f(float(t)))
+        assert np.array_equal(f(times.reshape(-1, 1))[:, 0], batch)
+        assert np.array_equal(values, kept[0]) and np.array_equal(derivs, kept[1])
+
+    def test_sample_at_calls_once_per_distinct_time(self):
+        calls = []
+        times = np.array([[0.0, 0.5, 1.0], [1.0, 1.5, 2.0], [2.0, 0.5, 3.0]])
+        out = sample_at(lambda t: calls.append(t) or np.array([t, 2.0 * t]), times)
+        assert sorted(calls) == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+        assert out.shape == (3, 3, 2)
+        assert np.array_equal(out[..., 1], 2.0 * times)
 
 
 class TestToleranceConfig:

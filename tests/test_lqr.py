@@ -148,6 +148,24 @@ class TestLqrTrajectory:
         xT, yT = z[-1, :2], z[-1, 2:]
         assert np.abs(yT - prob.P0 @ xT).max() <= 1e-6
 
+    def test_coarse_user_grid_takes_substeps(self, rng):
+        sys = LtiSystem(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 2)),
+                        rng.uniform(-1, 1, (2, 3)))
+        prob = LqrProblem(sys, np.eye(3) * 0.5, 1.0)
+        ric = riccati_finite(prob)
+        xi = rng.uniform(-1, 1, 3)
+        coarse = np.linspace(0.0, 1.0, 11)  # 100 RK4 substeps per gap
+        run = lqr_trajectory(prob, ric, xi, coarse)
+        A, B = sys.A, sys.B
+        ref = rk4_path(lambda t, x: (A - B @ (B.T @ ric.P_at(t))) @ x, xi, coarse, 1e-3)
+        states = run.trajectory.states
+        assert np.abs(states - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+        fine = lqr_trajectory(prob, ric, xi)  # on the Riccati grid, spacing 5e-4
+        assert np.allclose(fine.trajectory.grid[::200], coarse, rtol=0, atol=1e-15)
+        assert np.abs(states - fine.trajectory.states[::200]).max() <= 1e-9
+        assert_allclose(run.adjoint, [ric.P_at(t) @ x for t, x in zip(coarse, states)],
+                        rtol=1e-13, atol=1e-15)
+
     def test_optimal_beats_perturbed_controls(self, rng, scalar_sys):
         prob = LqrProblem(scalar_sys, None, 1.0)
         ric = riccati_finite(prob)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -160,6 +161,37 @@ class TestSteering:
         replay = integrate_field(pend_field, [PI + 0.05, 0.0], res.control,
                                  np.linspace(0.0, 1.0, 501), fine)
         assert np.linalg.norm(replay.final_state() - [PI - 0.05, 0.0]) <= 1e-8
+
+    def test_control_samples_match_u_of(self):
+        # a pendulum whose input gain grows with the angle, swung along
+        # x(t) = (t, 1): ubar = sin(t) / (1 + t/2) and f_u vary along it
+        vf = VectorField(2, 1,
+                         lambda x, u: np.array([x[1], -math.sin(x[0]) + (1.0 + 0.5 * x[0]) * u[0]]),
+                         fu=lambda x, u: np.array([[0.0], [1.0 + 0.5 * x[0]]]))
+        ref = ReferenceTrajectory(vf, 0.0, 1.0, lambda t: np.array([t, 1.0]),
+                                  lambda t: np.array([math.sin(t) / (1.0 + 0.5 * t)]))
+        res = steer_nonlinear(vf, ref, [0.03, 1.0], [1.0, 0.98])
+        assert res.converged
+        traj = res.trajectory
+        expected = np.array([res.control.u_of(t) for t in traj.grid])
+        assert_allclose(traj.controls, expected, rtol=1e-13, atol=1e-14)
+        times = np.linspace(0.0, 1.0, 37)
+        assert_allclose(res.control.at(times), [res.control.u_of(t) for t in times],
+                        rtol=1e-13, atol=1e-14)
+
+    def test_leaves_no_cyclic_garbage(self, pend_field, upright_ref):
+        steer = lambda: steer_nonlinear(pend_field, upright_ref,
+                                        [PI + 0.05, 0.0], [PI - 0.05, 0.0])
+        steer()
+        gc.collect()
+        gc.disable()
+        try:
+            res = steer()
+            res.control.at(np.linspace(0.0, 1.0, 5))
+            del res
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_contraction_ratios(self, pend_field, upright_ref):
         cfg = ToleranceConfig(fixed_point_tol=1e-12)

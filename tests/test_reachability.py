@@ -9,6 +9,7 @@ from lincontrol import (
     DimensionError,
     DomainError,
     LtiSystem,
+    LtvSystem,
     UncontrollableIntervalError,
     controllability_gramian,
     expm,
@@ -152,7 +153,8 @@ class TestGramian:
         # the doubled powers of e^{hA} against e^{(t1 - s) A} at each node
         A = rng.uniform(-1, 1, (4, 4))
         sys = LtiSystem(A, np.ones((4, 1)))
-        nodes, E, dE, _ = _transition_samples(sys, 0.0, 1.5, helpers.CFG)
+        nodes, E, A_at, _ = _transition_samples(sys, 0.0, 1.5, helpers.CFG)
+        dE = E @ -A_at  # dE/ds = -E(s) A(s), the slope behind the adjoint's dense output
         for k in (0, 1, 700, nodes.size - 1):
             R = expm((1.5 - nodes[k]) * A)
             assert np.abs(E[k] - R).max() <= 1e-12 * np.abs(R).max()
@@ -210,6 +212,18 @@ class TestMinEnergy:
                            np.array([[0.0], [1.0]]), 0.0, 1.0)
         u, cost = min_energy_control(sys, 0.0, 1.0, [0, 0], [1, 0])
         assert abs(cost - 12.0) < 1e-8
+
+    def test_array_samples_match_u_of(self, rng):
+        times = np.linspace(-0.1, 1.1, 25)  # past both ends too
+        ltv = LtvSystem(0.0, 1.0, lambda t: np.array([[0.0, 1.0], [-t, 0.0]]),
+                        lambda t: np.array([[0.0, math.cos(t)], [1.0, t]]))
+        for sys in (helpers.random_controllable(rng, 3, 2), ltv):
+            u, _ = min_energy_control(sys, 0.0, 1.0, rng.uniform(-1, 1, sys.n),
+                                      rng.uniform(-1, 1, sys.n))
+            samples = u.at(times)
+            assert samples.shape == (times.size, 2)
+            expected = np.array([u.u_of(t) for t in times])
+            assert_allclose(samples, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
 
     def test_uncontrollable_interval_raises_with_eigenvalue(self):
         sys = LtiSystem(np.diag([1.0, 2.0]), [[1.0], [0.0]])

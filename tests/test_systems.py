@@ -17,6 +17,8 @@ from lincontrol import (
     uniform_grid,
 )
 
+from lincontrol.kernels import rk4_path, rk4_stages
+
 import helpers
 from helpers import control_from_samples
 
@@ -113,6 +115,41 @@ class TestSimulate:
             simulate(double_integrator, [0, 0], u, uniform_grid(0, 1, 11))
 
 
+class TestLinearPath:
+    # gaps needing 1, 3, 590 and 7 substeps of at most 1e-3
+    GRID = np.array([0.0, 0.001, 0.0035, 0.0035 + 0.59, 0.6])
+
+    def test_lti_matches_rk4_path(self, rng):
+        sys = helpers.random_system(rng, 3, 2)
+        u = ControlSignal(0.0, 0.6, 2, lambda t: np.array([math.sin(9.0 * t), t * t]))
+        x0 = rng.uniform(-1, 1, 3)
+        got = simulate(sys, x0, u, self.GRID).states
+        ref = rk4_path(lambda t, x: sys.A @ x + sys.B @ u.u_of(t), x0, self.GRID, 1e-3)
+        assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+        free = simulate(sys, x0, None, self.GRID).states
+        ref = rk4_path(lambda t, x: sys.A @ x, x0, self.GRID, 1e-3)
+        assert np.abs(free - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+
+    def test_ltv_time_varying_input_matches_rk4_path(self, rng):
+        A_of = lambda t: np.array([[0.0, 1.0 + t], [-2.0, -0.5 * math.cos(4.0 * t)]])
+        B_of = lambda t: np.array([[math.sin(3.0 * t), 0.0], [1.0 + t, -t]])
+        sys = LtvSystem(0.0, 0.6, A_of, B_of)
+        u = ControlSignal(0.0, 0.6, 2, lambda t: np.array([math.cos(5.0 * t), 1.0]))
+        x0 = rng.uniform(-1, 1, 2)
+        traj = simulate(sys, x0, u, self.GRID)
+        ref = rk4_path(lambda t, x: A_of(t) @ x + B_of(t) @ u.u_of(t), x0, self.GRID, 1e-3)
+        assert np.abs(traj.states - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+        assert_allclose(traj.controls, [u.u_of(t) for t in self.GRID], rtol=0, atol=0)
+
+    def test_user_control_called_once_per_stage_time(self, double_integrator):
+        calls = []
+        u = ControlSignal(0.0, 1.0, 1, lambda t: calls.append(t) or np.array([math.sin(t)]))
+        grid = uniform_grid(0.0, 1.0, 11)
+        simulate(double_integrator, [0.0, 0.0], u, grid, ToleranceConfig(ode_step=0.03))
+        stage_times = np.concatenate([rk4_stages(grid, 0.03).times.ravel(), grid])
+        assert len(calls) == len(set(calls)) == np.unique(stage_times).size
+
+
 class TestControlSignal:
     def test_from_samples_piecewise_linear(self):
         grid = np.array([0.0, 1.0, 2.0])
@@ -125,6 +162,16 @@ class TestControlSignal:
     def test_zero(self):
         u = ControlSignal.zero(3, 0.0, 1.0)
         assert_allclose(u.u_of(0.5), np.zeros(3))
+        assert np.array_equal(u.at(np.linspace(0, 1, 4)), np.zeros((4, 3)))
+
+    def test_array_samples_match_u_of(self):
+        times = np.array([[0.0, 0.25], [0.25, 1.0]])
+        u = ControlSignal(0.0, 1.0, 2, lambda t: np.array([math.sin(t), t]))
+        assert np.array_equal(u.at(times), [[u.u_of(t) for t in row] for row in times])
+        v = ControlSignal.vectorized(0.0, 1.0, 2,
+                                     lambda t: np.stack([np.sin(t), np.asarray(t)], axis=-1))
+        assert np.array_equal(v.at(times), [[v.u_of(t) for t in row] for row in times])
+        assert v.u_of(0.25).shape == (2,)
 
 
 class TestTrajectory:
