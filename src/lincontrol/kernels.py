@@ -1,6 +1,7 @@
 """Dense numerical kernels: matrix exponential, eigenvalues, rank with
-tolerance, Sylvester/Lyapunov solves, fixed-step RK4 and resolvent
-integration, composite Simpson quadrature, and Hermite dense output.
+tolerance, Sylvester/Lyapunov solves (Bartels-Stewart on real Schur
+forms), fixed-step RK4 and resolvent integration, composite Simpson
+quadrature, and Hermite dense output.
 
 Everything here is a pure function of its inputs. Matrices are plain
 float64 numpy arrays; eigenvalue lists are complex numpy arrays that come
@@ -132,7 +133,8 @@ def numerical_rank(A, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
 
 
 def solve_sylvester(A, Bm, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Solve A X + X Bm = R by vectorizing into an (n k) x (n k) system.
+    """Solve A X + X Bm = R by Bartels-Stewart: real Schur forms of A and
+    Bm, then triangular back substitution (LAPACK trsyl, through scipy).
 
     Parameters
     ----------
@@ -158,10 +160,7 @@ def solve_sylvester(A, Bm, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
             f"spectra of A and -Bm are not disjoint (separation {sep:.3e}); "
             "the equation has no unique solution"
         )
-    # vec is column-stacking: vec(AX) = (I (x) A) vec(X), vec(XB) = (B^T (x) I) vec(X)
-    K = np.kron(np.eye(k), A) + np.kron(Bm.T, np.eye(n))
-    x = np.linalg.solve(K, R.flatten(order="F"))
-    X = x.reshape((n, k), order="F")
+    X = scipy.linalg.solve_sylvester(A, Bm, R)
     residual = np.linalg.norm(A @ X + X @ Bm - R)
     bound = cfg.residual_tol * (1.0 + np.linalg.norm(R))
     if residual > bound:

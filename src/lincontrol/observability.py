@@ -83,11 +83,6 @@ def duality_check(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     return obs == ctrl
 
 
-def _default_targets(count: int) -> np.ndarray:
-    # distinct real rates; defective (repeated) targets slow the measured decay
-    return -np.arange(1.0, count + 1.0)
-
-
 def detectability_test(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> DetectabilityReport:
     """PBH test on the closed right half plane, with an explicit witness.
 
@@ -97,6 +92,8 @@ def detectability_test(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Detec
     observable block of the dual Kalman decomposition, in its orthonormal
     coordinates, with zero gain on the remaining (stable) modes; an
     observable pair is the case where that block is the whole state.
+    The block gain is the decay-rate stabilizer of `gramian_stabilizer`
+    at one unit past the block's minimal decay rate.
     """
     A = kernels.require_square(A, "A")
     C = kernels.as_matrix(C, "C")
@@ -109,8 +106,8 @@ def detectability_test(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Detec
     r = dual.r
     L = np.zeros((n, m))
     if r > 0:
-        target = synthesis.MonicPolynomial.from_roots(_default_targets(r))
-        F1 = synthesis.pole_place(dual.A1, dual.B1, target, cfg).F
+        rate = synthesis.minimal_decay_rate(dual.A1) + 1.0
+        F1 = synthesis.gramian_stabilizer(dual.A1, dual.B1, rate, cfg).K
         L = (np.hstack([F1, np.zeros((m, n - r))]) @ dual.T.T).T
     closed = spectral_abscissa(A + L @ C)
     if closed >= -STABILITY_MARGIN:

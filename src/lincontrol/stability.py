@@ -43,7 +43,7 @@ def lyapunov_certificate(A, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Sta
     """Unique symmetric solution Q of A^T Q + Q A = -R for stable A.
 
     Q equals int_0^inf e^{tA^T} R e^{tA} dt, so it inherits (semi)
-    definiteness from R; here it is produced by the dense vectorized
+    definiteness from R; here it is produced by the Bartels-Stewart
     solve, with the integral kept as an independent test oracle.
     """
     A = kernels.require_square(A, "A")

@@ -43,6 +43,25 @@ def random_observable(rng, n, m):
             return A, C
 
 
+def planted_detection_pair(rng, n, hidden=None):
+    """(A, C) with A ~ N(0, 1/n) and m = max(1, n // 4) outputs.
+
+    With `hidden` a real number, the pair gets an eigenvalue `hidden`
+    whose unit eigenvector v is unobserved: A v = hidden v and C v = 0, a
+    rank-one change of each draw. The pair is then detectable iff
+    hidden < 0; with hidden=None it is (generically) observable.
+    """
+    m = max(1, n // 4)
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    C = rng.standard_normal((m, n)) / np.sqrt(n)
+    if hidden is not None:
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        A = A - np.outer(A @ v - hidden * v, v)
+        C = C - np.outer(C @ v, v)
+    return A, C
+
+
 def well_conditioned_invertible(rng, n):
     """Orthogonal factors around singular values in [0.5, 2]."""
     Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))

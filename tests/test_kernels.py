@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -152,6 +154,39 @@ class TestSylvester:
         X = solve_sylvester(A.T, A, -R)
         oracle = helpers.lyapunov_by_quadrature(A, R, count=32000)
         assert np.abs(X - oracle).max() < 1e-8
+
+    @pytest.mark.parametrize("n", [20, 32, 48])
+    def test_lyapunov_at_advertised_sizes(self, rng, n):
+        A = helpers.random_stable_matrix(rng, n)
+        R = rng.uniform(-1, 1, (n, n))
+        R = R @ R.T + np.eye(n)
+        X = solve_sylvester(A.T, A, -R)
+        reference = scipy.linalg.solve_continuous_lyapunov(A.T, -R)
+        assert np.abs(X - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    def test_rectangular(self, rng):
+        cfg = ToleranceConfig()
+        A = helpers.random_stable_matrix(rng, 12)
+        Bm = helpers.random_stable_matrix(rng, 5)
+        R = rng.uniform(-1, 1, (12, 5))
+        X = solve_sylvester(A, Bm, R, cfg)
+        assert X.shape == (12, 5)
+        res = np.linalg.norm(A @ X + X @ Bm - R)
+        assert res <= cfg.residual_tol * (1.0 + np.linalg.norm(R))
+
+    def test_memory_stays_quadratic(self, rng):
+        # an (n^2 x n^2) Kronecker system at n = 48 alone takes 42 MB
+        n = 48
+        A = helpers.random_stable_matrix(rng, n)
+        R = np.eye(n)
+        solve_sylvester(A.T, A, -R)  # warm up lazily loaded LAPACK wrappers
+        tracemalloc.start()
+        try:
+            solve_sylvester(A.T, A, -R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestResolvent:

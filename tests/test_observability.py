@@ -136,3 +136,23 @@ class TestDetectability:
         rep = detectability_test(A, C)
         assert rep.detectable
         assert spectral_abscissa(A + rep.witness_L @ C) < 0
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    @pytest.mark.parametrize("hidden", [None, -1.5])
+    def test_witness_past_small_n(self, n, hidden):
+        # observable pairs, and pairs with an unobserved stable mode
+        rng = np.random.default_rng([n, 11])
+        for _ in range(3):
+            A, C = helpers.planted_detection_pair(rng, n, hidden)
+            if hidden is not None:
+                assert not observability_test(A, C).observable
+            rep = detectability_test(A, C)
+            assert rep.detectable
+            assert spectral_abscissa(A + rep.witness_L @ C) < 0
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_hidden_unstable_mode_past_small_n(self, n):
+        rng = np.random.default_rng([n, 13])
+        A, C = helpers.planted_detection_pair(rng, n, hidden=0.7)
+        rep = detectability_test(A, C)
+        assert not rep.detectable and rep.witness_L is None
