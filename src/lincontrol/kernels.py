@@ -189,7 +189,10 @@ class Rk4Stages:
     """The substeps RK4 takes through a grid.
 
     Each grid gap is split uniformly into ceil(|gap| / max_step) substeps
-    (at least one). Substep s starts at t[s] and has length h[s] (negative
+    (at least one), with the quotient shrunk by a relative 1e-12 first: a
+    gap that exceeds max_step only by rounding, as most gaps of a
+    `linspace` grid spaced max_step do, takes one substep, not two.
+    Substep s starts at t[s] and has length h[s] (negative
     on a decreasing grid); stop[i] is the number of substeps taken on
     reaching grid[i + 1]. `times[s]` holds the three stage times of
     substep s, computed as `rk4_step` computes them: t, t + h/2, t + h.
@@ -208,7 +211,7 @@ def rk4_stages(grid, max_step: float) -> Rk4Stages:
     """The substep split of `rk4_path` and `rk4_linear` on the grid."""
     grid = np.asarray(grid, dtype=float)
     gaps = np.diff(grid)
-    m = np.maximum(1, np.ceil(np.abs(gaps) / max_step)).astype(int)
+    m = np.maximum(1, np.ceil(np.abs(gaps) / max_step * (1.0 - 1e-12))).astype(int)
     stop = np.cumsum(m)
     h = np.repeat(gaps / m, m)
     j = np.arange(h.size) - np.repeat(stop - m, m)

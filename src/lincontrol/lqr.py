@@ -12,9 +12,12 @@ horizon limit of P_T(0) and satisfies the algebraic Riccati equation.
 Both Riccati paths use one exact propagator. The flow of the equation
 over a duration tau is the linear-fractional map of expm(tau H), with the
 Hamiltonian H = [[-A, B B^T], [C^T C, A^T]], written as a triple
-(alpha, beta, gamma) that doubles in closed form (Anderson & Moore,
-Optimal Filtering, 1979). `riccati_finite` applies the triple of one grid
-step per sample; `are_solve` doubles the horizon. Neither integrates, so
+(alpha, beta, gamma). Triples compose in closed form, and a triple
+composed with itself is the doubling step of Anderson & Moore (Optimal
+Filtering, 1979). `are_solve` doubles the horizon. `riccati_finite` takes
+all its samples from a doubling scan: the samples 1..c grid steps back
+from T, carried by the flow over c steps, are the samples c+1..2c, so m
+samples cost ceil(log2 m) batched steps. Neither integrates, so
 cfg.ode_step sets no error there.
 """
 
@@ -108,11 +111,6 @@ class AreSolution:
     horizon_used: float
 
 
-def _rde_rhs(P: np.ndarray, A: np.ndarray, BBt: np.ndarray, CtC: np.ndarray) -> np.ndarray:
-    PA = P @ A
-    return -(PA + PA.T - P @ BBt @ P + CtC)
-
-
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
@@ -149,34 +147,66 @@ def _flow_triple(A, BBt, CtC, duration, P0):
         raise EscapeTimeError("Riccati flow lost invertibility") from exc
     triple = (alpha, _sym(alpha @ Phi[:n, n:]), _sym(Phi[n:, :n] @ alpha))
     for _ in range(s):
-        triple = _double(triple)
+        triple = _compose(triple, triple)
     return triple
 
 
-def _double(triple):
-    """The triple of the flow over twice the duration: the map composed
-    with itself, in closed form (the doubling step of Anderson & Moore)."""
-    alpha, beta, gamma = triple
-    W = np.eye(alpha.shape[0]) + beta @ gamma
+def _compose(first, second):
+    """The triple of the flow of `first` followed by that of `second`.
+
+    With W = I + beta2 gamma1 the composite is
+
+        alpha = alpha1 W^{-1} alpha2,
+        beta  = beta1 + alpha1 W^{-1} beta2 alpha1^T,
+        gamma = gamma2 + alpha2^T gamma1 W^{-1} alpha2,
+
+    from one solve over the stacked right-hand sides. `_compose(t, t)`
+    is the doubling step of Anderson & Moore.
+    """
+    a1, b1, g1 = first
+    a2, b2, g2 = second
+    W = np.eye(a1.shape[0]) + b2 @ g1
     try:
-        Wa, Wba = np.split(np.linalg.solve(W, np.hstack([alpha, beta @ alpha.T])), 2, axis=1)
+        Wa, Wba = np.split(np.linalg.solve(W, np.hstack([a2, b2 @ a1.T])), 2, axis=1)
     except np.linalg.LinAlgError as exc:
         raise EscapeTimeError("Riccati flow lost invertibility") from exc
-    return (alpha @ Wa, _sym(beta + alpha @ Wba), _sym(gamma + alpha.T @ gamma @ Wa))
+    return (a1 @ Wa, _sym(b1 + a1 @ Wba), _sym(g2 + a2.T @ g1 @ Wa))
+
+
+def _advance(triple, D: np.ndarray) -> np.ndarray:
+    """The flow map of `triple` applied to each deviation of a stack D:
+    gamma + alpha^T D (I + beta D)^{-1} alpha, the gamma part of
+    `_compose` with D in place of gamma1. alpha and beta of the composite
+    are never formed."""
+    alpha, beta, gamma = triple
+    W = beta @ D
+    W += np.eye(alpha.shape[0])
+    try:
+        X = np.linalg.solve(W, np.broadcast_to(alpha, W.shape))
+    except np.linalg.LinAlgError as exc:
+        raise EscapeTimeError("Riccati flow lost invertibility") from exc
+    G = alpha.T @ (D @ X)
+    G += gamma
+    return 0.5 * (G + G.swapaxes(1, 2))
 
 
 def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                    step: Optional[float] = None) -> RiccatiSolution:
-    """Backward sweep of the Riccati equation with dense storage.
+    """Samples of the Riccati solution on a uniform grid, with dense output.
 
-    Each sample is the previous one carried back over one grid step by
-    the exact flow of the equation (the triple of `_flow_triple`,
-    anchored at P0), so the samples carry no time-discretization error.
-    The spacing defaults to min(cfg.ode_step, T/2000) so the Hermite
-    dense output resolves the layer near t = T when P0 = 0 and C is
-    large. Samples are symmetrized every step and monitored for positive
-    semidefiniteness; the reported max_residual re-evaluates the
-    equation on the stored grid with central differences.
+    The deviation from P0 at T vanishes, so the sample k grid steps back
+    from T is P0 + gamma of the flow triple over k steps (anchored at P0,
+    see `_flow_triple`). A doubling scan finds them all: the flow over c
+    steps maps the samples 1..c to the samples c+1..2c in one batched
+    step, and the triple then doubles, so m samples take ceil(log2 m)
+    steps and carry no time-discretization error. Each level is checked
+    for blow-up before the next is formed, so an EscapeTimeError names
+    the first sample back from T whose size reaches BLOWUP_NORM. The
+    spacing defaults to min(cfg.ode_step, T/2000) so the Hermite dense
+    output resolves the layer near t = T when P0 = 0 and C is large.
+    Samples are symmetric and monitored for positive semidefiniteness;
+    the reported max_residual re-evaluates the equation on the stored
+    grid with finite differences.
     """
     if not math.isfinite(prob.horizon):
         raise DomainError("riccati_finite needs a finite horizon")
@@ -189,28 +219,50 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     h = T / m
     K = m + 1
     n = prob.sys.n
-    alpha, beta, gamma = _flow_triple(A, BBt, CtC, h, prob.P0)
-    eye = np.eye(n)
     P = np.empty((K, n, n))
-    P[K - 1] = prob.P0
-    D = np.zeros((n, n))
-    for k in range(K - 1, 0, -1):
-        # D (I + beta D)^{-1} = (I + D beta)^{-1} D
-        D = _sym(gamma + alpha.T @ np.linalg.solve(eye + D @ beta, D) @ alpha)
-        P[k - 1] = prob.P0 + D
-        _check_escape(P[k - 1], f"near t = {(k - 1) * h:.6g}")
+    D = P[::-1]  # D[k]: deviation from P0 k steps back from T
+    D[0] = 0.0
+    lo, c = 1, 1  # D[1..c] is known, D[lo..c] is the level not yet checked
+    # an overflow shows as an inf or nan sample and is reported as blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        triple = _flow_triple(A, BBt, CtC, h, prob.P0)
+        D[1] = triple[2]
+        while True:
+            big = ~(np.abs(prob.P0 + D[lo:c + 1]).max(axis=(1, 2)) < BLOWUP_NORM)
+            if big.any():
+                k = lo + int(np.argmax(big))
+                raise EscapeTimeError(f"Riccati solution blew up near t = {(m - k) * h:.6g}")
+            if c == m:
+                break
+            if c > 1:
+                triple = _compose(triple, triple)  # the flow over c steps
+            k = min(c, m - c)
+            D[c + 1:c + k + 1] = _advance(triple, D[1:k + 1])
+            lo, c = c + 1, c + k
+    P += prob.P0
     grid = np.linspace(0.0, T, K)
 
-    min_eig = min(float(np.linalg.eigvalsh(Pk)[0]) for Pk in P[:: max(1, K // 256)])
+    min_eig = float(np.linalg.eigvalsh(P[:: max(1, K // 256)])[:, 0].min())
     if min_eig < -1e-9:
         raise NumericalInconsistencyError(
             f"Riccati sample lost positive semidefiniteness (min eig {min_eig:.3e})")
 
-    dP = np.array([_rde_rhs(Pk, A, BBt, CtC) for Pk in P])
+    # dP = -(P A + A^T P - P B B^T P + C^T C), formed in place on the stack
+    dP = P @ BBt @ P
+    dP -= CtC
+    PA = P @ A
+    dP -= PA
+    dP -= np.swapaxes(PA, 1, 2)
+    del PA
     if K > 4:
         # five-point stencil keeps the O(h^4) measurement error below the bound
-        fd = (-P[4:] + 8.0 * P[3:-1] - 8.0 * P[1:-3] + P[:-4]) / (12.0 * h)
-        max_residual = float(np.max(np.abs(fd - dP[2:-2])))
+        fd = P[3:-1] - P[1:-3]
+        fd *= 8.0
+        fd += P[:-4]
+        fd -= P[4:]
+        fd /= 12.0 * h
+        fd -= dP[2:-2]
+        max_residual = float(np.abs(fd, out=fd).max())
     elif K > 2:
         fd = (P[2:] - P[:-2]) / (2.0 * h)
         max_residual = float(np.max(np.abs(fd - dP[1:-1])))
@@ -326,7 +378,7 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     converged = False
     diff = math.inf
     for _ in range(max_doublings):
-        triple = _double(triple)
+        triple = _compose(triple, triple)
         P_next = eye + triple[2]
         T *= 2.0
         _check_escape(P_next, f"within horizon {T:.6g}")

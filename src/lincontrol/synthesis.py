@@ -116,7 +116,10 @@ class GramianStabilizer:
 def characteristic_polynomial(A) -> MonicPolynomial:
     """chi_A recovered by expanding the eigenvalues of A."""
     A = kernels.require_square(A, "A")
-    coeffs = np.poly(kernels.eigenvalues(A))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.poly(kernels.eigenvalues(A))
+    if not np.all(np.isfinite(coeffs)):
+        raise ConditioningError("characteristic polynomial coefficients overflow")
     scale = 1.0 + np.max(np.abs(coeffs.real))
     if np.max(np.abs(coeffs.imag)) > 1e-9 * scale:
         raise NumericalError("eigenvalue expansion left an imaginary residue")
@@ -230,8 +233,11 @@ def pole_place(A, B, target: MonicPolynomial,
         F1 = U @ np.linalg.inv(X)
         f = _place_single_input(A + B @ F1, B @ v, target, cfg)
         F = F1 + np.outer(v, f)
-    achieved = kernels.eigenvalues(A + B @ F)
-    ach_alphas = characteristic_polynomial(A + B @ F).alphas
+    closed = A + B @ F
+    if not np.all(np.isfinite(closed)):
+        raise ConditioningError("placed closed loop A + B F overflows")
+    achieved = kernels.eigenvalues(closed)
+    ach_alphas = characteristic_polynomial(closed).alphas
     residual = float(np.max(np.abs(ach_alphas - target.alphas)
                             / (1.0 + np.abs(target.alphas))))
     if residual > PLACEMENT_TOL:

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check: Lyapunov
 solutions are re-derived from the defining improper integral, Gramians
 from explicit matrix-exponential quadrature, costs from Simpson sums of
-sampled integrands.
+sampled integrands. `riccati_sweep` is the one-step-at-a-time backward
+sweep that the doubling scan of `lqr.riccati_finite` replaced.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.linalg
 from lincontrol import ControlSignal, DimensionError, LtiSystem, LtvSystem, kalman_test
 from lincontrol import kernels
 from lincontrol.kernels import DEFAULT_TOLERANCES
+from lincontrol.lqr import BLOWUP_NORM, _flow_triple
 from lincontrol.reachability import _transition_samples
 
 
@@ -60,6 +62,28 @@ def planted_detection_pair(rng, n, hidden=None):
         A = A - np.outer(A @ v - hidden * v, v)
         C = C - np.outer(C @ v, v)
     return A, C
+
+
+def riccati_sweep(prob, h):
+    """Riccati samples on the grid of spacing h = T / m, carried back from
+    P(T) = P0 one grid step at a time by the flow triple of one step.
+    Returns the (m + 1, n, n) samples, or the time of the first sample whose
+    size reaches BLOWUP_NORM."""
+    A, B, C = prob.sys.A, prob.sys.B, prob.sys.C
+    m = round(prob.horizon / h)
+    alpha, beta, gamma = _flow_triple(A, B @ B.T, C.T @ C, h, prob.P0)
+    eye = np.eye(prob.sys.n)
+    P = np.empty((m + 1,) + eye.shape)
+    P[m] = prob.P0
+    D = np.zeros_like(eye)
+    for k in range(m, 0, -1):
+        # D (I + beta D)^{-1} = (I + D beta)^{-1} D
+        D = gamma + alpha.T @ np.linalg.solve(eye + D @ beta, D) @ alpha
+        D = 0.5 * (D + D.T)
+        P[k - 1] = prob.P0 + D
+        if not np.abs(P[k - 1]).max() < BLOWUP_NORM:
+            return (k - 1) * h
+    return P
 
 
 def well_conditioned_invertible(rng, n):

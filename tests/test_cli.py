@@ -248,6 +248,15 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path)]) == 3
         capsys.readouterr()
 
+    def test_place_overflow_is_4(self, tmp_path, capsys):
+        payload = {"name": "huge", "A": [[0, 1], [1e308, 0]], "B": [[0], [1]]}
+        path = write(tmp_path, payload)
+        assert run(["place", path, "--poly=-1.7e308,0",
+                    "--out-dir", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        assert json.loads(out)["errors"][0]["type"] == "ConditioningError"
+        assert "Traceback" not in err
+
     def test_lambda_too_small_is_3(self, tmp_path, capsys):
         payload = {"name": "fast", "A": [[-3]], "B": [[1]]}
         path = write(tmp_path, payload)

@@ -253,12 +253,13 @@ class TestQuadratureAndPaths:
 
 class TestStageSampling:
     def test_stages_reproduce_the_substep_split(self):
-        # ceil(|gap| / max_step) equal substeps per gap, on either time direction
-        for grid in ([0.0, 0.25, 0.3, 1.0], [1.0, 0.55, 0.0]):
+        # ceil(|gap| / max_step (1 - 1e-12)) equal substeps per gap, on either
+        # time direction: 1.0 - 0.7 = 0.30000000000000004 takes three, not four
+        for grid in ([0.0, 0.25, 0.3, 1.0], [1.0, 0.55, 0.0], [0.0, 0.7, 1.0]):
             stages = rk4_stages(grid, 0.1)
             seen = 0
             for i, (ta, tb) in enumerate(zip(grid, grid[1:])):
-                m = max(1, math.ceil(abs(tb - ta) / 0.1))
+                m = max(1, math.ceil(abs(tb - ta) / 0.1 * (1.0 - 1e-12)))
                 h = (tb - ta) / m
                 assert stages.stop[i] == seen + m
                 assert np.all(stages.h[seen:seen + m] == h)
@@ -267,6 +268,20 @@ class TestStageSampling:
             times = stages.times
             assert np.array_equal(times[:, 1], stages.t + 0.5 * stages.h)
             assert np.array_equal(times[:, 2], stages.t + stages.h)
+
+    def test_linspace_gaps_take_one_substep(self):
+        # 964 of these 1,000 gaps exceed 1e-3 by an ulp
+        grid = np.linspace(0.0, 1.0, 1001)
+        assert np.count_nonzero(np.diff(grid) > 1e-3) > 900
+        stages = rk4_stages(grid, 1e-3)
+        assert stages.h.size == 1000
+        assert np.array_equal(stages.stop, np.arange(1, 1001))
+        assert np.array_equal(stages.t, grid[:-1])
+
+    def test_gap_past_rounding_takes_two_substeps(self):
+        for step in (1e-3, 0.1, 1.0):
+            stages = rk4_stages([0.0, step * (1.0 + 1e-9)], step)
+            assert stages.h.size == 2
 
     def test_vectorized_hermite_matches_scalar_calls(self, rng):
         values = rng.standard_normal((6, 2, 3))

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lincontrol import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    EscapeTimeError,
     FiniteCostViolationError,
     LqrProblem,
     NumericalInconsistencyError,
@@ -23,9 +26,9 @@ from lincontrol import (
     uniform_grid,
 )
 from lincontrol.kernels import rk4_path
-from lincontrol.lqr import _double, _flow_triple
+from lincontrol.lqr import _compose, _flow_triple
 
-from helpers import control_from_samples
+from helpers import control_from_samples, riccati_sweep
 
 
 @pytest.fixture
@@ -339,19 +342,23 @@ class TestRiccatiPropagator:
         alpha, beta, gamma = triple
         return gamma + alpha.T @ D @ np.linalg.solve(np.eye(len(D)) + beta @ D, alpha)
 
-    def test_doubled_triple_is_two_steps(self, rng):
+    def test_composed_triple_is_the_flow_over_the_sum(self, rng):
         n = 4
         A = rng.uniform(-1, 1, (n, n))
         B = rng.uniform(-1, 1, (n, 2))
         C = rng.uniform(-1, 1, (3, n))
         P0 = rng.uniform(-1, 1, (n, n))
         P0 = P0 @ P0.T
-        once = _flow_triple(A, B @ B.T, C.T @ C, 0.3, P0)
-        twice = _double(once)
+        BBt, CtC = B @ B.T, C.T @ C
+        first = _flow_triple(A, BBt, CtC, 0.3, P0)
+        second = _flow_triple(A, BBt, CtC, 0.55, P0)
+        both = _compose(first, second)
         for D in (np.zeros((n, n)), 0.1 * P0, np.eye(n)):
-            two_steps = self._apply(once, self._apply(once, D))
-            assert_allclose(self._apply(twice, D), two_steps, rtol=1e-12, atol=1e-12)
-        for got, want in zip(twice, _flow_triple(A, B @ B.T, C.T @ C, 0.6, P0)):
+            in_turn = self._apply(second, self._apply(first, D))
+            assert_allclose(self._apply(both, D), in_turn, rtol=1e-12, atol=1e-12)
+        for got, want in zip(both, _flow_triple(A, BBt, CtC, 0.85, P0)):
+            assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        for got, want in zip(_compose(first, first), _flow_triple(A, BBt, CtC, 0.6, P0)):
             assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_triple_matches_integrated_flow(self, rng):
@@ -369,3 +376,81 @@ class TestRiccatiPropagator:
         integrated = rk4_path(rhs, P0.ravel(), [0.0, 2.0], 1e-3)[-1].reshape(3, 3)
         _, _, gamma = _flow_triple(A, BBt, CtC, 2.0, P0)
         assert_allclose(P0 + gamma, integrated, atol=1e-10)
+
+
+def _scan_draw(rng, n, blind):
+    """Pair with entries N(0, 1/n), two inputs and n/2 outputs; with
+    `blind`, A gets the real unstable eigenvalue 0.5 on a direction that
+    C annihilates, where the anchoring of the flow at P0 matters."""
+    A = rng.standard_normal((n, n)) / np.sqrt(n) - 0.3 * np.eye(n)
+    B = rng.standard_normal((n, 2)) / np.sqrt(n)
+    C = rng.standard_normal((max(1, n // 2), n)) / np.sqrt(n)
+    if blind:
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        A = A - np.outer(A @ v - 0.5 * v, v)
+        C = C - np.outer(C @ v, v)
+    return LtiSystem(A, B, C)
+
+
+class TestRiccatiScan:
+    @pytest.mark.parametrize("n", [2, 8, 16, 24])
+    @pytest.mark.parametrize("T", [1.0, 5.0])
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_matches_the_sequential_sweep(self, n, T, blind):
+        rng = np.random.default_rng([n, int(T), int(blind)])
+        sys = _scan_draw(rng, n, blind)
+        if blind:
+            assert np.linalg.matrix_rank(np.vstack([sys.A - 0.5 * np.eye(n), sys.C])) < n
+        P0 = np.eye(n) if T == 5.0 else None
+        prob = LqrProblem(sys, P0, T)
+        ric = riccati_finite(prob)
+        m = ric.grid.size - 1
+        assert m in (2000, 5000)  # not a power of two
+        ref = riccati_sweep(prob, ric.grid[1])
+        assert np.abs(ric.P_samples - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 17, 100])
+    def test_short_grids_match_the_sweep(self, rng, m):
+        # the first and last levels of the scan coincide or hold one sample
+        prob = LqrProblem(_scan_draw(rng, 3, False), 0.5 * np.eye(3), 1e-4 * m)
+        ric = riccati_finite(prob, step=1e-4)
+        assert ric.grid.size == m + 1
+        ref = riccati_sweep(prob, ric.grid[1])
+        assert np.abs(ric.P_samples - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lam, when", [(20.0, "0.217"), (400.0, "0.957")])
+    def test_escape_names_the_first_blown_up_sample(self, lam, when):
+        # B = 0: P grows like exp(2 lam (T - t)) / (2 lam) and passes
+        # BLOWUP_NORM at the stated time; at lam = 400 the later levels
+        # of the scan would overflow
+        prob = LqrProblem(LtiSystem([[lam]], [[0.0]], [[1.0]]), None, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EscapeTimeError, match=rf"blew up near t = {when}$"):
+                riccati_finite(prob)
+        assert riccati_sweep(prob, 1.0 / 2000) == pytest.approx(float(when), abs=1e-12)
+
+    def test_one_step_overflow_is_an_escape(self):
+        # the triple of a single step overflows: reported, not warned
+        prob = LqrProblem(LtiSystem([[1e6]], [[0.0]], [[1.0]]), None, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EscapeTimeError, match=r"near t = 0.9995$"):
+                riccati_finite(prob)
+
+    def test_peak_memory_at_n8(self):
+        # the one-step-at-a-time sweep peaked at 4.9 MiB here
+        rng = np.random.default_rng([8, 3])
+        sys = LtiSystem(rng.standard_normal((8, 8)) / np.sqrt(8),
+                        rng.standard_normal((8, 2)) / np.sqrt(8),
+                        rng.standard_normal((4, 8)) / np.sqrt(8))
+        prob = LqrProblem(sys, None, 1.0)
+        riccati_finite(prob)
+        tracemalloc.start()
+        try:
+            riccati_finite(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.9 * 2 ** 20

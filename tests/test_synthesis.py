@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lincontrol import (
+    ConditioningError,
     DecayRateTooSmallError,
     LtiSystem,
     MonicPolynomial,
@@ -68,6 +69,11 @@ class TestCharacteristicPolynomial:
         # det(sI - A) with A = [[0,1],[-1,-2]] expands to s^2 + 2 s + 1
         mp = characteristic_polynomial([[0.0, 1.0], [-1.0, -2.0]])
         assert_allclose(mp.alphas, [-1.0, -2.0], atol=1e-9)
+
+    def test_overflowing_expansion_refused(self):
+        # det(sI - A) = s^2 - 2e200 s + 1e400: the constant overflows
+        with pytest.raises(ConditioningError):
+            characteristic_polynomial(np.diag([1e200, 1e200]))
 
 
 class TestControllerForm:
@@ -145,6 +151,14 @@ class TestPolePlacement:
             # the uncontrollable block's eigenvalues appear unchanged
             for lam in locked:
                 assert np.min(np.abs(spectrum - lam)) < 1e-6
+
+
+    def test_overflowed_closed_loop_refused(self):
+        # the gain row is -1.7e308 - 1e308 = -inf, so A + B F overflows
+        A = np.array([[0.0, 1.0], [1e308, 0.0]])
+        B = np.array([[0.0], [1.0]])
+        with pytest.raises(ConditioningError, match="overflows"):
+            pole_place(A, B, MonicPolynomial(2, [-1.7e308, 0.0]))
 
 
 class TestObserverDesign:
