@@ -73,11 +73,11 @@ def polynomial_field(decl: dict) -> VectorField:
     lowered = np.maximum(E[:, None, :] - np.eye(n + p, dtype=int), 0)
 
     def _partials(x, u, cols):
-        z = np.concatenate([x, u])
-        return S @ (E[:, cols] * np.prod(np.power(z, lowered[:, cols]), axis=2))
+        z = np.concatenate((x, u))
+        return S @ (E[:, cols] * np.multiply.reduce(z ** lowered[:, cols], axis=2))
 
     def f(x, u):
-        return S @ np.prod(np.power(np.concatenate([x, u]), E), axis=1)
+        return S @ np.multiply.reduce(np.concatenate((x, u)) ** E, axis=1)
 
     def fx(x, u):
         return _partials(x, u, slice(0, n))

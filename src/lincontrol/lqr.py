@@ -46,6 +46,9 @@ BLOWUP_NORM = 1e12
 # Bound on the ARE residual of an accepted limit, relative to the size of
 # its terms 1 + 2||PA|| + ||PB||^2 + ||C^T C||.
 ARE_RESIDUAL_TOL = 1e-3
+# Bound on the finite-difference residual of the Riccati samples, relative
+# to 1 + the largest entry of P A, P B B^T P and C^T C over the samples.
+RDE_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -204,9 +207,10 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     the first sample back from T whose size reaches BLOWUP_NORM. The
     spacing defaults to min(cfg.ode_step, T/2000) so the Hermite dense
     output resolves the layer near t = T when P0 = 0 and C is large.
-    Samples are symmetric and monitored for positive semidefiniteness;
-    the reported max_residual re-evaluates the equation on the stored
-    grid with finite differences.
+    At least 4 intervals are taken. Samples are symmetric and monitored
+    for positive semidefiniteness; the reported max_residual re-evaluates
+    the equation on the stored grid with a five-point stencil, and is
+    refused above RDE_RESIDUAL_TOL relative to the size of its terms.
     """
     if not math.isfinite(prob.horizon):
         raise DomainError("riccati_finite needs a finite horizon")
@@ -215,7 +219,7 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     BBt = B @ B.T
     CtC = C.T @ C
     h_target = step if step is not None else min(cfg.ode_step, T / 2000.0)
-    m = max(2, math.ceil(T / h_target))
+    m = max(4, math.ceil(T / h_target))  # the five-point stencil needs 5 samples
     h = T / m
     K = m + 1
     n = prob.sys.n
@@ -249,28 +253,24 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 
     # dP = -(P A + A^T P - P B B^T P + C^T C), formed in place on the stack
     dP = P @ BBt @ P
-    dP -= CtC
     PA = P @ A
+    scale = max(np.abs(dP).max(), np.abs(PA).max(), np.abs(CtC).max())
+    dP -= CtC
     dP -= PA
     dP -= np.swapaxes(PA, 1, 2)
     del PA
-    if K > 4:
-        # five-point stencil keeps the O(h^4) measurement error below the bound
-        fd = P[3:-1] - P[1:-3]
-        fd *= 8.0
-        fd += P[:-4]
-        fd -= P[4:]
-        fd /= 12.0 * h
-        fd -= dP[2:-2]
-        max_residual = float(np.abs(fd, out=fd).max())
-    elif K > 2:
-        fd = (P[2:] - P[:-2]) / (2.0 * h)
-        max_residual = float(np.max(np.abs(fd - dP[1:-1])))
-    else:
-        max_residual = 0.0
-    if max_residual > 1e-6:
+    # five-point stencil keeps the O(h^4) measurement error below the bound
+    fd = P[3:-1] - P[1:-3]
+    fd *= 8.0
+    fd += P[:-4]
+    fd -= P[4:]
+    fd /= 12.0 * h
+    fd -= dP[2:-2]
+    max_residual = float(np.abs(fd, out=fd).max())
+    if not max_residual <= RDE_RESIDUAL_TOL * (1.0 + scale):
         raise NumericalInconsistencyError(
-            f"Riccati finite-difference residual {max_residual:.3e} exceeds 1e-6")
+            f"Riccati finite-difference residual {max_residual:.3e} exceeds "
+            f"{RDE_RESIDUAL_TOL:.0e} of 1 + {scale:.3e}, the size of its terms")
 
     dense = kernels.SampledMatrixFunction(0.0, h, P, dP)
     return RiccatiSolution(

@@ -10,11 +10,17 @@ fixed-point iteration
 where H(phi) is the terminal state of the nonlinear flow driven by
 ubar + du(phi) and du is the Gramian-inverse steering control of the
 linearization. The map contracts on a small ball around x1.
+
+At an equilibrium reference (`equilibrium_reference`) the linearization
+is the one constant pair A = f_x(x_e, u_e), B = f_u(x_e, u_e): its
+Jacobians are evaluated once and its Gramian is summed from powers of
+e^{hA}, as for any LtiSystem. Any other reference is linearized as a
+time-varying system, sampled at the stage times of the flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +33,7 @@ from .errors import (
     TrustRegionError,
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
-from .systems import ControlSignal, LtvSystem, Trajectory
+from .systems import ControlSignal, LtiSystem, LtvSystem, Trajectory
 
 FD_STEP = 1e-6  # relative central-difference step for absent partials
 
@@ -85,7 +91,8 @@ class ReferenceTrajectory:
     """A C^1 trajectory (xbar, ubar) of a vector field on [t0, t1].
 
     Construction verifies xbar' = f(xbar, ubar) on an interior grid, the
-    derivative taken by central differences of the callable.
+    derivative taken by central differences of the callable. A reference
+    built by `equilibrium_reference` also keeps its (x_e, u_e).
     """
 
     vf: VectorField
@@ -93,6 +100,7 @@ class ReferenceTrajectory:
     t1: float
     xbar: Callable[[float], np.ndarray]
     ubar: Callable[[float], np.ndarray]
+    _equilibrium: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.t0 < self.t1:
@@ -118,7 +126,8 @@ def equilibrium_reference(vf: VectorField, x_eq, u_eq, t0: float, t1: float,
     drift = float(np.linalg.norm(vf(x_eq, u_eq)))
     if drift > tol:
         raise ValueError(f"(x_eq, u_eq) is not an equilibrium: |f| = {drift:.3e}")
-    return ReferenceTrajectory(vf, t0, t1, lambda t: x_eq, lambda t: u_eq)
+    return ReferenceTrajectory(vf, t0, t1, lambda t: x_eq, lambda t: u_eq,
+                               _equilibrium=(x_eq, u_eq))
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,12 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     target iterate phi, flows the nonlinear system, and updates
     phi <- phi - H(phi) + x1. Divergence is declared when the iterate
     leaves the ball of radius 10 delta around x1.
+
+    An equilibrium reference is steered through its constant
+    linearization: f_x and f_u are evaluated once at (x_e, u_e), the
+    Gramian is summed from powers of e^{hA}, and the control is
+    u_e + B^T w(s). Any other reference goes through `linearize_along`,
+    with f_x and f_u sampled at the stage times of the flow.
     """
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")
@@ -198,8 +213,12 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
             f"x1 is {np.linalg.norm(x1 - xbar1):.3g} from the reference end, "
             f"beyond the trust radius {delta}")
 
-    ltv = linearize_along(vf, ref)
-    (nodes, E, A_at, _), report = reachability._gramian(ltv, t0, t1, cfg)
+    equilibrium = ref._equilibrium
+    if equilibrium is None:
+        lin = linearize_along(vf, ref)
+    else:
+        lin = LtiSystem(vf.jacobian_x(*equilibrium), vf.jacobian_u(*equilibrium))
+    (nodes, E, A_at, _), report = reachability._gramian(lin, t0, t1, cfg)
     if not report.invertible:
         raise LinearTestInapplicableError(
             "the linearized system is not controllable on the interval "
@@ -208,22 +227,27 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     G = report.gramian
     R10 = E[0]
     grid = nodes  # simulate on the quadrature grid; spacing <= ode_step
-    # every pass samples its control at these times: the reference part
-    # is sampled there once
-    times = _sample_times(grid, cfg)
-    kept = _along(vf, ref, times)
+    if equilibrium is None:
+        # every pass samples its control at these times: the reference part
+        # is sampled there once
+        times = _sample_times(grid, cfg)
+        kept = _along(vf, ref, times)
+
+        def steering(w, s):
+            at_stages = s.shape == times.shape and np.array_equal(s, times)
+            ubar, fuT = kept if at_stages else _along(vf, ref, s)
+            return ubar + np.einsum("...pn,...n->...p", fuT, w(s))
+    else:
+        u_eq, B = equilibrium[1], lin.B
+
+        def steering(w, s):
+            return u_eq + w(s) @ B
 
     def control_for(phi: np.ndarray) -> ControlSignal:
         z = np.linalg.solve(G, (phi - xbar1) - R10 @ dx0)
         w = reachability._adjoint(nodes, E, A_at, z)
-
-        def u_at(s):
-            s = np.asarray(s, dtype=float)
-            at_stages = s.shape == times.shape and np.array_equal(s, times)
-            ubar, fuT = kept if at_stages else _along(vf, ref, s)
-            return ubar + np.einsum("...pn,...n->...p", fuT, w(s))
-
-        return ControlSignal.vectorized(t0, t1, vf.control_dim, u_at)
+        return ControlSignal.vectorized(
+            t0, t1, vf.control_dim, lambda s: steering(w, np.asarray(s, dtype=float)))
 
     phi = x1.copy()
     errors = []

@@ -223,17 +223,19 @@ def pole_place(A, B, target: MonicPolynomial,
         raise DimensionError(f"target degree {target.degree} must equal n={n}")
     if not reachability.is_controllable(A, B, cfg):
         raise UncontrollableError("(A, B) is not controllable")
-    if p == 1:
-        F = _place_single_input(A, B[:, 0], target, cfg).reshape(1, n)
-    else:
-        norms = np.linalg.norm(B, axis=0)
-        good = np.nonzero(norms > 1e-12 * (1.0 + norms.max()))[0]
-        v = np.eye(p)[:, good[0]]
-        X, U = _heymann_chain(A, B, v, cfg)
-        F1 = U @ np.linalg.inv(X)
-        f = _place_single_input(A + B @ F1, B @ v, target, cfg)
-        F = F1 + np.outer(v, f)
-    closed = A + B @ F
+    # an overflow shows as a non-finite closed loop and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p == 1:
+            F = _place_single_input(A, B[:, 0], target, cfg).reshape(1, n)
+        else:
+            norms = np.linalg.norm(B, axis=0)
+            good = np.nonzero(norms > 1e-12 * (1.0 + norms.max()))[0]
+            v = np.eye(p)[:, good[0]]
+            X, U = _heymann_chain(A, B, v, cfg)
+            F1 = U @ np.linalg.inv(X)
+            f = _place_single_input(A + B @ F1, B @ v, target, cfg)
+            F = F1 + np.outer(v, f)
+        closed = A + B @ F
     if not np.all(np.isfinite(closed)):
         raise ConditioningError("placed closed loop A + B F overflows")
     achieved = kernels.eigenvalues(closed)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NumericalError
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, as_vector
 
 
@@ -215,7 +215,9 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
     no longer than cfg.ode_step (`kernels.rk4_linear`); the coefficients
     and the control are sampled once per stage time, and the initial
     state is stored exactly. Superposition holds to integration accuracy
-    since everything is linear in (x0, u).
+    since everything is linear in (x0, u). A run whose state overflows
+    raises NumericalError naming the first grid time where it is not
+    finite.
     """
     grid = time_grid(grid)
     x0 = as_vector(x0, "x0")
@@ -249,5 +251,11 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
                 "sjnp,sjp->sjn", kernels.sample_at(sys.B_of, times[sl]), U[sl])
         return A, b
 
-    states = kernels.rk4_linear(coefficients, x0, stages)
+    # an overflow shows as a non-finite state and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = kernels.rk4_linear(coefficients, x0, stages)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise NumericalError(
+            f"simulated state is not finite at t = {grid[np.argmin(finite)]:.6g}")
     return Trajectory(grid=grid, states=states, controls=controls)

@@ -412,10 +412,11 @@ class TestRiccatiScan:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 17, 100])
     def test_short_grids_match_the_sweep(self, rng, m):
-        # the first and last levels of the scan coincide or hold one sample
+        # the first and last levels of the scan coincide or hold one sample;
+        # a horizon of fewer than four steps is split into four intervals
         prob = LqrProblem(_scan_draw(rng, 3, False), 0.5 * np.eye(3), 1e-4 * m)
         ric = riccati_finite(prob, step=1e-4)
-        assert ric.grid.size == m + 1
+        assert ric.grid.size == max(m, 4) + 1
         ref = riccati_sweep(prob, ric.grid[1])
         assert np.abs(ric.P_samples - ref).max() <= 1e-11 * np.abs(ref).max()
 
@@ -430,6 +431,35 @@ class TestRiccatiScan:
             with pytest.raises(EscapeTimeError, match=rf"blew up near t = {when}$"):
                 riccati_finite(prob)
         assert riccati_sweep(prob, 1.0 / 2000) == pytest.approx(float(when), abs=1e-12)
+
+    @pytest.mark.parametrize("T", [2e-3, 3e-3])
+    def test_horizon_of_two_or_three_steps_is_not_refused(self, T):
+        # with 2 or 3 intervals of 1e-3 the three-point stencil's O(h^2)
+        # error alone read 2.0e-6 and the exact samples were refused
+        prob = LqrProblem(_scan_draw(np.random.default_rng([3, 0]), 3, False),
+                          0.5 * np.eye(3), T)
+        ric = riccati_finite(prob, step=1e-3)
+        assert ric.grid.size == 5
+        assert ric.max_residual <= 1e-10
+        ref = riccati_sweep(prob, ric.grid[1])
+        assert np.abs(ric.P_samples - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    def test_residual_bound_scales_with_the_terms(self):
+        # |P| reaches 3.2e3 here: the five-point stencil reads 3.0e-6, about
+        # 1e-9 of the size of the terms, on samples exact to 1e-11
+        n = 24
+        rng = np.random.default_rng([24, 5, 0])
+        A = rng.normal(0.0, 1.0 / math.sqrt(n), (n, n)) - 0.3 * np.eye(n)
+        B = rng.normal(size=(n, 2))
+        C = rng.normal(size=(n, n))
+        prob = LqrProblem(LtiSystem(A, B, C), None, 5.0)
+        ric = riccati_finite(prob)
+        P = ric.P_samples
+        scale = max(np.abs(P @ A).max(), np.abs(P @ B @ B.T @ P).max(),
+                    np.abs(C.T @ C).max())
+        assert 1e-6 < ric.max_residual <= 1e-8 * scale
+        ref = riccati_sweep(prob, ric.grid[1])
+        assert np.abs(P - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_one_step_overflow_is_an_escape(self):
         # the triple of a single step overflows: reported, not warned

@@ -239,3 +239,92 @@ class TestSteering:
         with pytest.raises(LinearTestInapplicableError) as exc:
             steer_nonlinear(vf, ref, [0.01, 0.0], [0.0, 0.01])
         assert exc.value.min_eigenvalue <= 1e-12
+
+
+DUFFING = {
+    "state_dim": 2, "control_dim": 1,
+    "rhs": [
+        [{"coeff": 1.0, "x": [0, 1], "u": [0]}],
+        [{"coeff": -1.0, "x": [1, 0], "u": [0]},
+         {"coeff": -0.5, "x": [3, 0], "u": [0]},
+         {"coeff": 1.0, "x": [0, 0], "u": [1]}],
+    ],
+}
+
+# field, equilibrium (x_e, u_e), endpoints (x0, x1)
+EQUILIBRIUM_CASES = {
+    "pendulum": (pendulum, ([PI, 0.0], [0.0]), ([PI + 0.05, 0.0], [PI - 0.05, 0.0])),
+    "duffing": (lambda: polynomial_field(DUFFING), ([0.0, 0.0], [0.0]),
+                ([0.02, 0.0], [-0.02, 0.01])),
+}
+
+
+def _counting(vf):
+    """The field with its partials wrapped to count their calls."""
+    calls = {"fx": 0, "fu": 0}
+
+    def fx(x, u):
+        calls["fx"] += 1
+        return vf.fx(x, u)
+
+    def fu(x, u):
+        calls["fu"] += 1
+        return vf.fu(x, u)
+
+    return VectorField(vf.state_dim, vf.control_dim, vf.f, fx, fu), calls
+
+
+def _both_references(vf, xe, ue):
+    """The equilibrium reference and a hand-built one with the same
+    constant callables, which takes the time-varying path."""
+    xe, ue = np.array(xe), np.array(ue)
+    return (equilibrium_reference(vf, xe, ue, 0.0, 1.0),
+            ReferenceTrajectory(vf, 0.0, 1.0, lambda t: xe, lambda t: ue))
+
+
+class TestEquilibriumPath:
+    @pytest.mark.parametrize("case", sorted(EQUILIBRIUM_CASES))
+    def test_constant_and_time_varying_paths_agree(self, case):
+        build, (xe, ue), (x0, x1) = EQUILIBRIUM_CASES[case]
+        vf = build()
+        eq, hand = _both_references(vf, xe, ue)
+        lti = steer_nonlinear(vf, eq, x0, x1)
+        ltv = steer_nonlinear(vf, hand, x0, x1)
+        assert lti.converged and ltv.converged
+        assert lti.iterations == ltv.iterations
+        times = np.linspace(0.0, 1.0, 101)
+        assert np.abs(lti.control.at(times) - ltv.control.at(times)).max() <= 1e-9
+        tol = ToleranceConfig().fixed_point_tol
+        assert lti.terminal_error <= tol and ltv.terminal_error <= tol
+
+    @pytest.mark.parametrize("case", sorted(EQUILIBRIUM_CASES))
+    def test_equilibrium_jacobians_evaluated_once(self, case):
+        build, (xe, ue), (x0, x1) = EQUILIBRIUM_CASES[case]
+        vf, calls = _counting(build())
+        eq, hand = _both_references(vf, xe, ue)
+        res = steer_nonlinear(vf, eq, x0, x1)
+        res.control.at(np.linspace(0.0, 1.0, 11))
+        assert calls == {"fx": 1, "fu": 1}
+        steer_nonlinear(vf, hand, x0, x1)
+        assert calls["fx"] > 1000 and calls["fu"] > 1000
+
+    def test_finite_difference_jacobians(self, pend_field, upright_ref):
+        bare = VectorField(2, 1, pend_field.f)  # no fx, no fu
+        ref = equilibrium_reference(bare, [PI, 0.0], [0.0], 0.0, 1.0)
+        res = steer_nonlinear(bare, ref, [PI + 0.05, 0.0], [PI - 0.05, 0.0])
+        assert res.converged
+        assert res.terminal_error <= ToleranceConfig().fixed_point_tol
+        exact = steer_nonlinear(pend_field, upright_ref, [PI + 0.05, 0.0], [PI - 0.05, 0.0])
+        assert res.iterations == exact.iterations
+        times = np.linspace(0.0, 1.0, 101)
+        assert np.abs(res.control.at(times) - exact.control.at(times)).max() <= 1e-9
+
+    @pytest.mark.parametrize("path", ["equilibrium", "hand-built"])
+    def test_uncontrollable_linearization_on_both_paths(self, path):
+        # x2 is driven only through x1^2, which the linearization drops
+        vf = VectorField(2, 1, lambda x, u: np.array([-x[0] + u[0], -x[1] + x[0] ** 2]))
+        ref = _both_references(vf, [0.0, 0.0], [0.0])[path == "hand-built"]
+        with pytest.raises(LinearTestInapplicableError) as exc:
+            steer_nonlinear(vf, ref, [0.01, 0.0], [0.0, 0.01])
+        assert exc.value.min_eigenvalue is not None
+        assert abs(exc.value.min_eigenvalue) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lincontrol import (
     DomainError,
     LtiSystem,
     LtvSystem,
+    NumericalError,
     ToleranceConfig,
     Trajectory,
     expm,
@@ -113,6 +115,14 @@ class TestSimulate:
         u = ControlSignal(0, 1, 2, lambda t: np.zeros(2))
         with pytest.raises(DimensionError):
             simulate(double_integrator, [0, 0], u, uniform_grid(0, 1, 11))
+
+    def test_overflow_names_the_first_nonfinite_time(self):
+        # x = 1e308 e^t passes the largest double at t = ln 1.797 = 0.586
+        sys = LtiSystem([[1.0]], [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=r"not finite at t = 0\.6$"):
+                simulate(sys, [1e308], None, uniform_grid(0.0, 1.0, 11))
 
 
 class TestLinearPath:
