@@ -13,9 +13,10 @@ linearization. The map contracts on a small ball around x1.
 
 At an equilibrium reference (`equilibrium_reference`) the linearization
 is the one constant pair A = f_x(x_e, u_e), B = f_u(x_e, u_e): its
-Jacobians are evaluated once and its Gramian is summed from powers of
-e^{hA}, as for any LtiSystem. Any other reference is linearized as a
-time-varying system, sampled at the stage times of the flow.
+Jacobians are evaluated once and its Gramian is summed panel by panel
+by doubling on e^{hA}, as for any LtiSystem. Any other reference is
+linearized as a time-varying system, sampled at the stage times of the
+flow.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
 
     An equilibrium reference is steered through its constant
     linearization: f_x and f_u are evaluated once at (x_e, u_e), the
-    Gramian is summed from powers of e^{hA}, and the control is
+    Gramian is summed by doubling on e^{hA}, and the control is
     u_e + B^T w(s). Any other reference goes through `linearize_along`,
     with f_x and f_u sampled at the stage times of the flow.
     """
@@ -218,15 +219,15 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
         lin = linearize_along(vf, ref)
     else:
         lin = LtiSystem(vf.jacobian_x(*equilibrium), vf.jacobian_u(*equilibrium))
-    (nodes, E, A_at, _), report = reachability._gramian(lin, t0, t1, cfg)
+    report, R10, adjoint = reachability._gramian(lin, t0, t1, cfg)
     if not report.invertible:
         raise LinearTestInapplicableError(
             "the linearized system is not controllable on the interval "
             f"(Gramian min eigenvalue {report.min_eigenvalue:.3e})",
             min_eigenvalue=report.min_eigenvalue)
     G = report.gramian
-    R10 = E[0]
-    grid = nodes  # simulate on the quadrature grid; spacing <= ode_step
+    # simulate on the Simpson nodes of the quadrature; spacing <= ode_step
+    grid = np.linspace(t0, t1, kernels.simpson_intervals(t1 - t0, cfg.ode_step) + 1)
     if equilibrium is None:
         # every pass samples its control at these times: the reference part
         # is sampled there once
@@ -245,7 +246,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
 
     def control_for(phi: np.ndarray) -> ControlSignal:
         z = np.linalg.solve(G, (phi - xbar1) - R10 @ dx0)
-        w = reachability._adjoint(nodes, E, A_at, z)
+        w = adjoint(z)
         return ControlSignal.vectorized(
             t0, t1, vf.control_dim, lambda s: steering(w, np.asarray(s, dtype=float)))
 

@@ -7,17 +7,23 @@ Implements the rank test on M = [B, AB, ..., A^{n-1}B], the eigenvalue
 
 the Gramian-inverse minimum-energy control, and the orthogonal
 decomposition into controllable and uncontrollable blocks.
+
+The Gramian is composite Simpson on m intervals. For a constant system
+it is summed panel by panel by doubling (R. A. Smith, SIAM J. Appl.
+Math. 16, 1968), in O(log m) products and O(n^2) memory, and the
+steering adjoint R(t1, s)^T z is built at the nodes by doubling on the
+vector; a time-varying system sums RK4 samples of R(t1, s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, DomainError, UncontrollableIntervalError
+from .errors import DimensionError, DomainError, NumericalError, UncontrollableIntervalError
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
 from .stability import STABILITY_MARGIN
 from .systems import ControlSignal, LtiSystem, LtvSystem
@@ -146,59 +152,65 @@ def unstabilizable_mode(A: np.ndarray, B: np.ndarray,
     return None
 
 
-def _transition_samples(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
-                        cfg: ToleranceConfig):
+def _transition_samples(sys: LtvSystem, t0: float, t1: float, cfg: ToleranceConfig):
     """Samples of E(s) = R(t1, s) on Simpson nodes of [t0, t1].
 
-    Returns (nodes, E, A_at, B_at): A_at and B_at sample the system
-    matrices at the nodes (A_at is the one matrix A for constant
-    systems). For constant systems E holds the powers of e^{h A}, built
-    by doubling; for time-varying systems the adjoint resolvent ODE
+    Returns (nodes, E, A_at, B_at), with A_at and B_at the system
+    matrices at the nodes. The adjoint resolvent ODE
     d/ds E^T = -A(s)^T E^T is integrated backward from E(t1) = I, one RK4
     step per node, with A sampled once at the nodes and midpoints.
     """
+    slack = 1e-9 * (1.0 + abs(sys.t1 - sys.t0))
+    if t0 < sys.t0 - slack or t1 > sys.t1 + slack:
+        raise DomainError(
+            f"[{t0}, {t1}] leaves the system interval [{sys.t0}, {sys.t1}]")
     span = t1 - t0
-    m = kernels.simpson_intervals(span, cfg.ode_step)
-    nodes = np.linspace(t0, t1, m + 1)
-    h = span / m
+    nodes = np.linspace(t0, t1, kernels.simpson_intervals(span, cfg.ode_step) + 1)
     n = sys.n
-    if isinstance(sys, LtiSystem):
-        A_at, B_at = sys.A, np.broadcast_to(sys.B, (m + 1,) + sys.B.shape)
-        Eh = kernels.expm(h * sys.A)
-        # P[j] = Eh^j, doubled until it covers the m + 1 nodes with one
-        # stacked product per doubling: Eh^(K + j) = Eh^j Eh^K
-        P = np.eye(n)[None]
-        while P.shape[0] <= m:
-            P = np.concatenate([P, (P.reshape(-1, n) @ (P[-1] @ Eh)).reshape(P.shape)])
-        E = P[m::-1]
-    else:
-        slack = 1e-9 * (1.0 + abs(sys.t1 - sys.t0))
-        if t0 < sys.t0 - slack or t1 > sys.t1 + slack:
-            raise DomainError(
-                f"[{t0}, {t1}] leaves the system interval [{sys.t0}, {sys.t1}]")
-        stages = kernels.rk4_stages(nodes[::-1], span)
-        times = stages.times
-        A_all = kernels.sample_at(sys.A_of, np.concatenate([times.ravel(), nodes]))
-        A_at = A_all[times.size:]
-        minus_AT = -A_all[:times.size].reshape(times.shape + (n, n)).transpose(0, 1, 3, 2)
-        B_at = kernels.sample_at(sys.B_of, nodes)
-        ET = kernels.rk4_linear(lambda sl: (minus_AT[sl], None), np.eye(n), stages)
-        E = ET[::-1].transpose(0, 2, 1)
-    return nodes, E, A_at, B_at
+    stages = kernels.rk4_stages(nodes[::-1], span)
+    times = stages.times
+    A_all = kernels.sample_at(sys.A_of, np.concatenate([times.ravel(), nodes]))
+    A_at = A_all[times.size:]
+    minus_AT = -A_all[:times.size].reshape(times.shape + (n, n)).transpose(0, 1, 3, 2)
+    B_at = kernels.sample_at(sys.B_of, nodes)
+    ET = kernels.rk4_linear(lambda sl: (minus_AT[sl], None), np.eye(n), stages)
+    return nodes, ET[::-1].transpose(0, 2, 1), A_at, B_at
 
 
 def _gramian_from_samples(nodes: np.ndarray, E: np.ndarray, B_at: np.ndarray) -> np.ndarray:
     """Composite-Simpson sum of w_k F_k F_k^T with F_k = E_k B_at[k].
 
     The scaled factors sqrt(w_k) F_k are laid side by side in one
-    n x (K p) matrix M, so the sum is the single product M M^T.
+    n x (K p) matrix M, so the sum is the single product M M^T. The step
+    is (t1 - t0) / m, not a difference of neighbouring nodes, which
+    cancels on a short span far from 0.
     """
-    h = nodes[1] - nodes[0]
-    w = kernels.simpson_weights(nodes.size - 1) * (h / 3.0)
+    m = nodes.size - 1
+    w = kernels.simpson_weights(m) * ((nodes[-1] - nodes[0]) / m / 3.0)
     F = (E @ B_at) * np.sqrt(w)[:, None, None]
     M = F.transpose(1, 0, 2).reshape(F.shape[1], -1)
-    G = M @ M.T
-    return 0.5 * (G + G.T)
+    return M @ M.T
+
+
+def _panel_sum(E: np.ndarray, Q: np.ndarray, panels: int):
+    """(S, D^panels) with S = sum_{i < panels} D^i Y D^i^T, D = E^2 and
+    Y = Q + 4 E Q E^T + D Q D^T, the Simpson panel of the nodes 0, 1, 2.
+
+    Smith's doubling for Stein sums, on the bits of `panels` from the
+    top: S(2k) = S(k) + D^k S(k) D^k^T and S(k + 1) = Y + D S(k) D^T,
+    about 3 log2(panels) n x n products. Every term is PSD; nothing is
+    subtracted.
+    """
+    D = E @ E
+    Y = Q + 4.0 * (E @ Q @ E.T) + D @ Q @ D.T
+    S, P = Y, D
+    for bit in bin(panels)[3:]:
+        S = S + P @ S @ P.T
+        P = P @ P
+        if bit == "1":
+            S = Y + D @ S @ D.T
+            P = D @ P
+    return S, P
 
 
 def gramian_invertibility_cutoff(G: np.ndarray,
@@ -214,37 +226,71 @@ def gramian_invertibility_cutoff(G: np.ndarray,
     return floor * (1.0 + float(np.linalg.norm(G, 2)))
 
 
+class _Quadrature(NamedTuple):
+    """The Gramian on [t0, t1] and what steering reads off its quadrature."""
+
+    report: GramianReport
+    transition: np.ndarray   # R(t1, t0)
+    adjoint: Callable        # z -> dense output of w(s) = R(t1, s)^T z
+
+
 def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
-             cfg: ToleranceConfig):
-    """The transition samples of `_transition_samples` on [t0, t1] and
-    the GramianReport built from them."""
+             cfg: ToleranceConfig) -> _Quadrature:
+    """Composite-Simpson quadrature of the Gramian on m intervals of [t0, t1].
+
+    For an LtiSystem, E = e^{hA} with h = (t1 - t0) / m and the sum is
+    taken panel by panel (`_panel_sum`) in O(n^2) memory; R(t1, t0) is
+    D^{m/2}, and `adjoint(z)` builds the rows z^T E^j at the nodes by
+    doubling, v_{K+j} = v_j E^K. For an LtvSystem, the RK4 adjoint
+    resolvent of `_transition_samples` is summed by
+    `_gramian_from_samples`. Both adjoints are cubic-Hermite dense output
+    with slope -w A(s). A sum or R(t1, t0) that overflows is refused
+    (`NumericalError`), without a floating-point warning.
+    """
     if not t0 < t1:
         raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
-    samples = _transition_samples(sys, t0, t1, cfg)
-    nodes, E, _, B_at = samples
-    G = _gramian_from_samples(nodes, E, B_at)
+    m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
+    h = (t1 - t0) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(sys, LtiSystem):
+            A, E = sys.A, kernels.expm(h * sys.A)
+            S, R10 = _panel_sum(E, sys.B @ sys.B.T, m // 2)
+            G = S * (h / 3.0)
+
+            def adjoint(z):
+                V, P = z[None], E   # V[j] = z^T E^j, P = E^len(V)
+                while len(V) <= m:
+                    V = np.concatenate([V, V[:m + 1 - len(V)] @ P])
+                    if len(V) <= m:
+                        P = P @ P
+                w = np.ascontiguousarray(V[::-1])   # contiguous rows interpolate faster
+                return kernels.SampledMatrixFunction(t0, h, w, -(w @ A))
+        else:
+            nodes, E, A_at, B_at = _transition_samples(sys, t0, t1, cfg)
+            G, R10 = _gramian_from_samples(nodes, E, B_at), E[0]
+
+            def adjoint(z):
+                w = z @ E
+                return kernels.SampledMatrixFunction(t0, h, w, -(w[:, None] @ A_at)[:, 0])
+        G = 0.5 * (G + G.T)
+        if not (np.isfinite(G).all() and np.isfinite(R10).all()):
+            raise NumericalError(
+                f"controllability Gramian on [{t0}, {t1}] overflows: the "
+                "transition matrix or the quadrature sum is not finite")
     min_eig = float(np.linalg.eigvalsh(G)[0])
-    return samples, GramianReport(
+    report = GramianReport(
         gramian=G,
         interval=(t0, t1),
         min_eigenvalue=min_eig,
         invertible=min_eig > gramian_invertibility_cutoff(G, cfg),
     )
-
-
-def _adjoint(nodes: np.ndarray, E: np.ndarray, A_at: np.ndarray,
-             z: np.ndarray) -> kernels.SampledMatrixFunction:
-    """Dense output of w(s) = E(s)^T z, which solves w' = -A(s)^T w; the
-    steering control is B(s)^T w(s)."""
-    w = z @ E
-    return kernels.SampledMatrixFunction(nodes[0], nodes[1] - nodes[0], w,
-                                         -(w[:, None] @ A_at)[:, 0])
+    return _Quadrature(report, R10, adjoint)
 
 
 def controllability_gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
                             cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramianReport:
     """Composite-Simpson quadrature of the controllability Gramian on [t0, t1]."""
-    return _gramian(sys, t0, t1, cfg)[1]
+    return _gramian(sys, t0, t1, cfg).report
 
 
 def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
@@ -260,16 +306,16 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     if x0.size != sys.n or x1.size != sys.n:
         raise DimensionError(
             f"x0 and x1 must have length {sys.n}, got {x0.size} and {x1.size}")
-    (nodes, E, A_at, B_at), report = _gramian(sys, t0, t1, cfg)
+    report, R10, adjoint = _gramian(sys, t0, t1, cfg)
     if not report.invertible:
         raise UncontrollableIntervalError(
             f"controllability Gramian on [{t0}, {t1}] is singular "
             f"(min eigenvalue {report.min_eigenvalue:.3e})",
             min_eigenvalue=report.min_eigenvalue)
     G = report.gramian
-    z = np.linalg.solve(G, x1 - E[0] @ x0)
+    z = np.linalg.solve(G, x1 - R10 @ x0)
     cost = float(z @ G @ z)
-    w = _adjoint(nodes, E, A_at, z)
+    w = adjoint(z)
 
     if isinstance(sys, LtiSystem):
         B = sys.B
@@ -282,7 +328,7 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
         def u_at(s):
             return np.einsum("...np,...n->...p", kernels.sample_at(B_of, s), w(s))
 
-    return ControlSignal.vectorized(t0, t1, B_at.shape[2], u_at), cost
+    return ControlSignal.vectorized(t0, t1, sys.p, u_at), cost
 
 
 def kalman_decomposition(sys: LtiSystem,

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the code paths they check: Lyapunov
 solutions are re-derived from the defining improper integral, Gramians
 from explicit matrix-exponential quadrature, costs from Simpson sums of
 sampled integrands. `riccati_sweep` is the one-step-at-a-time backward
-sweep that the doubling scan of `lqr.riccati_finite` replaced.
+sweep that the doubling scan of `lqr.riccati_finite` replaced, and
+`transition_samples` stacks the m + 1 powers of e^{hA} that the panel
+doubling of the constant-coefficient Gramian replaced.
 """
 
 import numpy as np
@@ -169,10 +171,34 @@ def control_from_samples(grid, values):
     return ControlSignal(float(grid[0]), float(grid[-1]), dim, u_of)
 
 
+def transition_samples(sys, t0, t1, cfg=DEFAULT_TOLERANCES):
+    """(nodes, E, A_at, B_at): E[k] = R(t1, s_k) on the Simpson nodes of
+    [t0, t1], with the system matrices at the nodes (A_at is the one
+    matrix A for constant systems).
+
+    For an LtiSystem, the explicit stacked-power oracle: the m + 1
+    powers of e^{hA}, built by doubling, that the panel doubling of
+    `reachability._gramian` replaced. Time-varying systems take the RK4
+    samples of `reachability._transition_samples`.
+    """
+    if not isinstance(sys, LtiSystem):
+        return _transition_samples(sys, t0, t1, cfg)
+    m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
+    nodes = np.linspace(t0, t1, m + 1)
+    n = sys.n
+    Eh = kernels.expm((t1 - t0) / m * sys.A)
+    # P[j] = Eh^j, one stacked product per doubling: Eh^(K + j) = Eh^j Eh^K
+    P = np.eye(n)[None]
+    while P.shape[0] <= m:
+        P = np.concatenate([P, (P.reshape(-1, n) @ (P[-1] @ Eh)).reshape(P.shape)])
+    B_at = np.broadcast_to(sys.B, (m + 1,) + sys.B.shape)
+    return nodes, P[m::-1], sys.A, B_at
+
+
 def steering_endpoint_by_quadrature(sys, t0, t1, u, cfg=DEFAULT_TOLERANCES):
     """int R(t1, s) B(s) u(s) ds, the from-zero endpoint of the input map."""
-    nodes, E, _, B_at = _transition_samples(sys, t0, t1, cfg)
-    h = nodes[1] - nodes[0]
+    nodes, E, _, B_at = transition_samples(sys, t0, t1, cfg)
+    h = (t1 - t0) / (nodes.size - 1)
     vals = np.array([E[k] @ (B_at[k] @ np.asarray(u.u_of(s), dtype=float))
                      for k, s in enumerate(nodes)])
     return kernels.composite_simpson(vals, h)

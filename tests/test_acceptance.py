@@ -15,7 +15,7 @@ import lincontrol as lc
 from lincontrol import fields
 from lincontrol.cli import main as cli_main
 from lincontrol.kernels import ToleranceConfig, simpson_weights
-from lincontrol.reachability import _gramian_from_samples, _transition_samples
+from lincontrol.reachability import _gramian_from_samples
 from lincontrol.synthesis import minimal_decay_rate
 
 import helpers
@@ -238,7 +238,7 @@ def test_criterion_10_minimum_energy_steering():
     while done < 100:
         n, p = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         sys = helpers.random_controllable(rng, n, p)
-        nodes, E, dE, B_at = _transition_samples(sys, 0.0, 1.0, cfg)
+        nodes, E, dE, B_at = helpers.transition_samples(sys, 0.0, 1.0, cfg)
         G = _gramian_from_samples(nodes, E, B_at)
         eigs = np.linalg.eigvalsh(G)
         if eigs[0] <= 0 or eigs[-1] / eigs[0] > 1e8:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,48 @@ class TestExitCodes:
                     "--out-dir", str(out)]) == 4
         assert json.loads(capsys.readouterr().out)["outputs"] == []
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("A, argv", [
+        ([[5, 1], [0, 4]], ["gramian", "--t1", "200"]),
+        ([[5, 1], [0, 4]], ["steer", "--t1", "200", "--x0", "1,0", "--x1", "0,0"]),
+        ([[5]], ["steer", "--t1", "200", "--x0", "1", "--x1", "0"]),
+    ])
+    def test_gramian_overflow_is_4(self, tmp_path, capsys, A, argv):
+        n = len(A)
+        payload = {"name": "fast", "A": A, "B": [[0]] * (n - 1) + [[1]]}
+        path = write(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([argv[0], path, *argv[1:], "--out-dir", str(tmp_path)])
+        assert code == 4
+        out, err = capsys.readouterr()
+        error = json.loads(out)["errors"][0]
+        assert error["type"] == "NumericalError"
+        assert "[0.0, 200.0]" in error["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / f"fast__{argv[0]}.json").exists()
+
+    def test_steer_nl_overflow_is_4(self, tmp_path, capsys):
+        # the upright pendulum's linearization grows like e^t: on [0, 800]
+        # its transition matrix overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["steer-nl", "--field", "pendulum", "--t1", "800", "--x0", "3.1,0",
+                        "--x1", "3.2,0", "--out-dir", str(tmp_path)]) == 4
+        error = json.loads(capsys.readouterr().out)["errors"][0]
+        assert error["type"] == "NumericalError"
+        assert "[0.0, 800.0]" in error["message"]
+
+    def test_observation_gramian_overflow_is_4(self, tmp_path, capsys):
+        # e^{800} overflows on analyze's unit horizon: the overflow is
+        # reported, not a rank/Gramian disagreement
+        path = write(tmp_path, {"name": "fast", "A": [[800]], "B": [[1]], "C": [[1]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["analyze", path, "--out-dir", str(tmp_path)]) == 4
+        error = json.loads(capsys.readouterr().out)["errors"][0]
+        assert error["type"] == "NumericalError"
+        assert "overflows" in error["message"]
 
     def test_are_zero_doublings_is_4(self, tmp_path, capsys):
         path = write(tmp_path, SCALAR)

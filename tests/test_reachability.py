@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from lincontrol import (
     DomainError,
     LtiSystem,
     LtvSystem,
+    NumericalError,
+    ToleranceConfig,
     UncontrollableIntervalError,
     controllability_gramian,
     expm,
+    kernels,
     hautus_test,
     kalman_decomposition,
     kalman_test,
@@ -21,8 +26,8 @@ from lincontrol import (
     uniform_grid,
 )
 from lincontrol.reachability import (
+    _gramian,
     _gramian_from_samples,
-    _transition_samples,
     is_controllable,
     kalman_matrix,
     unstabilizable_mode,
@@ -150,10 +155,10 @@ class TestGramian:
             controllability_gramian(pendulum, 1.0, 1.0)
 
     def test_constant_samples_match_expm(self, rng):
-        # the doubled powers of e^{hA} against e^{(t1 - s) A} at each node
+        # the stacked-power oracle against e^{(t1 - s) A} at each node
         A = rng.uniform(-1, 1, (4, 4))
         sys = LtiSystem(A, np.ones((4, 1)))
-        nodes, E, A_at, _ = _transition_samples(sys, 0.0, 1.5, helpers.CFG)
+        nodes, E, A_at, _ = helpers.transition_samples(sys, 0.0, 1.5, helpers.CFG)
         dE = E @ -A_at  # dE/ds = -E(s) A(s), the slope behind the adjoint's dense output
         for k in (0, 1, 700, nodes.size - 1):
             R = expm((1.5 - nodes[k]) * A)
@@ -164,7 +169,7 @@ class TestGramian:
         # the one-product Simpson contraction against the term-by-term sum
         for n, p in ((1, 1), (3, 2), (5, 5)):
             sys = helpers.random_system(rng, n, p)
-            nodes, E, _, B_at = _transition_samples(sys, 0.0, 1.0, helpers.CFG)
+            nodes, E, _, B_at = helpers.transition_samples(sys, 0.0, 1.0, helpers.CFG)
             F = E @ B_at
             w = np.ones(nodes.size)
             w[1:-1:2] = 4.0
@@ -173,6 +178,94 @@ class TestGramian:
             expected = sum(wk * Fk @ Fk.T for wk, Fk in zip(w, F))
             G = _gramian_from_samples(nodes, E, B_at)
             assert np.abs(G - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
+
+
+
+def _config_with_intervals(span, m):
+    """Tolerances whose Simpson rule takes exactly m intervals on span."""
+    cfg = ToleranceConfig(ode_step=span / m * (1.0 + 1e-9))
+    assert kernels.simpson_intervals(span, cfg.ode_step) == m
+    return cfg
+
+
+class TestPanelDoubling:
+    """The panel-doubled constant-coefficient Gramian against the
+    explicit stacked powers of e^{hA} in `helpers.transition_samples`."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 10, 1000, 1002])
+    def test_matches_stacked_powers(self, rng, m):
+        t0, t1 = 0.3, 1.55
+        cfg = _config_with_intervals(t1 - t0, m)
+        for n in (1, 3, 8, 24):
+            sys = helpers.random_system(rng, n, n)
+            nodes, E, _, B_at = helpers.transition_samples(sys, t0, t1, cfg)
+            F = E @ B_at
+            w = kernels.simpson_weights(m) * ((t1 - t0) / m / 3.0)
+            expected = np.einsum("k,kip,kjp->ij", w, F, F)
+            quad = _gramian(sys, t0, t1, cfg)
+            G = quad.report.gramian
+            assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.abs(quad.transition - E[0]).max() <= 1e-12 * np.abs(E[0]).max()
+
+    def test_adjoint_samples_match_expm(self, rng):
+        # w(s_k) = e^{(t1 - s_k) A}^T z at every node, with slope -w A
+        A = rng.uniform(-1, 1, (5, 5))
+        sys = LtiSystem(A, rng.uniform(-1, 1, (5, 2)))
+        t0, t1 = -0.4, 1.1
+        z = rng.uniform(-1, 1, 5)
+        w = _gramian(sys, t0, t1, helpers.CFG).adjoint(z)
+        m = kernels.simpson_intervals(t1 - t0, helpers.CFG.ode_step)
+        nodes = np.linspace(t0, t1, m + 1)
+        assert w.values.shape == (m + 1, 5) and w.h == (t1 - t0) / m
+        exact = np.array([expm((t1 - s) * A).T @ z for s in nodes])
+        scale = np.abs(exact).max()
+        assert np.abs(w.values - exact).max() <= 1e-12 * scale
+        assert np.abs(w.derivs + exact @ A).max() <= 1e-12 * scale * np.abs(A).max()
+        assert np.abs(w(nodes) - exact).max() <= 1e-12 * scale
+
+    def test_memory_is_independent_of_the_horizon(self, rng):
+        # [0, 50] at the default step is 50,000 intervals: stacking the
+        # transition matrices at n = 16 would take over 100 MB
+        sys = helpers.random_system(rng, 16, 16, shift=3.0)
+        controllability_gramian(sys, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            controllability_gramian(sys, 0.0, 50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("ltv", [False, True])
+    def test_step_is_the_span_over_m(self, ltv):
+        # on [0.3, 0.3 + 1e-9] the node difference is off by 5.5e-8
+        # relative; the Gramian of x' = u is exactly (t1 - t0) B B^T
+        t0, t1 = 0.3, 0.3 + 1e-9
+        A, B = np.zeros((2, 2)), np.array([[1.0], [0.5]])
+        sys = constant_ltv(A, B, 0.0, 1.0) if ltv else LtiSystem(A, B)
+        quad = _gramian(sys, t0, t1, helpers.CFG)
+        expected = (t1 - t0) * (B @ B.T)
+        assert np.abs(quad.report.gramian - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert quad.adjoint(np.ones(2)).h == (t1 - t0) / 2
+
+    @pytest.mark.parametrize("A, B, t1", [
+        ([[5.0, 1.0], [0.0, 4.0]], [[0.0], [1.0]], 200.0),
+        ([[5.0]], [[1.0]], 200.0),
+        ([[800.0]], [[1.0]], 1.0),
+    ])
+    def test_overflow_is_refused(self, A, B, t1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"\[0.0, {t1}\]"):
+                controllability_gramian(LtiSystem(A, B), 0.0, t1)
+            with pytest.raises(NumericalError):
+                min_energy_control(LtiSystem(A, B), 0.0, t1, np.ones(len(A)), np.zeros(len(A)))
+
+    def test_time_varying_overflow_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                controllability_gramian(constant_ltv([[800.0]], [[1.0]], 0.0, 1.0), 0.0, 1.0)
 
 
 class TestMinEnergy:
