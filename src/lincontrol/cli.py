@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Reads strict-JSON system files, dispatches to the analysis and synthesis
-modules, and emits deterministic JSON verdicts and CSV trajectories
-(floats printed at 17 significant digits, no timestamps). Exit codes:
+modules, and emits deterministic JSON verdicts (floats in their shortest
+round-trip form) and CSV trajectories (floats at 17 significant digits),
+with no timestamps. Exit codes:
 0 success, 2 parse error, 3 violated precondition, 4 numerical failure.
 """
 
@@ -48,57 +49,24 @@ class ParseFailure(Exception):
 # deterministic serialization
 
 
-def _jsonable(value):
+def _encode(value):
+    """`json.dumps` hook: an array as nested lists, a numpy scalar as its
+    Python value, a complex number as [re, im]."""
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
-def _dump(value, indent: int) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NumericalError("verdict payload overflowed to a non-finite value")
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _dump(v, indent + 1) for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _dump(v, indent + 1)
-            for k, v in value.items())
-        return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(value) -> str:
-    return _dump(_jsonable(value), 0) + "\n"
+    """Indented JSON with floats in their shortest round-trip form."""
+    try:
+        return json.dumps(value, indent=2, allow_nan=False, default=_encode) + "\n"
+    except ValueError as exc:
+        raise NumericalError("verdict payload overflowed to a non-finite value") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,14 @@ def _flow_triple(A, BBt, CtC, duration, P0):
     beta grow like e^{lambda tau} and e^{2 lambda tau} along an unstable
     mode that C does not see, and the doubling turns singular. The
     exponential is taken on a step with unit 1-norm and doubled back up.
+    A Hamiltonian that overflows is refused (`EscapeTimeError`).
     """
     Ac = A - BBt @ P0
     P0A = P0 @ A
     R = CtC + P0A + P0A.T - P0 @ BBt @ P0
     H = np.block([[-Ac, BBt], [R, Ac.T]])
+    if not np.isfinite(H).all():
+        raise EscapeTimeError("Riccati Hamiltonian overflows: its entries are not finite")
     scale = np.linalg.norm(H, 1)
     s = max(0, math.ceil(math.log2(duration) + math.log2(scale))) if scale > 0 else 0
     Phi = kernels.expm((duration / 2.0 ** s) * H)
@@ -216,8 +219,6 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
         raise DomainError("riccati_finite needs a finite horizon")
     T = prob.horizon
     A, B, C = prob.sys.A, prob.sys.B, prob.sys.C
-    BBt = B @ B.T
-    CtC = C.T @ C
     h_target = step if step is not None else min(cfg.ode_step, T / 2000.0)
     m = max(4, math.ceil(T / h_target))  # the five-point stencil needs 5 samples
     h = T / m
@@ -229,6 +230,8 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     lo, c = 1, 1  # D[1..c] is known, D[lo..c] is the level not yet checked
     # an overflow shows as an inf or nan sample and is reported as blow-up
     with np.errstate(over="ignore", invalid="ignore"):
+        BBt = B @ B.T
+        CtC = C.T @ C
         triple = _flow_triple(A, BBt, CtC, h, prob.P0)
         D[1] = triple[2]
         while True:
@@ -367,26 +370,27 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     check_finite_cost_condition(sys, cfg)
     tol = cfg.residual_tol if convergence_tol is None else convergence_tol
     A, B, C = sys.A, sys.B, sys.C
-    BBt = B @ B.T
-    CtC = C.T @ C
-    eye = np.eye(sys.n)
-
-    T = initial_horizon
-    triple = _flow_triple(A, BBt, CtC, T, eye)
-    P_prev = eye + triple[2]
-    _check_escape(P_prev, f"within horizon {T:.6g}")
-    converged = False
-    diff = math.inf
-    for _ in range(max_doublings):
-        triple = _compose(triple, triple)
-        P_next = eye + triple[2]
-        T *= 2.0
-        _check_escape(P_next, f"within horizon {T:.6g}")
-        diff = float(np.linalg.norm(P_next - P_prev))
-        P_prev = P_next
-        if diff <= tol:
-            converged = True
-            break
+    # an overflow shows as an inf or nan value matrix and is reported as blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        BBt = B @ B.T
+        CtC = C.T @ C
+        eye = np.eye(sys.n)
+        T = initial_horizon
+        triple = _flow_triple(A, BBt, CtC, T, eye)
+        P_prev = eye + triple[2]
+        _check_escape(P_prev, f"within horizon {T:.6g}")
+        converged = False
+        diff = math.inf
+        for _ in range(max_doublings):
+            triple = _compose(triple, triple)
+            P_next = eye + triple[2]
+            T *= 2.0
+            _check_escape(P_next, f"within horizon {T:.6g}")
+            diff = float(np.linalg.norm(P_next - P_prev))
+            P_prev = P_next
+            if diff <= tol:
+                converged = True
+                break
     if not converged:
         raise ConvergenceError(
             f"value matrix did not settle within horizon {T:.6g} "

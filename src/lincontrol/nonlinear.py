@@ -31,6 +31,7 @@ from .errors import (
     DimensionError,
     DivergenceError,
     LinearTestInapplicableError,
+    NumericalError,
     TrustRegionError,
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
@@ -161,14 +162,21 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
     """RK4 flow of x' = f(x, u(t)) through the grid points.
 
     u is sampled once, in one array, at the stage times of the flow and
-    at the grid points; each RK4 stage reads its row by its time.
+    at the grid points; each RK4 stage reads its row by its time. A flow
+    whose state overflows raises NumericalError naming the first grid
+    time where it is not finite.
     """
     x0 = kernels.as_vector(x0, "x0")
     grid = np.asarray(grid, float)
     times = _sample_times(grid, cfg)
     U = u.at(times)
     row = {t: i for i, t in enumerate(times[:-grid.size].tolist())}
-    states = kernels.rk4_path(lambda t, x: vf(x, U[row[t]]), x0, grid, cfg.ode_step)
+    # an overflow shows as a non-finite state and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = kernels.rk4_path(lambda t, x: vf(x, U[row[t]]), x0, grid, cfg.ode_step)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"flow state is not finite at t = {grid[np.argmin(finite)]:.6g}")
     return Trajectory(grid=grid, states=states, controls=U[-grid.size:])
 
 
@@ -188,7 +196,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     Each pass recomputes the linear steering control for the current
     target iterate phi, flows the nonlinear system, and updates
     phi <- phi - H(phi) + x1. Divergence is declared when the iterate
-    leaves the ball of radius 10 delta around x1.
+    leaves the ball of radius 10 delta around x1 or is not finite.
 
     An equilibrium reference is steered through its constant
     linearization: f_x and f_u are evaluated once at (x_e, u_e), the
@@ -265,7 +273,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
                 trajectory=traj, control=control, iterations=iteration,
                 terminal_error=err, converged=True, error_history=tuple(errors))
         phi = phi - endpoint + x1
-        if np.linalg.norm(phi - x1) > 10.0 * delta:
+        if not np.linalg.norm(phi - x1) <= 10.0 * delta:  # a nan iterate diverged too
             raise DivergenceError(
                 f"iterate left the trust ball after {iteration} passes",
                 history=errors)

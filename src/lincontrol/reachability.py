@@ -23,7 +23,13 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, DomainError, NumericalError, UncontrollableIntervalError
+from .errors import (
+    ConditioningError,
+    DimensionError,
+    DomainError,
+    NumericalError,
+    UncontrollableIntervalError,
+)
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
 from .stability import STABILITY_MARGIN
 from .systems import ControlSignal, LtiSystem, LtvSystem
@@ -73,12 +79,20 @@ class KalmanDecomposition:
 
 
 def kalman_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Horizontal stack [B, AB, ..., A^{n-1}B] built by repeated products."""
+    """Horizontal stack [B, AB, ..., A^{n-1}B] built by repeated products.
+
+    A stack that overflows is refused (`ConditioningError`), without a
+    floating-point warning.
+    """
     n = A.shape[0]
     blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            blocks.append(A @ blocks[-1])
+    M = np.hstack(blocks)
+    if not np.isfinite(M).all():
+        raise ConditioningError("Kalman matrix [B, AB, ..., A^{n-1}B] overflows")
+    return M
 
 
 def is_controllable(A: np.ndarray, B: np.ndarray,
@@ -111,21 +125,15 @@ def kalman_test(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Co
 
 def hautus_rank_at(A: np.ndarray, B: np.ndarray, lam: complex,
                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Complex rank of [lam I - A, B] for real A, B.
+    """Rank of the n x (n + p) matrix [lam I - A, B] for real A, B.
 
-    Non-real lam is handled through the real doubled embedding
-    [[X, -Y], [Y, X]] of X + iY, whose real rank is exactly twice the
-    complex rank, so all kernels stay real.
+    The matrix is complex for a non-real lam and real otherwise; either
+    way its singular values are counted against the cutoff of
+    `kernels.rank_of_singular_values` for its own shape.
     """
-    n = A.shape[0]
-    X = lam.real * np.eye(n) - A
-    if lam.imag == 0.0:
-        return kernels.numerical_rank(np.hstack([X, B]), cfg)
-    Y = lam.imag * np.eye(n)
-    Z = np.hstack([X, B])
-    W = np.hstack([Y, np.zeros_like(B)])
-    doubled = np.block([[Z, -W], [W, Z]])
-    return kernels.numerical_rank(doubled, cfg) // 2
+    lam = complex(lam)
+    M = np.hstack([(lam if lam.imag else lam.real) * np.eye(A.shape[0]) - A, B])
+    return kernels.rank_of_singular_values(np.linalg.svd(M, compute_uv=False), M.shape, cfg)
 
 
 def hautus_test(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HautusReport:

@@ -340,8 +340,12 @@ def gramian_stabilizer(A, B, decay_rate: float,
             f"decay rate {decay_rate} does not make the weighted Gramian "
             f"converge; minimal admissible rate is {minimal:.8g}",
             minimal_rate=minimal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        BBt = B @ B.T
+    if not np.isfinite(BBt).all():
+        raise ConditioningError("B B^T overflows")
     shifted = A + decay_rate * np.eye(n)
-    Q = kernels.solve_sylvester(shifted, shifted.T, B @ B.T, cfg)
+    Q = kernels.solve_sylvester(shifted, shifted.T, BBt, cfg)
     Q = 0.5 * (Q + Q.T)
     cond = np.linalg.cond(Q)
     if not np.isfinite(cond) or cond > 1e14:

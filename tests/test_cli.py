@@ -3,6 +3,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,32 @@ class TestCommands:
         assert data["results"]["converged"] is True
 
 
+class TestFloatTypes:
+    def test_integral_floats_stay_floats(self, tmp_path, capsys):
+        # each of these values is integral on the scalar system
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        assert run(["gramian", path, "--t1", "1", "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert type(manifest["parameters"]["t0"]) is float
+        gramian = json.loads((tmp_path / "scalar__gramian.json").read_text())
+        assert gramian["results"]["gramian"] == [[1.0]]
+        assert type(gramian["results"]["gramian"][0][0]) is float
+        assert run(["steer", path, "--t1", "1", "--x0", "1", "--x1", "0",
+                    "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        steer = json.loads((tmp_path / "scalar__steer.json").read_text())
+        assert steer["results"]["predicted_cost"] == 1.0
+        assert type(steer["results"]["predicted_cost"]) is float
+
+    def test_floats_round_trip(self):
+        values = [0.1, 1 / 3, 1e-300, 2.5e300, -0.0, 1.0, np.float32(0.5)]
+        assert json.loads(cli.dumps(values)) == [float(v) for v in values]
+        assert cli.dumps({"a": [], "b": {}, "z": 1 + 2j}) == (
+            '{\n  "a": [],\n  "b": {},\n  "z": [\n    1.0,\n    2.0\n  ]\n}\n')
+        with pytest.raises(cli.NumericalError, match="overflowed"):
+            cli.dumps({"x": np.array([1.0, np.inf])})
+
+
 class TestExitCodes:
     def test_malformed_json_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -388,6 +415,39 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().out)["errors"][0]
         assert error["type"] == "NumericalError"
         assert "overflows" in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["gramian", "--t1", "1"],
+        ["steer", "--t1", "1", "--x0", "1,0", "--x1", "0,0"],
+        ["place", "--roots=-1,-2"],
+        ["observer", "--roots=-1,-2"],
+        ["lqr", "--horizon", "1", "--xi", "1,0"],
+        ["are"],
+        ["gramian-stab", "--lambda", "1"],
+        ["simulate", "--t1", "1", "--x0", "1,0"],
+        ["steer-nl", "--field", "huge", "--x0", "0.01,0", "--x1", "0,0.01",
+         "--xeq", "0,0", "--ueq", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_intermediates_exit_with_a_code(self, tmp_path, capsys, argv):
+        # e^{hA}, A B and B B^T overflow; steer-nl linearizes to the same pair
+        path = write(tmp_path, {"name": "big", "A": [[1e200, 0], [0, 1e200]],
+                                "B": [[1e200], [1.0]]})
+        term = {"coeff": 1e200, "u": [0]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fields": {"huge": {
+            "state_dim": 2, "control_dim": 1,
+            "rhs": [[{**term, "x": [1, 0]}, {**term, "x": [0, 0], "u": [1]}],
+                    [{**term, "x": [0, 1]}, {"coeff": 1.0, "x": [0, 0], "u": [1]}]],
+        }}}))
+        if argv[0] != "steer-nl":
+            argv = [argv[0], path, *argv[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*argv, "--config", str(config), "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code in (2, 3, 4)
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_are_zero_doublings_is_4(self, tmp_path, capsys):
         path = write(tmp_path, SCALAR)

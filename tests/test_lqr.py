@@ -469,6 +469,18 @@ class TestRiccatiScan:
             with pytest.raises(EscapeTimeError, match=r"near t = 0.9995$"):
                 riccati_finite(prob)
 
+    @pytest.mark.parametrize("solve", [
+        lambda sys: riccati_finite(LqrProblem(sys, None, 1.0)),
+        are_solve,
+    ], ids=["finite", "are"])
+    def test_overflowing_hamiltonian_is_an_escape(self, solve):
+        # B B^T overflows; the pair is stabilizable, so are_solve gets there
+        sys = LtiSystem([[1e200, 0.0], [0.0, -1.0]], [[1e200], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EscapeTimeError, match="Hamiltonian overflows"):
+                solve(sys)
+
     def test_peak_memory_at_n8(self):
         # the one-step-at-a-time sweep peaked at 4.9 MiB here
         rng = np.random.default_rng([8, 3])

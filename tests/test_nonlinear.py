@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from lincontrol import (
     DimensionError,
     DivergenceError,
     LinearTestInapplicableError,
+    NumericalError,
     ToleranceConfig,
+    Trajectory,
     TrustRegionError,
     VectorField,
     equilibrium_reference,
     linearize_along,
     steer_nonlinear,
 )
+from lincontrol import nonlinear
 from lincontrol.fields import double_integrator, pendulum, polynomial_field
 from lincontrol.nonlinear import ReferenceTrajectory, integrate_field
 
@@ -231,6 +235,29 @@ class TestSteering:
         with pytest.raises(DivergenceError) as exc:
             steer_nonlinear(vq, ref, [0.3, 0.0], [0.3, 0.0], delta=0.35)
         assert len(exc.value.history) >= 1
+
+    def test_overflowing_flow_is_refused(self):
+        # x2' = 1e300 x1^3 + u: the first RK4 step from x1 = 0.05 overflows
+        vf = polynomial_field({
+            "state_dim": 2, "control_dim": 1,
+            "rhs": [[{"coeff": 1.0, "x": [0, 1], "u": [0]}],
+                    [{"coeff": 1e300, "x": [3, 0], "u": [0]},
+                     {"coeff": 1.0, "x": [0, 0], "u": [1]}]],
+        })
+        ref = equilibrium_reference(vf, [0.0, 0.0], [0.0], 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite at t = 0.001"):
+                steer_nonlinear(vf, ref, [0.05, 0.0], [0.0, 0.05])
+
+    def test_nan_iterate_is_divergence(self, pend_field, upright_ref, monkeypatch):
+        def nan_flow(vf, x0, u, grid, cfg):
+            return Trajectory(grid=grid, states=np.full((grid.size, 2), np.nan))
+
+        monkeypatch.setattr(nonlinear, "integrate_field", nan_flow)
+        with pytest.raises(DivergenceError) as exc:
+            steer_nonlinear(pend_field, upright_ref, [PI + 0.05, 0.0], [PI - 0.05, 0.0])
+        assert len(exc.value.history) == 1
 
     def test_uncontrollable_linearization_rejected(self):
         vf = VectorField(2, 1,

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lincontrol import (
+    ConditioningError,
     ControlSignal,
     DimensionError,
     DomainError,
@@ -83,6 +84,13 @@ class TestKalman:
             assert sines < 1e-8
 
 
+    def test_overflowing_stack_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConditioningError, match="overflows"):
+                kalman_matrix(np.diag([1e200, 1e200]), np.array([[1e200], [1.0]]))
+
+
 class TestHautus:
     def test_diagonal_fails_at_unreached_mode(self):
         rep = hautus_test(LtiSystem(np.diag([1.0, 2.0]), [[1.0], [0.0]]))
@@ -110,6 +118,18 @@ class TestHautus:
         rep = hautus_test(sys)
         assert all(abs(r.eigenvalue.imag) > 0.9 for r in rep.records)
         assert rep.controllable
+
+    def test_uncontrollable_complex_pair_found(self, rng):
+        # a rotation block cut off from the input, mixed in by an orthogonal Q
+        A0 = np.block([[rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 2))],
+                       [np.zeros((2, 3)), np.array([[0.3, 2.0], [-2.0, 0.3]])]])
+        B0 = np.vstack([rng.uniform(-1, 1, (3, 1)), np.zeros((2, 1))])
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        rep = hautus_test(LtiSystem(Q @ A0 @ Q.T, Q @ B0))
+        failed = [r for r in rep.records if not r.passed]
+        assert len(failed) == 2 and all(r.rank == 4 for r in failed)
+        assert_allclose(sorted(r.eigenvalue.imag for r in failed), [-2.0, 2.0], atol=1e-10)
+        assert unstabilizable_mode(Q @ A0 @ Q.T, Q @ B0) is not None
 
     def test_agreement_with_kalman_on_random_draws(self, rng):
         for _ in range(40):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -267,6 +269,13 @@ class TestGramianStabilizer:
     def test_uncontrollable_rejected(self):
         with pytest.raises(UncontrollableError):
             gramian_stabilizer(np.diag([1.0, 2.0]), [[1.0], [0.0]], 3.0)
+
+    def test_overflowing_input_weight_refused(self):
+        # B B^T = 1e310 overflows while the Kalman stack stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConditioningError, match="overflows"):
+                gramian_stabilizer([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1e155]], 1.0)
 
     def test_closed_loop_meets_rate_random(self, rng):
         for lam in (0.5, 1.0, 2.0):
