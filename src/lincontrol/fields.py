@@ -3,8 +3,12 @@ declared in a config file.
 
 A polynomial field lists, per state component, monomial terms
 {"coeff": c, "x": [i1, ..., in], "u": [j1, ..., jp]} meaning
-c * prod x_k^{i_k} * prod u_k^{j_k}; partials are formed by the power
-rule, so the jacobians are exact.
+c * prod x_k^{i_k} * prod u_k^{j_k}, with nonnegative integer powers;
+partials are formed by the power rule, so the jacobians are exact.
+Each term keeps only its nonzero powers, and f, f_x and f_u multiply
+those, one power each, in Python floats from x.tolist() and u.tolist():
+a term costs its own powers, not the width of (x, u). A monomial that
+overflows is the IEEE inf (or nan), which the flow refuses.
 """
 
 from __future__ import annotations
@@ -45,45 +49,74 @@ def double_integrator() -> VectorField:
     return VectorField(state_dim=2, control_dim=1, f=f, fx=fx, fu=fu)
 
 
+def _term_powers(values, size: int, offset: int) -> tuple:
+    """The (offset + index, power) pairs of one term's nonzero powers."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise ValueError("term powers must be lists of integers") from None
+    if len(values) != size:
+        raise ValueError("term powers must match state/control dims")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+            raise ValueError(f"powers must be nonnegative integers, got {v!r}")
+    return tuple((offset + k, int(v)) for k, v in enumerate(values) if v)
+
+
+def _monomial(z: list, powers: tuple) -> float:
+    """The product of z[k] ** e over the (k, e) in powers, one power each.
+
+    A power that overflows is +-inf, as IEEE pow gives it, where Python's
+    float ** int raises OverflowError.
+    """
+    m = 1.0
+    for k, e in powers:
+        try:
+            m *= z[k] ** e
+        except OverflowError:
+            m *= math.copysign(math.inf, z[k]) if e % 2 else math.inf
+    return m
+
+
 def polynomial_field(decl: dict) -> VectorField:
     n = int(decl["state_dim"])
     p = int(decl["control_dim"])
     rhs = decl["rhs"]
     if len(rhs) != n:
         raise ValueError(f"rhs must list {n} components, got {len(rhs)}")
-    rows, coeffs, powers = [], [], []
+    # Each term is (component, coeff, its nonzero powers of z = (x, u));
+    # each partial is (component, column, coeff, power, the powers that
+    # remain after the power rule), split into the x and the u columns.
+    terms, dx, du = [], [], []
     for i, comp in enumerate(rhs):
         for term in comp:
-            xpow = np.asarray(term.get("x", [0] * n), dtype=int)
-            upow = np.asarray(term.get("u", [0] * p), dtype=int)
-            if xpow.size != n or upow.size != p:
-                raise ValueError("term powers must match state/control dims")
-            if np.any(xpow < 0) or np.any(upow < 0):
-                raise ValueError("powers must be nonnegative")
-            rows.append(i)
-            coeffs.append(float(term["coeff"]))
-            powers.append(np.concatenate([xpow, upow]))
-    # Terms are stacked once: E holds the powers of z = (x, u) per term, S
-    # scatters coefficient-weighted monomials onto their components, and
-    # lowered[t, k] is E[t] with the k-th power reduced by the power rule
-    # (clipped at 0, where the factor E[t, k] is 0 anyway).
-    E = np.array(powers, dtype=int).reshape(-1, n + p)
-    S = np.zeros((n, E.shape[0]))
-    S[rows, np.arange(E.shape[0])] = coeffs
-    lowered = np.maximum(E[:, None, :] - np.eye(n + p, dtype=int), 0)
-
-    def _partials(x, u, cols):
-        z = np.concatenate((x, u))
-        return S @ (E[:, cols] * np.multiply.reduce(z ** lowered[:, cols], axis=2))
+            powers = (_term_powers(term.get("x", [0] * n), n, 0)
+                      + _term_powers(term.get("u", [0] * p), p, n))
+            c = float(term["coeff"])
+            terms.append((i, c, powers))
+            for k, e in powers:
+                lowered = tuple((j, d - (j == k)) for j, d in powers if d - (j == k))
+                (dx if k < n else du).append((i, k if k < n else k - n, c, e, lowered))
 
     def f(x, u):
-        return S @ np.multiply.reduce(np.concatenate((x, u)) ** E, axis=1)
+        z = x.tolist() + u.tolist()
+        out = [0.0] * n
+        for i, c, powers in terms:
+            out[i] += c * _monomial(z, powers)
+        return np.array(out)
+
+    def _partials(x, u, grads, cols):
+        z = x.tolist() + u.tolist()
+        out = [[0.0] * cols for _ in range(n)]
+        for i, k, c, e, lowered in grads:
+            out[i][k] += c * (e * _monomial(z, lowered))
+        return np.array(out)
 
     def fx(x, u):
-        return _partials(x, u, slice(0, n))
+        return _partials(x, u, dx, n)
 
     def fu(x, u):
-        return _partials(x, u, slice(n, n + p))
+        return _partials(x, u, du, p)
 
     return VectorField(state_dim=n, control_dim=p, f=f, fx=fx, fu=fu)
 

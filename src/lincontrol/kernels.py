@@ -146,7 +146,9 @@ def solve_sylvester(A, Bm, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
     case. A unique solution exists iff the spectra of A and -Bm are
     disjoint; the separation is checked before solving and the residual
     after, so every successful return satisfies
-    ||A X + X Bm - R||_F <= residual_tol * (1 + ||R||_F).
+    ||A X + X Bm - R||_F <= residual_tol * (1 + ||R||_F). Both norms are
+    scaled by the largest entry, so neither overflows, and a residual that
+    is not finite is refused with NumericalError.
     """
     A = require_square(A, "A")
     Bm = require_square(Bm, "Bm")
@@ -160,14 +162,27 @@ def solve_sylvester(A, Bm, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
             f"spectra of A and -Bm are not disjoint (separation {sep:.3e}); "
             "the equation has no unique solution"
         )
-    X = scipy.linalg.solve_sylvester(A, Bm, R)
-    residual = np.linalg.norm(A @ X + X @ Bm - R)
-    bound = cfg.residual_tol * (1.0 + np.linalg.norm(R))
+    # an overflow shows as a residual that is not finite and is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = scipy.linalg.solve_sylvester(A, Bm, R)
+        residual = _scaled_norm(A @ X + X @ Bm - R)
+    if not np.isfinite(residual):
+        raise NumericalError(f"Sylvester residual is not finite ({residual})")
+    bound = cfg.residual_tol * (1.0 + _scaled_norm(R))
     if residual > bound:
         raise NumericalError(
             f"Sylvester residual {residual:.3e} exceeds bound {bound:.3e}"
         )
     return X
+
+
+def _scaled_norm(M: np.ndarray) -> float:
+    """Frobenius norm of M, taken as ||M / s|| s with s = max |M_ij| so
+    that the sum of squares cannot overflow; inf or nan if M holds one."""
+    s = float(np.abs(M).max(initial=0.0))
+    if s == 0.0 or not math.isfinite(s):
+        return s
+    return float(np.linalg.norm(M / s)) * s
 
 
 def rk4_step(f: Callable, t: float, x: np.ndarray, h: float) -> np.ndarray:

@@ -55,11 +55,8 @@ class VectorField:
     fu: Optional[Callable] = None
 
     def __call__(self, x, u) -> np.ndarray:
-        out = np.asarray(self.f(np.asarray(x, float), np.asarray(u, float)), float)
-        if out.shape != (self.state_dim,):
-            raise DimensionError(
-                f"f must return a vector of length {self.state_dim}")
-        return out
+        return _derivative(self.f, np.asarray(x, float), np.asarray(u, float),
+                           self.state_dim)
 
     def jacobian_x(self, x, u) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -151,29 +148,53 @@ def linearize_along(vf: VectorField, ref: ReferenceTrajectory) -> LtvSystem:
     )
 
 
-def _sample_times(grid: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+def _sample_times(stages: kernels.Rk4Stages, grid: np.ndarray) -> np.ndarray:
     """The stage times of the RK4 flow through the grid, then the grid."""
-    times = kernels.rk4_stages(grid, cfg.ode_step).times.ravel()
-    return np.concatenate([times, grid])
+    return np.concatenate([stages.times.ravel(), grid])
+
+
+def _derivative(f: Callable, x: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """f(x, u) as a float vector, refused unless it has length n."""
+    out = np.asarray(f(x, u), dtype=float)
+    if out.shape != (n,):
+        raise DimensionError(f"f must return a vector of length {n}")
+    return out
 
 
 def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Trajectory:
     """RK4 flow of x' = f(x, u(t)) through the grid points.
 
-    u is sampled once, in one array, at the stage times of the flow and
-    at the grid points; each RK4 stage reads its row by its time. A flow
-    whose state overflows raises NumericalError naming the first grid
-    time where it is not finite.
+    The substeps are those of `kernels.rk4_stages`, each taken with the
+    arithmetic of `kernels.rk4_step`; the stages call vf.f directly and
+    check what it returns as `VectorField.__call__` does. u is sampled
+    once, in one array, at the stage times of the flow and at the grid
+    points: stage times t, t + h/2 and t + h of substep s are rows 3s,
+    3s + 1 and 3s + 2. A flow whose state overflows raises NumericalError
+    naming the first grid time where it is not finite.
     """
     x0 = kernels.as_vector(x0, "x0")
     grid = np.asarray(grid, float)
-    times = _sample_times(grid, cfg)
-    U = u.at(times)
-    row = {t: i for i, t in enumerate(times[:-grid.size].tolist())}
+    stages = kernels.rk4_stages(grid, cfg.ode_step)
+    U = np.asarray(u.at(_sample_times(stages, grid)), dtype=float)
+    f, n = vf.f, vf.state_dim
+    states = np.empty((grid.size, x0.size))
+    states[0] = x = x0
+    hs = stages.h.tolist()
+    start = 0
     # an overflow shows as a non-finite state and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        states = kernels.rk4_path(lambda t, x: vf(x, U[row[t]]), x0, grid, cfg.ode_step)
+        for i, stop in enumerate(stages.stop.tolist(), 1):
+            for s in range(start, stop):
+                h, r = hs[s], 3 * s
+                half = 0.5 * h
+                k1 = _derivative(f, x, U[r], n)
+                k2 = _derivative(f, x + half * k1, U[r + 1], n)
+                k3 = _derivative(f, x + half * k2, U[r + 1], n)
+                k4 = _derivative(f, x + h * k3, U[r + 2], n)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[i] = x
+            start = stop
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise NumericalError(f"flow state is not finite at t = {grid[np.argmin(finite)]:.6g}")
@@ -239,7 +260,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     if equilibrium is None:
         # every pass samples its control at these times: the reference part
         # is sampled there once
-        times = _sample_times(grid, cfg)
+        times = _sample_times(kernels.rk4_stages(grid, cfg.ode_step), grid)
         kept = _along(vf, ref, times)
 
         def steering(w, s):

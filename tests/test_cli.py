@@ -405,6 +405,67 @@ class TestExitCodes:
         assert error["type"] == "NumericalError"
         assert "[0.0, 800.0]" in error["message"]
 
+    @pytest.mark.parametrize("power", [1.5, True, -1], ids=["fraction", "boolean", "negative"])
+    def test_steer_nl_non_integer_power_is_2(self, tmp_path, capsys, power):
+        # a power cast to int would steer x2' = x2 or x2' = 1, not this field
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fields": {"bad": {
+            "state_dim": 2, "control_dim": 1,
+            "rhs": [[{"coeff": 1.0, "x": [0, 1], "u": [0]}],
+                    [{"coeff": -1.0, "x": [0, power], "u": [0]},
+                     {"coeff": 1.0, "x": [0, 0], "u": [1]}]],
+        }}}))
+        assert run(["steer-nl", "--field", "bad", "--x0", "0.01,0", "--x1", "0,0.01",
+                    "--xeq", "0,0", "--ueq", "0", "--config", str(config),
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "nonnegative integers" in capsys.readouterr().err
+        assert not (tmp_path / "bad__steer-nl.json").exists()
+
+    def test_steer_nl_huge_power_overflow_is_4(self, tmp_path, capsys):
+        # x2' = u + 1 - x1^(10^6) rests at x1 = 1; from x1 = 1.05 the first
+        # stage's monomial overflows, which the flow refuses
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fields": {"steep": {
+            "state_dim": 2, "control_dim": 1,
+            "rhs": [[{"coeff": 1.0, "x": [0, 1], "u": [0]}],
+                    [{"coeff": 1.0, "x": [0, 0], "u": [1]},
+                     {"coeff": 1.0, "x": [0, 0], "u": [0]},
+                     {"coeff": -1.0, "x": [10**6, 0], "u": [0]}]],
+        }}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["steer-nl", "--field", "steep", "--x0", "1.05,0", "--x1", "1,0.01",
+                        "--xeq", "1,0", "--ueq", "0", "--config", str(config),
+                        "--out-dir", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        error = json.loads(out)["errors"][0]
+        assert error["type"] == "NumericalError"
+        assert "flow state is not finite at t = 0.001" in error["message"]
+        assert "Warning" not in err
+
+    def test_gramian_stab_sylvester_norms_do_not_overflow(self, tmp_path, capsys):
+        # B B^T reaches 1e160: an unscaled Frobenius norm squares past the
+        # float range, so the residual check would pass any solution
+        A = np.array([[-1.272, 0.614], [-1.197, -0.322]])
+        B = np.array([[-0.00676], [1e80]])
+        path = write(tmp_path, {"name": "wide", "A": A.tolist(), "B": B.tolist()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["gramian-stab", path, "--lambda", "1", "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert "Warning" not in err
+        assert code == 0
+
+        def norm(M):
+            s = np.abs(M).max()
+            return np.linalg.norm(M / s) * s
+
+        Q = np.array(json.loads((tmp_path / "wide__gramian-stab.json").read_text())
+                     ["results"]["Q"])
+        shifted, BBt = A + np.eye(2), B @ B.T
+        residual = norm(shifted @ Q + Q @ shifted.T - BBt)
+        assert residual <= 1e-10 * (1.0 + norm(BBt))
+
     def test_observation_gramian_overflow_is_4(self, tmp_path, capsys):
         # e^{800} overflows on analyze's unit horizon: the overflow is
         # reported, not a rank/Gramian disagreement

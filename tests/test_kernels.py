@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ class TestSylvester:
     def test_spectra_overlap_raises(self):
         with pytest.raises(SingularEquationError):
             solve_sylvester(np.eye(2), -np.eye(2), np.ones((2, 2)))
+
+    def test_non_finite_residual_is_refused(self):
+        # X1 = -1e300 X2 / 2 with X2 = 5e299 overflows inside the solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                solve_sylvester([[1.0, 1e300], [0.0, 1.0]], [[1.0]], [[0.0], [1e300]])
 
     def test_matches_lyapunov_quadrature_oracle(self, rng):
         # A^T X + X A = -R  has  X = int_0^inf e^{tA^T} R e^{tA} dt

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lincontrol import (
+    ControlSignal,
     DimensionError,
     DivergenceError,
     LinearTestInapplicableError,
@@ -21,6 +23,7 @@ from lincontrol import (
 )
 from lincontrol import nonlinear
 from lincontrol.fields import double_integrator, pendulum, polynomial_field
+from lincontrol.kernels import rk4_path, rk4_stages
 from lincontrol.nonlinear import ReferenceTrajectory, integrate_field
 
 PI = math.pi
@@ -63,12 +66,24 @@ class TestVectorField:
         assert np.abs(bare.jacobian_x(x, u) - vf.fx(x, u)).max() < 1e-8
 
     def test_polynomial_field_matches_per_term_formula(self, rng):
-        n, p = 3, 2
-        rhs = [[{"coeff": float(rng.uniform(-2, 2)),
-                 "x": [int(k) for k in rng.integers(0, 4, n)],
-                 "u": [int(k) for k in rng.integers(0, 3, p)]}
-                for _ in range(int(rng.integers(0, 4)))]
-               for _ in range(n)]
+        for n, p, terms in [(3, 2, None), (8, 2, 32), (16, 3, 64)]:
+            self._check_per_term_formula(rng, n, p, terms)
+
+    @staticmethod
+    def _check_per_term_formula(rng, n, p, terms):
+        def draw():
+            return {"coeff": float(rng.uniform(-2, 2)),
+                    "x": [int(k) for k in rng.integers(0, 4, n) * (rng.random(n) < 3 / n)],
+                    "u": [int(k) for k in rng.integers(0, 3, p)]}
+
+        if terms is None:  # a few terms per component, some with none
+            rhs = [[draw() for _ in range(int(rng.integers(0, 4)))] for _ in range(n)]
+        else:
+            rhs = [[] for _ in range(n)]
+            for t in range(terms):
+                rhs[int(rng.integers(0, n)) if t >= n else t].append(draw())
+        # one power costs one pow call however large: 0 for |x_k| < 1
+        rhs[0].append({"coeff": 3.0, "x": [10**6] + [0] * (n - 1), "u": [0] * p})
         vf = polynomial_field({"state_dim": n, "control_dim": p, "rhs": rhs})
         bare = VectorField(n, p, vf.f)
 
@@ -79,13 +94,27 @@ class TestVectorField:
                 for comp in rhs])
 
         for _ in range(5):
-            x = rng.uniform(-1.5, 1.5, n)
-            u = rng.uniform(-1.5, 1.5, p)
+            x = rng.uniform(-1.0, 1.0, n)
+            u = rng.uniform(-1.0, 1.0, p)
             assert_allclose(vf(x, u), per_term(x, u), rtol=1e-13, atol=1e-13)
             assert np.abs(bare.jacobian_x(x, u) - vf.fx(x, u)).max() < 1e-6
             assert np.abs(bare.jacobian_u(x, u) - vf.fu(x, u)).max() < 1e-6
         zero = vf.fx(np.zeros(n), np.zeros(p))  # 0 ** 0 = 1, no 0 ** -1
         assert np.all(np.isfinite(zero))
+
+    def test_polynomial_overflow_is_ieee_inf(self):
+        # Python's float ** int raises OverflowError where IEEE pow gives inf
+        vf = polynomial_field({"state_dim": 1, "control_dim": 1, "rhs": [[
+            {"coeff": 2.0, "x": [10**6 + 1], "u": [0]},
+            {"coeff": 1.0, "x": [0], "u": [1]}]]})
+        u = np.array([0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert vf(np.array([1.05]), u)[0] == math.inf
+            assert vf(np.array([-1.05]), u)[0] == -math.inf
+            assert vf(np.array([0.95]), u)[0] == 0.5
+            assert vf.fx(np.array([-1.05]), u)[0, 0] == math.inf
+            assert vf.fu(np.array([-1.05]), u)[0, 0] == 1.0
 
 
 class TestLinearization:
@@ -135,6 +164,82 @@ class TestReferences:
                                   lambda t: np.array([math.sin(t)]))
         ltv = linearize_along(pend_field, ref)
         assert_allclose(ltv.A_of(0.5), [[0.0, 1.0], [-math.cos(0.5), 0.0]])
+
+
+def _oracle_flow(vf, x0, u, grid, cfg=ToleranceConfig()):
+    """The flow as `kernels.rk4_path` takes it, on a closure that looks up
+    each stage's control in the same `u.at` samples by its time."""
+    times = rk4_stages(grid, cfg.ode_step).times.ravel()
+    U = u.at(times)
+    row = {t: i for i, t in enumerate(times.tolist())}
+    return rk4_path(lambda t, x: vf(x, U[row[t]]), x0, grid, cfg.ode_step)
+
+
+def _wavy(p):
+    """A smooth control of p components, answered in one vectorized call."""
+    w = np.arange(1.0, p + 1.0)
+    return ControlSignal.vectorized(
+        0.0, 1.0, p, lambda t: np.sin(3.0 * np.asarray(t)[..., None] * w) / w)
+
+
+def _linear_field(n=24, p=3):
+    rng = np.random.default_rng(24)
+    A = rng.normal(0.0, 1.0 / math.sqrt(n), (n, n))
+    B = rng.normal(0.0, 1.0, (n, p))
+    return VectorField(n, p, lambda x, u: A @ x + B @ u)
+
+
+FLOW_GRIDS = {
+    "one substep a gap": np.linspace(0.0, 1.0, 1001),
+    "many substeps a gap": np.linspace(0.0, 1.0, 7),
+    "non-uniform": np.concatenate([[0.0], np.sort(
+        np.random.default_rng(3).uniform(0.0, 1.0, 40)), [1.0]]),
+}
+
+
+class TestFlow:
+    @pytest.mark.parametrize("grid", sorted(FLOW_GRIDS))
+    @pytest.mark.parametrize("case", ["pendulum", "double integrator", "linear n=24"])
+    def test_matches_rk4_path_bit_for_bit(self, case, grid):
+        vf = {"pendulum": pendulum, "double integrator": double_integrator,
+              "linear n=24": _linear_field}[case]()
+        x0 = np.linspace(0.5, -0.3, vf.state_dim)
+        u = _wavy(vf.control_dim)
+        grid = FLOW_GRIDS[grid]
+        traj = integrate_field(vf, x0, u, grid)
+        assert np.array_equal(traj.states, _oracle_flow(vf, x0, u, grid))
+        assert np.array_equal(traj.controls, u.at(grid))
+
+    def test_wrong_shape_on_third_call_is_refused(self):
+        calls = itertools.count(1)
+
+        def f(x, u):
+            return np.zeros(3) if next(calls) == 3 else np.array([x[1], u[0]])
+
+        with pytest.raises(DimensionError, match="length 2"):
+            integrate_field(VectorField(2, 1, f), [0.1, 0.0], _wavy(1),
+                            np.linspace(0.0, 1.0, 11))
+        assert next(calls) == 4  # no stage ran past the refused one
+
+    def test_list_returning_field(self):
+        listed = VectorField(2, 1, lambda x, u: [x[1], -math.sin(x[0]) + u[0]])
+        grid = FLOW_GRIDS["non-uniform"]
+        traj = integrate_field(listed, [0.3, 0.0], _wavy(1), grid)
+        assert np.array_equal(traj.states,
+                              integrate_field(pendulum(), [0.3, 0.0], _wavy(1), grid).states)
+        assert np.array_equal(traj.states, _oracle_flow(listed, [0.3, 0.0], _wavy(1), grid))
+
+    def test_hand_built_reference_samples_f_u_once_per_steer(self):
+        # every pass flows on the stage times that f_u was sampled at
+        build, (xe, ue), (x0, x1) = EQUILIBRIUM_CASES["duffing"]
+        counts = []
+        for max_iter in (1, 50):
+            vf, calls = _counting(build())
+            hand = _both_references(vf, xe, ue)[1]
+            res = steer_nonlinear(vf, hand, x0, x1, ToleranceConfig(max_iter=max_iter))
+            counts.append(calls["fu"])
+        assert res.converged and res.iterations >= 2
+        assert counts[0] == counts[1]
 
 
 class TestSteering:
