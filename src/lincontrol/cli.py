@@ -275,10 +275,11 @@ def cmd_lqr(args, cfg, extra_fields, out_dir: Path):
     }
     if args.xi is not None:
         xi = _parse_vector(args.xi, "xi")
-        run = lqr_mod.lqr_trajectory(prob, ric, xi, None, cfg)
+        run = lqr_mod.lqr_trajectory(prob, ric, xi)
         traj_csv = _traj_path(out_dir, name, "lqr", "_trajectory")
         outputs.append((traj_csv, run.trajectory.subsample(args.points).to_csv))
         results["cost"] = run.cost
+        results["value"] = run.value
     params = {"system": args.system, "horizon": args.horizon,
               "xi": args.xi, "points": args.points}
     return name, params, results, outputs

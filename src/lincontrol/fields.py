@@ -14,6 +14,7 @@ overflows is the IEEE inf (or nan), which the flow refuses.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -82,17 +83,22 @@ def polynomial_field(decl: dict) -> VectorField:
     n = int(decl["state_dim"])
     p = int(decl["control_dim"])
     rhs = decl["rhs"]
-    if len(rhs) != n:
-        raise ValueError(f"rhs must list {n} components, got {len(rhs)}")
+    if not (isinstance(rhs, list) and len(rhs) == n and all(isinstance(c, list) for c in rhs)):
+        raise ValueError(f"rhs must be a list of {n} term lists, one per state component")
     # Each term is (component, coeff, its nonzero powers of z = (x, u));
     # each partial is (component, column, coeff, power, the powers that
     # remain after the power rule), split into the x and the u columns.
     terms, dx, du = [], [], []
     for i, comp in enumerate(rhs):
         for term in comp:
+            if not isinstance(term, dict):
+                raise ValueError(f"a term must be an object with coeff, x and u, got {term!r}")
             powers = (_term_powers(term.get("x", [0] * n), n, 0)
                       + _term_powers(term.get("u", [0] * p), p, n))
-            c = float(term["coeff"])
+            c = term.get("coeff")
+            if type(c) not in (int, float) or not abs(c) <= sys.float_info.max:  # not bool
+                raise ValueError(f"term coeff must be a finite number, got {c!r}")
+            c = float(c)
             terms.append((i, c, powers))
             for k, e in powers:
                 lowered = tuple((j, d - (j == k)) for j, d in powers if d - (j == k))

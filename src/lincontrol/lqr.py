@@ -18,7 +18,8 @@ Filtering, 1979). `are_solve` doubles the horizon. `riccati_finite` takes
 all its samples from a doubling scan: the samples 1..c grid steps back
 from T, carried by the flow over c steps, are the samples c+1..2c, so m
 samples cost ceil(log2 m) batched steps. Neither integrates, so
-cfg.ode_step sets no error there.
+cfg.ode_step sets no error there. The triple of one grid step certifies
+the samples and gives the closed-loop transitions `lqr_trajectory` runs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     DomainError,
     EscapeTimeError,
     FiniteCostViolationError,
+    NumericalError,
     NumericalInconsistencyError,
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
@@ -46,9 +48,11 @@ BLOWUP_NORM = 1e12
 # Bound on the ARE residual of an accepted limit, relative to the size of
 # its terms 1 + 2||PA|| + ||PB||^2 + ||C^T C||.
 ARE_RESIDUAL_TOL = 1e-3
-# Bound on the finite-difference residual of the Riccati samples, relative
-# to 1 + the largest entry of P A, P B B^T P and C^T C over the samples.
-RDE_RESIDUAL_TOL = 1e-6
+# Bound on the miss of the one-step flow between adjacent Riccati samples,
+# relative to 1 + the largest entry of P over the samples.
+RDE_RESIDUAL_TOL = 1e-10
+# Bound on |cost - value| of a closed-loop run, relative to 1 + value.
+VALUE_IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,7 @@ class LqrProblem:
 class RiccatiSolution:
     grid: np.ndarray          # increasing samples on [0, T]
     P_samples: np.ndarray     # (K, n, n), symmetric PSD
+    transitions: np.ndarray   # (K - 1, n, n): x(t_{k+1}) = transitions[k] x(t_k)
     terminal_matches_P0: bool
     max_residual: float
     _dense: kernels.SampledMatrixFunction = None
@@ -99,7 +104,8 @@ class RiccatiSolution:
 class LqrRun:
     trajectory: Trajectory    # closed-loop states with control samples
     adjoint: np.ndarray       # y(t_k) = P(t_k) x(t_k)
-    cost: float
+    cost: float               # Simpson quadrature of the run plus the terminal term
+    value: float              # xi^T P(t0) xi, which the cost must match
 
     @property
     def control(self) -> np.ndarray:
@@ -179,11 +185,11 @@ def _compose(first, second):
     return (a1 @ Wa, _sym(b1 + a1 @ Wba), _sym(g2 + a2.T @ g1 @ Wa))
 
 
-def _advance(triple, D: np.ndarray) -> np.ndarray:
+def _advance(triple, D: np.ndarray):
     """The flow map of `triple` applied to each deviation of a stack D:
-    gamma + alpha^T D (I + beta D)^{-1} alpha, the gamma part of
-    `_compose` with D in place of gamma1. alpha and beta of the composite
-    are never formed."""
+    gamma + alpha^T D X with X = (I + beta D)^{-1} alpha, the gamma part of
+    `_compose` with D in place of gamma1, returned with X. Over one grid
+    step, from D at t + h, X is the closed-loop transition x(t + h) = X x(t)."""
     alpha, beta, gamma = triple
     W = beta @ D
     W += np.eye(alpha.shape[0])
@@ -193,7 +199,7 @@ def _advance(triple, D: np.ndarray) -> np.ndarray:
         raise EscapeTimeError("Riccati flow lost invertibility") from exc
     G = alpha.T @ (D @ X)
     G += gamma
-    return 0.5 * (G + G.swapaxes(1, 2))
+    return 0.5 * (G + G.swapaxes(1, 2)), X
 
 
 def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -210,17 +216,17 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     the first sample back from T whose size reaches BLOWUP_NORM. The
     spacing defaults to min(cfg.ode_step, T/2000) so the Hermite dense
     output resolves the layer near t = T when P0 = 0 and C is large.
-    At least 4 intervals are taken. Samples are symmetric and monitored
-    for positive semidefiniteness; the reported max_residual re-evaluates
-    the equation on the stored grid with a five-point stencil, and is
-    refused above RDE_RESIDUAL_TOL relative to the size of its terms.
+    The triple of one step, applied to each sample in blocks of 256, must
+    give the next one back: max_residual is that miss relative to
+    1 + max |P|, refused above RDE_RESIDUAL_TOL, and the solves are the
+    transitions. Samples are symmetric and checked to be PSD.
     """
     if not math.isfinite(prob.horizon):
         raise DomainError("riccati_finite needs a finite horizon")
     T = prob.horizon
     A, B, C = prob.sys.A, prob.sys.B, prob.sys.C
     h_target = step if step is not None else min(cfg.ode_step, T / 2000.0)
-    m = max(4, math.ceil(T / h_target))  # the five-point stencil needs 5 samples
+    m = math.ceil(T / h_target)
     h = T / m
     K = m + 1
     n = prob.sys.n
@@ -232,7 +238,7 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     with np.errstate(over="ignore", invalid="ignore"):
         BBt = B @ B.T
         CtC = C.T @ C
-        triple = _flow_triple(A, BBt, CtC, h, prob.P0)
+        triple = one_step = _flow_triple(A, BBt, CtC, h, prob.P0)
         D[1] = triple[2]
         while True:
             big = ~(np.abs(prob.P0 + D[lo:c + 1]).max(axis=(1, 2)) < BLOWUP_NORM)
@@ -244,8 +250,12 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
             if c > 1:
                 triple = _compose(triple, triple)  # the flow over c steps
             k = min(c, m - c)
-            D[c + 1:c + k + 1] = _advance(triple, D[1:k + 1])
+            D[c + 1:c + k + 1] = _advance(triple, D[1:k + 1])[0]
             lo, c = c + 1, c + k
+        transitions, misses = np.empty((m, n, n)), []
+        for lo in range(0, m, 256):  # P still holds deviations: P[j + 1] maps to P[j]
+            G, transitions[lo:lo + 256] = _advance(one_step, P[lo + 1:lo + 257])
+            misses.append(np.abs(G - P[lo:lo + len(G)]).max())
     P += prob.P0
     grid = np.linspace(0.0, T, K)
 
@@ -253,70 +263,66 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     if min_eig < -1e-9:
         raise NumericalInconsistencyError(
             f"Riccati sample lost positive semidefiniteness (min eig {min_eig:.3e})")
+    max_residual = float(np.max(misses) / (1.0 + np.abs(P).max()))
+    if not max_residual <= RDE_RESIDUAL_TOL:
+        raise NumericalInconsistencyError(
+            f"Riccati samples miss the one-step flow by {max_residual:.3e} of 1 + max |P|")
 
-    # dP = -(P A + A^T P - P B B^T P + C^T C), formed in place on the stack
+    # dP = -(P A + A^T P - P B B^T P + C^T C), the slopes of the dense output
     dP = P @ BBt @ P
     PA = P @ A
-    scale = max(np.abs(dP).max(), np.abs(PA).max(), np.abs(CtC).max())
     dP -= CtC
     dP -= PA
     dP -= np.swapaxes(PA, 1, 2)
     del PA
-    # five-point stencil keeps the O(h^4) measurement error below the bound
-    fd = P[3:-1] - P[1:-3]
-    fd *= 8.0
-    fd += P[:-4]
-    fd -= P[4:]
-    fd /= 12.0 * h
-    fd -= dP[2:-2]
-    max_residual = float(np.abs(fd, out=fd).max())
-    if not max_residual <= RDE_RESIDUAL_TOL * (1.0 + scale):
-        raise NumericalInconsistencyError(
-            f"Riccati finite-difference residual {max_residual:.3e} exceeds "
-            f"{RDE_RESIDUAL_TOL:.0e} of 1 + {scale:.3e}, the size of its terms")
-
-    dense = kernels.SampledMatrixFunction(0.0, h, P, dP)
     return RiccatiSolution(
         grid=grid,
         P_samples=P,
+        transitions=transitions,
         terminal_matches_P0=bool(np.array_equal(P[-1], prob.P0)),
         max_residual=max_residual,
-        _dense=dense,
+        _dense=kernels.SampledMatrixFunction(0.0, h, P, dP),
     )
 
 
-def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi,
-                   grid=None, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LqrRun:
-    """Closed-loop run x' = (A - B B^T P(t)) x from xi, with the sampled
-    optimal control, the adjoint y = P x, and the achieved cost.
+def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> LqrRun:
+    """Closed-loop run x' = (A - B B^T P(t)) x from xi at t0 = grid[0], with
+    the sampled optimal control, the adjoint y = P x, and the cost.
 
-    The run takes RK4 substeps no longer than cfg.ode_step on any grid;
-    P is read off the dense output once per block of stage times.
+    The transitions of `ric` carry xi through every sample to T, so each
+    grid point must be a sample time; the rows returned are the grid's.
+    The cost, Simpson's rule over the run, must match the value xi^T P(t0) xi.
     """
     xi = kernels.as_vector(xi, "xi")
-    A, B = prob.sys.A, prob.sys.B
-    T = ric.horizon
-    if grid is None:
-        grid = ric.grid
-    else:
-        grid = time_grid(grid)
-        if grid[0] < -1e-12 or grid[-1] > T + 1e-12:
-            raise DomainError(
-                f"grid [{grid[0]}, {grid[-1]}] does not match the Riccati "
-                f"solution on [0, {T}]")
     if xi.size != prob.sys.n:
         raise DimensionError(f"xi must have length {prob.sys.n}")
-    stages = kernels.rk4_stages(grid, cfg.ode_step)
-    times = stages.times
-    states = kernels.rk4_linear(
-        lambda sl: (A - B @ (B.T @ ric.P_at(times[sl])), None), xi, stages)
-    adjoint = np.concatenate([
-        np.einsum("kij,kj->ki", ric.P_at(grid[lo:lo + kernels.RK4_CHUNK]),
-                  states[lo:lo + kernels.RK4_CHUNK])
-        for lo in range(0, grid.size, kernels.RK4_CHUNK)])
-    controls = -np.einsum("ij,kj->ki", B.T, adjoint)
-    full = Trajectory(grid=grid, states=states, controls=controls)
-    return LqrRun(trajectory=full, adjoint=adjoint, cost=evaluate_cost(prob, full))
+    m, h = ric.grid.size - 1, ric.grid[1]
+    steps = np.arange(m + 1.0) if grid is None else time_grid(grid) / h
+    rows = np.rint(steps)
+    if not (rows[0] >= 0 and rows[-1] <= m and np.abs(steps - rows).max() <= 1e-9):
+        raise DomainError(f"grid points must be Riccati samples, multiples of the spacing {h:.6g}")
+    first = int(rows[0])
+    states = np.empty((m + 1 - first, xi.size))
+    states[0] = xi
+    # an overflow is a state that is not finite, or a cost off the value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m - first):
+            states[k + 1] = ric.transitions[first + k] @ states[k]
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            raise NumericalError(
+                f"closed-loop state is not finite at t = {ric.grid[first + np.argmin(finite)]:.6g}")
+        adjoint = np.einsum("kij,kj->ki", ric.P_samples[first:], states)
+        controls = -np.einsum("ij,kj->ki", prob.sys.B.T, adjoint)
+        cost = evaluate_cost(prob, Trajectory(ric.grid[first:], states, controls))
+        value = float(xi @ ric.P_samples[first] @ xi)
+    if not abs(cost - value) <= VALUE_IDENTITY_TOL * (1.0 + value):
+        raise NumericalInconsistencyError(
+            f"cost {cost:.6g} misses the value identity xi^T P(t0) xi = {value:.6g}: "
+            f"the Riccati spacing {h:.6g} does not resolve the closed loop")
+    rows = rows.astype(int) - first
+    full = Trajectory(ric.grid[first:][rows], states[rows], controls[rows])
+    return LqrRun(trajectory=full, adjoint=adjoint[rows], cost=cost, value=value)
 
 
 def evaluate_cost(prob: LqrProblem, traj: Trajectory) -> float:

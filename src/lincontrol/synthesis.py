@@ -353,10 +353,10 @@ def gramian_stabilizer(A, B, decay_rate: float,
     P = np.linalg.solve(Q, np.eye(n))
     P = 0.5 * (P + P.T)
     K = -B.T @ P
-    lhs = P @ A + A.T @ P + 2.0 * decay_rate * P - P @ B @ B.T @ P
-    scale = 1.0 + np.linalg.norm(P @ A) + 2.0 * decay_rate * np.linalg.norm(P) \
-        + np.linalg.norm(P @ B) ** 2
-    residual = float(np.linalg.norm(lhs) / scale)
+    norm = kernels._scaled_norm
+    PA, PB = P @ A, P @ B
+    lhs = PA + PA.T + 2.0 * decay_rate * P - PB @ PB.T
+    residual = norm(lhs) / (norm(PA) + 2.0 * decay_rate * norm(P) + norm(PB) ** 2)
     if residual > 1e-6:
         raise ConditioningError(
             f"Riccati identity residual {residual:.3e} is too large")

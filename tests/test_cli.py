@@ -163,6 +163,26 @@ class TestCommands:
         assert (tmp_path / "scalar__lqr_value.csv").exists()
         assert (tmp_path / "scalar__lqr_trajectory.csv").exists()
 
+    def test_lqr_reports_the_value_beside_the_cost(self, tmp_path, capsys):
+        path = write(tmp_path, SCALAR)
+        assert run(["lqr", path, "--horizon", "1", "--xi", "2",
+                    "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        res = json.loads((tmp_path / "scalar__lqr.json").read_text())["results"]
+        assert res["value"] == 4.0 * res["value_at_0"][0][0]
+        assert res["cost"] == pytest.approx(res["value"], rel=1e-12)
+
+    def test_lqr_unresolved_closed_loop_is_4(self, tmp_path, capsys):
+        # x' = u, C = 1e3: the closed loop decays by e^{-1/2} per Riccati
+        # sample, and Simpson's rule misses the value xi^T P(0) xi
+        path = write(tmp_path, {"name": "stiff", "A": [[0]], "B": [[1]], "C": [[1e3]]})
+        assert run(["lqr", path, "--horizon", "1", "--xi", "1",
+                    "--out-dir", str(tmp_path)]) == 4
+        error = json.loads(capsys.readouterr().out)["errors"][0]
+        assert error["type"] == "NumericalInconsistencyError"
+        assert "value identity" in error["message"]
+        assert not (tmp_path / "stiff__lqr_trajectory.csv").exists()
+
     def test_gramian_stab(self, tmp_path, capsys):
         payload = {"name": "unstable", "A": [[1]], "B": [[1]]}
         path = write(tmp_path, payload)
@@ -419,6 +439,28 @@ class TestExitCodes:
                     "--xeq", "0,0", "--ueq", "0", "--config", str(config),
                     "--out-dir", str(tmp_path)]) == 2
         assert "nonnegative integers" in capsys.readouterr().err
+        assert not (tmp_path / "bad__steer-nl.json").exists()
+
+    @pytest.mark.parametrize("rhs, message", [
+        (5, "list of 2 term lists"),
+        ([[[1]], []], "must be an object"),
+        ([[{"x": [0, 1], "u": [0]}], []], "coeff must be a finite number, got None"),
+        ([[{"coeff": None, "x": [0, 1], "u": [0]}], []], "got None"),
+        ([[{"coeff": True, "x": [0, 1], "u": [0]}], []], "got True"),
+        ([[{"coeff": math.inf, "x": [0, 1], "u": [0]}], []], "got inf"),
+        ([[{"coeff": math.nan, "x": [0, 1], "u": [0]}], []], "got nan"),
+        ([[{"coeff": 10**400, "x": [0, 1], "u": [0]}], []], "finite number"),
+    ], ids=["rhs-number", "term-list", "coeff-missing", "coeff-null", "coeff-boolean",
+            "coeff-inf", "coeff-nan", "coeff-huge-int"])
+    def test_steer_nl_malformed_terms_are_2(self, tmp_path, capsys, rhs, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fields": {"bad": {
+            "state_dim": 2, "control_dim": 1, "rhs": rhs}}}))
+        assert run(["steer-nl", "--field", "bad", "--x0", "0.01,0", "--x1", "0,0.01",
+                    "--xeq", "0,0", "--ueq", "0", "--config", str(config),
+                    "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "bad__steer-nl.json").exists()
 
     def test_steer_nl_huge_power_overflow_is_4(self, tmp_path, capsys):

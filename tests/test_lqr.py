@@ -17,6 +17,7 @@ from lincontrol import (
     LqrProblem,
     NumericalInconsistencyError,
     LtiSystem,
+    NumericalError,
     ToleranceConfig,
     are_solve,
     evaluate_cost,
@@ -157,7 +158,7 @@ class TestLqrTrajectory:
         prob = LqrProblem(sys, np.eye(3) * 0.5, 1.0)
         ric = riccati_finite(prob)
         xi = rng.uniform(-1, 1, 3)
-        coarse = np.linspace(0.0, 1.0, 11)  # 100 RK4 substeps per gap
+        coarse = np.linspace(0.0, 1.0, 11)  # every 200th Riccati sample
         run = lqr_trajectory(prob, ric, xi, coarse)
         A, B = sys.A, sys.B
         ref = rk4_path(lambda t, x: (A - B @ (B.T @ ric.P_at(t))) @ x, xi, coarse, 1e-3)
@@ -194,6 +195,91 @@ class TestLqrTrajectory:
         lhs = runs["+"].cost + runs["-"].cost
         rhs = 2.0 * runs["1"].cost + 2.0 * runs["2"].cost
         assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(rhs))
+
+
+class TestStiffClosedForm:
+    # x' = u with running cost c^2 x^2 + u^2: P(t) = c tanh(c (T - t)) and
+    # from x(0) = 1 the optimal state is cosh(c (T - t)) / cosh(c T)
+    @staticmethod
+    def _problem(c, T):
+        return LqrProblem(LtiSystem([[0.0]], [[1.0]], [[c]]), None, T)
+
+    @pytest.mark.parametrize("c", [100.0, 1e3, 3e3, 1e4])
+    @pytest.mark.parametrize("T", [1.0, 5.0])
+    def test_samples_match_tanh(self, c, T):
+        ric = riccati_finite(self._problem(c, T))
+        exact = c * np.tanh(c * (T - ric.grid))
+        P = ric.P_samples[:, 0, 0]
+        assert P[-1] == 0.0
+        assert np.all(np.abs(P - exact)[:-1] <= 1e-12 * exact[:-1])
+        assert ric.max_residual <= 1e-14
+
+    def test_states_match_the_closed_form(self):
+        c, T = 100.0, 1.0
+        prob = self._problem(c, T)
+        run = lqr_trajectory(prob, riccati_finite(prob), [1.0])
+        t = run.trajectory.grid
+        exact = np.exp(-c * t) * (1 + np.exp(-2 * c * (T - t))) / (1 + np.exp(-2 * c * T))
+        assert np.abs(run.trajectory.states[:, 0] - exact).max() <= 1e-13
+        assert run.value == pytest.approx(c * math.tanh(c * T), rel=1e-12)
+        assert abs(run.cost - run.value) <= 1e-6 * (1.0 + run.value)
+
+    def test_unresolved_closed_loop_is_refused_by_the_value_identity(self):
+        # at c = 1e3 the states decay by e^{-1/2} per sample: they stay
+        # exact, but Simpson's rule misses the cost by about 0.5 %
+        prob = self._problem(1e3, 1.0)
+        with pytest.raises(NumericalInconsistencyError, match="value identity"):
+            lqr_trajectory(prob, riccati_finite(prob), [1.0])
+
+
+class TestLqrGrid:
+    @pytest.fixture
+    def setup(self, rng):
+        sys = LtiSystem(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 2)),
+                        rng.uniform(-1, 1, (2, 3)))
+        prob = LqrProblem(sys, 0.5 * np.eye(3), 1.0)
+        return prob, riccati_finite(prob), rng.uniform(-1, 1, 3)
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 1.0, 7),      # 1/6 is not a multiple of the spacing
+        [0.0, 0.5, 1.0 + 5e-4],        # past T
+        [-5e-4, 0.5],                  # before 0
+        [0.0, 0.5 + 1e-10],            # off by 2e-7 of the spacing
+    ], ids=["spacing", "past-T", "before-0", "near-miss"])
+    def test_off_sample_grid_is_refused(self, setup, grid):
+        prob, ric, xi = setup
+        with pytest.raises(DomainError, match="spacing 0.0005"):
+            lqr_trajectory(prob, ric, xi, grid)
+
+    def test_late_start_is_the_tail_of_the_full_run(self, setup):
+        prob, ric, xi = setup
+        full = lqr_trajectory(prob, ric, xi)
+        k = 600
+        assert ric.grid[k] == 0.3
+        tail = lqr_trajectory(prob, ric, full.trajectory.states[k], np.linspace(0.3, 1.0, 1401))
+        assert np.array_equal(tail.trajectory.grid, full.trajectory.grid[k:])
+        assert np.array_equal(tail.trajectory.states, full.trajectory.states[k:])
+        assert np.array_equal(tail.adjoint, full.adjoint[k:])
+        assert np.array_equal(tail.control, full.control[k:])
+        x = full.trajectory.states[k]
+        assert tail.value == float(x @ ric.P_samples[k] @ x)
+
+    def test_grid_ending_before_T_keeps_the_cost_to_T(self, setup):
+        prob, ric, xi = setup
+        full = lqr_trajectory(prob, ric, xi)
+        head = lqr_trajectory(prob, ric, xi, [0.0, 0.25, 0.5])
+        assert np.array_equal(head.trajectory.states, full.trajectory.states[[0, 500, 1000]])
+        assert head.cost == full.cost
+
+    def test_non_finite_state_is_refused_with_its_time(self):
+        # C = 0, so P = 0 and x = 1e300 e^{50 t}, which overflows once
+        # 50 t > ln(1.8e8), at the sample t = 0.3805
+        prob = LqrProblem(LtiSystem([[50.0]], [[1.0]], [[0.0]]), None, 1.0)
+        ric = riccati_finite(prob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=r"not finite at t = 0.3805$"):
+                lqr_trajectory(prob, ric, [1e300])
 
 
 class TestEvaluateCost:
@@ -412,11 +498,10 @@ class TestRiccatiScan:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 17, 100])
     def test_short_grids_match_the_sweep(self, rng, m):
-        # the first and last levels of the scan coincide or hold one sample;
-        # a horizon of fewer than four steps is split into four intervals
+        # the first and last levels of the scan coincide or hold one sample
         prob = LqrProblem(_scan_draw(rng, 3, False), 0.5 * np.eye(3), 1e-4 * m)
         ric = riccati_finite(prob, step=1e-4)
-        assert ric.grid.size == max(m, 4) + 1
+        assert ric.grid.size == m + 1
         ref = riccati_sweep(prob, ric.grid[1])
         assert np.abs(ric.P_samples - ref).max() <= 1e-11 * np.abs(ref).max()
 
@@ -434,19 +519,19 @@ class TestRiccatiScan:
 
     @pytest.mark.parametrize("T", [2e-3, 3e-3])
     def test_horizon_of_two_or_three_steps_is_not_refused(self, T):
-        # with 2 or 3 intervals of 1e-3 the three-point stencil's O(h^2)
-        # error alone read 2.0e-6 and the exact samples were refused
+        # a finite-difference check of the equation needs more samples than
+        # these horizons have; the one-step certificate needs two
         prob = LqrProblem(_scan_draw(np.random.default_rng([3, 0]), 3, False),
                           0.5 * np.eye(3), T)
         ric = riccati_finite(prob, step=1e-3)
-        assert ric.grid.size == 5
+        assert ric.grid.size == round(T / 1e-3) + 1
         assert ric.max_residual <= 1e-10
         ref = riccati_sweep(prob, ric.grid[1])
         assert np.abs(ric.P_samples - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_residual_bound_scales_with_the_terms(self):
-        # |P| reaches 3.2e3 here: the five-point stencil reads 3.0e-6, about
-        # 1e-9 of the size of the terms, on samples exact to 1e-11
+        # |P| reaches 3.2e3 here: an absolute bound on the residual would
+        # scale with P, the one-step miss relative to 1 + max |P| does not
         n = 24
         rng = np.random.default_rng([24, 5, 0])
         A = rng.normal(0.0, 1.0 / math.sqrt(n), (n, n)) - 0.3 * np.eye(n)
@@ -455,9 +540,7 @@ class TestRiccatiScan:
         prob = LqrProblem(LtiSystem(A, B, C), None, 5.0)
         ric = riccati_finite(prob)
         P = ric.P_samples
-        scale = max(np.abs(P @ A).max(), np.abs(P @ B @ B.T @ P).max(),
-                    np.abs(C.T @ C).max())
-        assert 1e-6 < ric.max_residual <= 1e-8 * scale
+        assert ric.max_residual <= 1e-12
         ref = riccati_sweep(prob, ric.grid[1])
         assert np.abs(P - ref).max() <= 1e-11 * np.abs(ref).max()
 

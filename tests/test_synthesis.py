@@ -277,6 +277,19 @@ class TestGramianStabilizer:
             with pytest.raises(ConditioningError, match="overflows"):
                 gramian_stabilizer([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1e155]], 1.0)
 
+    def test_riccati_residual_is_relative_at_any_input_scale(self):
+        # B -> s B maps P to P / s^2 and every term of the identity alike;
+        # a "1 +" in the divisor made it absolute, so at s = 1e80 (P about
+        # 1e-160) it read 0.0 and 1.5 P passed as well
+        A = np.array([[-1.272, 0.614], [-1.197, -0.322]])
+        B = np.array([[-0.00676], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            residuals = [gramian_stabilizer(A, s * B, 1.0).riccati_residual
+                         for s in (1.0, 1e-3, 1e40, 1e80)]
+        assert 0.0 < residuals[0] <= 1e-14
+        assert all(0.1 * residuals[0] <= r <= 10.0 * residuals[0] for r in residuals)
+
     def test_closed_loop_meets_rate_random(self, rng):
         for lam in (0.5, 1.0, 2.0):
             for _ in range(5):
