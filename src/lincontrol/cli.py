@@ -117,6 +117,8 @@ def load_config(path: Path | None):
     if unknown:
         raise ParseFailure(f"{path}: unknown config keys {sorted(unknown)}")
     extra_fields = data.pop("fields", {})
+    if not isinstance(extra_fields, dict):
+        raise ParseFailure(f"{path}: fields must be an object of named field declarations")
     try:
         cfg = dataclasses.replace(DEFAULT_TOLERANCES, **data)
     except (TypeError, ValueError) as exc:

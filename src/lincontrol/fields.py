@@ -79,9 +79,24 @@ def _monomial(z: list, powers: tuple) -> float:
     return m
 
 
+def _dimension(decl: dict, key: str) -> int:
+    """decl[key] as a positive integer; a bool, float or null is refused."""
+    if key not in decl:
+        raise ValueError(f"field declaration is missing {key!r}")
+    v = decl[key]
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValueError(f"{key} must be a positive integer, got {v!r}")
+    return int(v)
+
+
 def polynomial_field(decl: dict) -> VectorField:
-    n = int(decl["state_dim"])
-    p = int(decl["control_dim"])
+    if not isinstance(decl, dict):
+        raise ValueError(f"a field declaration must be an object with state_dim, "
+                         f"control_dim and rhs, got {decl!r}")
+    n = _dimension(decl, "state_dim")
+    p = _dimension(decl, "control_dim")
+    if "rhs" not in decl:
+        raise ValueError("field declaration is missing 'rhs'")
     rhs = decl["rhs"]
     if not (isinstance(rhs, list) and len(rhs) == n and all(isinstance(c, list) for c in rhs)):
         raise ValueError(f"rhs must be a list of {n} term lists, one per state component")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgesv as _gesv
 
 from . import kernels, reachability
 from .errors import (
@@ -53,6 +54,10 @@ ARE_RESIDUAL_TOL = 1e-3
 RDE_RESIDUAL_TOL = 1e-10
 # Bound on |cost - value| of a closed-loop run, relative to 1 + value.
 VALUE_IDENTITY_TOL = 1e-6
+# Bound on the (2m + 1) n^2 entries of the m + 1 Riccati samples and the m
+# transitions of `riccati_finite`: 2^26 entries are 512 MiB of float64, and
+# the run peaks at about twice that.
+MAX_RICCATI_ENTRIES = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -140,27 +145,42 @@ def _flow_triple(A, BBt, CtC, duration, P0):
     R(P0) the Riccati residual at P0. Anchored at 0 instead, alpha and
     beta grow like e^{lambda tau} and e^{2 lambda tau} along an unstable
     mode that C does not see, and the doubling turns singular. The
-    exponential is taken on a step with unit 1-norm and doubled back up.
+    exponential Phi is taken on a step with unit 1-norm and doubled back
+    up. That step bounds the condition of alpha = Phi11^{-1} by about e^2;
+    a step at the Pade limit of expm (1-norm about 5.4) would allow e^11,
+    so the step is not traded for fewer doublings. One gesv against
+    [I, Phi12] gives alpha and beta = alpha Phi12 together.
     A Hamiltonian that overflows is refused (`EscapeTimeError`).
     """
-    Ac = A - BBt @ P0
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = BBt @ P0 - A  # -Ac
+    H[:n, n:] = BBt
     P0A = P0 @ A
-    R = CtC + P0A + P0A.T - P0 @ BBt @ P0
-    H = np.block([[-Ac, BBt], [R, Ac.T]])
+    H[n:, :n] = CtC + P0A + P0A.T - P0 @ BBt @ P0
+    H[n:, n:] = -H[:n, :n].T
     if not np.isfinite(H).all():
         raise EscapeTimeError("Riccati Hamiltonian overflows: its entries are not finite")
-    scale = np.linalg.norm(H, 1)
+    scale = np.abs(H).sum(axis=0).max()
     s = max(0, math.ceil(math.log2(duration) + math.log2(scale))) if scale > 0 else 0
     Phi = kernels.expm((duration / 2.0 ** s) * H)
-    n = A.shape[0]
-    try:
-        alpha = np.linalg.inv(Phi[:n, :n])
-    except np.linalg.LinAlgError as exc:
-        raise EscapeTimeError("Riccati flow lost invertibility") from exc
-    triple = (alpha, _sym(alpha @ Phi[:n, n:]), _sym(Phi[n:, :n] @ alpha))
+    rhs = np.zeros((n, 2 * n))
+    rhs.reshape(-1)[::2 * n + 1] = 1.0  # the identity in the left half
+    rhs[:, n:] = Phi[:n, n:]
+    X = _solve(Phi[:n, :n], rhs)
+    alpha = X[:, :n]
+    triple = (alpha, _sym(X[:, n:]), _sym(Phi[n:, :n] @ alpha))
     for _ in range(s):
         triple = _compose(triple, triple)
     return triple
+
+
+def _solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """W^{-1} rhs by one LAPACK gesv; a singular W is a lost flow."""
+    _, _, X, info = _gesv(W, rhs)
+    if info > 0:
+        raise EscapeTimeError("Riccati flow lost invertibility")
+    return X
 
 
 def _compose(first, second):
@@ -172,17 +192,17 @@ def _compose(first, second):
         beta  = beta1 + alpha1 W^{-1} beta2 alpha1^T,
         gamma = gamma2 + alpha2^T gamma1 W^{-1} alpha2,
 
-    from one solve over the stacked right-hand sides. `_compose(t, t)`
-    is the doubling step of Anderson & Moore.
+    from one gesv over the stacked right-hand sides [alpha2, beta2 alpha1^T].
+    `_compose(t, t)` is the doubling step of Anderson & Moore.
     """
     a1, b1, g1 = first
     a2, b2, g2 = second
-    W = np.eye(a1.shape[0]) + b2 @ g1
-    try:
-        Wa, Wba = np.split(np.linalg.solve(W, np.hstack([a2, b2 @ a1.T])), 2, axis=1)
-    except np.linalg.LinAlgError as exc:
-        raise EscapeTimeError("Riccati flow lost invertibility") from exc
-    return (a1 @ Wa, _sym(b1 + a1 @ Wba), _sym(g2 + a2.T @ g1 @ Wa))
+    n = a1.shape[0]
+    W = b2 @ g1
+    W.reshape(-1)[::n + 1] += 1.0
+    X = _solve(W, np.concatenate((a2, b2 @ a1.T), axis=1))
+    Wa = X[:, :n]
+    return (a1 @ Wa, _sym(b1 + a1 @ X[:, n:]), _sym(g2 + a2.T @ g1 @ Wa))
 
 
 def _advance(triple, D: np.ndarray):
@@ -219,7 +239,9 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     The triple of one step, applied to each sample in blocks of 256, must
     give the next one back: max_residual is that miss relative to
     1 + max |P|, refused above RDE_RESIDUAL_TOL, and the solves are the
-    transitions. Samples are symmetric and checked to be PSD.
+    transitions. Samples are symmetric and checked to be PSD. A grid
+    whose samples and transitions exceed MAX_RICCATI_ENTRIES is refused
+    (`DomainError`) before anything is allocated.
     """
     if not math.isfinite(prob.horizon):
         raise DomainError("riccati_finite needs a finite horizon")
@@ -230,6 +252,11 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     h = T / m
     K = m + 1
     n = prob.sys.n
+    if (2 * m + 1) * n * n > MAX_RICCATI_ENTRIES:
+        raise DomainError(
+            f"riccati_finite would store m = {m} steps at n = {n}: (2m + 1) n^2 = "
+            f"{(2 * m + 1) * n * n} entries, over MAX_RICCATI_ENTRIES = {MAX_RICCATI_ENTRIES}; "
+            "shorten the horizon or widen the step")
     P = np.empty((K, n, n))
     D = P[::-1]  # D[k]: deviation from P0 k steps back from T
     D[0] = 0.0

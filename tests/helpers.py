@@ -88,6 +88,35 @@ def riccati_sweep(prob, h):
     return P
 
 
+def flow_triple_by_blocks(A, BBt, CtC, duration, P0):
+    """`lqr._flow_triple` from np.block, np.linalg.norm and np.linalg.inv,
+    doubled up by `compose_by_blocks`."""
+    Ac = A - BBt @ P0
+    P0A = P0 @ A
+    R = CtC + P0A + P0A.T - P0 @ BBt @ P0
+    H = np.block([[-Ac, BBt], [R, Ac.T]])
+    scale = np.linalg.norm(H, 1)
+    s = max(0, int(np.ceil(np.log2(duration) + np.log2(scale)))) if scale > 0 else 0
+    Phi = scipy.linalg.expm((duration / 2.0 ** s) * H)
+    n = A.shape[0]
+    alpha = np.linalg.inv(Phi[:n, :n])
+    beta, gamma = alpha @ Phi[:n, n:], Phi[n:, :n] @ alpha
+    triple = (alpha, 0.5 * (beta + beta.T), 0.5 * (gamma + gamma.T))
+    for _ in range(s):
+        triple = compose_by_blocks(triple, triple)
+    return triple
+
+
+def compose_by_blocks(first, second):
+    """`lqr._compose` from np.eye, np.hstack, np.split and np.linalg.solve."""
+    a1, b1, g1 = first
+    a2, b2, g2 = second
+    W = np.eye(a1.shape[0]) + b2 @ g1
+    Wa, Wba = np.split(np.linalg.solve(W, np.hstack([a2, b2 @ a1.T])), 2, axis=1)
+    beta, gamma = b1 + a1 @ Wba, g2 + a2.T @ g1 @ Wa
+    return (a1 @ Wa, 0.5 * (beta + beta.T), 0.5 * (gamma + gamma.T))
+
+
 def well_conditioned_invertible(rng, n):
     """Orthogonal factors around singular values in [0.5, 2]."""
     Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))

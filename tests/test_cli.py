@@ -463,6 +463,42 @@ class TestExitCodes:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "bad__steer-nl.json").exists()
 
+    @pytest.mark.parametrize("decl, message", [
+        ({"state_dim": None, "control_dim": 1, "rhs": []}, "state_dim must be a positive integer, got None"),
+        (5, "a field declaration must be an object"),
+        ({"state_dim": 2.7, "control_dim": 1, "rhs": []}, "state_dim must be a positive integer, got 2.7"),
+        ({"control_dim": 1, "rhs": []}, "field declaration is missing 'state_dim'"),
+        ({"state_dim": 2, "control_dim": True, "rhs": []}, "control_dim must be a positive integer, got True"),
+        ({"state_dim": 2, "control_dim": 1}, "field declaration is missing 'rhs'"),
+    ], ids=["dim-null", "not-an-object", "dim-fraction", "dim-missing", "dim-boolean", "rhs-missing"])
+    def test_steer_nl_malformed_declaration_is_2(self, tmp_path, capsys, decl, message):
+        # a fraction cast to int would steer a field of a different size
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fields": {"bad": decl}}))
+        assert run(["steer-nl", "--field", "bad", "--x0", "0.01,0", "--x1", "0,0.01",
+                    "--xeq", "0,0", "--ueq", "0", "--config", str(config),
+                    "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "bad__steer-nl.json").exists()
+
+    def test_fields_that_are_not_an_object_are_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fields": 5}))
+        assert run(["steer-nl", "--field", "bad", "--x0", "0.01,0", "--x1", "0,0.01",
+                    "--xeq", "0,0", "--ueq", "0", "--config", str(config),
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "fields must be an object" in capsys.readouterr().err
+
+    def test_lqr_horizon_past_the_sample_budget_is_2(self, tmp_path, capsys):
+        # 10^14 steps of 1e-3: without the budget the sample arrays fail
+        # to allocate with MemoryError, a traceback
+        path = write(tmp_path, {"name": "decay", "A": [[-1]], "B": [[1]]})
+        assert run(["lqr", path, "--horizon", "1e11", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "MAX_RICCATI_ENTRIES" in err and "Traceback" not in err
+        assert not (tmp_path / "decay__lqr.json").exists()
+
     def test_steer_nl_huge_power_overflow_is_4(self, tmp_path, capsys):
         # x2' = u + 1 - x1^(10^6) rests at x1 = 1; from x1 = 1.05 the first
         # stage's monomial overflows, which the flow refuses

@@ -26,10 +26,11 @@ from lincontrol import (
     simulate,
     uniform_grid,
 )
+from lincontrol import kernels, lqr
 from lincontrol.kernels import rk4_path
-from lincontrol.lqr import _compose, _flow_triple
+from lincontrol.lqr import MAX_RICCATI_ENTRIES, _compose, _flow_triple
 
-from helpers import control_from_samples, riccati_sweep
+from helpers import compose_by_blocks, control_from_samples, flow_triple_by_blocks, riccati_sweep
 
 
 @pytest.fixture
@@ -317,6 +318,14 @@ class TestAreSolve:
         assert abs(sol.P[0, 0] - 1.0) <= 1e-8
         assert sol.closed_loop_abscissa == pytest.approx(-1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("A, C, P, horizon", [(0.0, 1.0, 1.0, 2.0), (1.0, 0.0, 2.0, 32.0)],
+                             ids=["P=1", "P=2"])
+    def test_closed_form_fixtures_and_their_horizons(self, A, C, P, horizon):
+        # the closed forms and the doublings that reach them
+        sol = are_solve(LtiSystem([[A]], [[1.0]], [[C]]))
+        assert abs(sol.P[0, 0] - P) <= 1e-14
+        assert sol.horizon_used == horizon
+
     def test_scalar_stabilizing_root_selected(self):
         # 2P - P^2 = 0 has roots 0 and 2; only P = 2 stabilizes
         sol = are_solve(LtiSystem([[1.0]], [[1.0]], [[0.0]]))
@@ -462,6 +471,81 @@ class TestRiccatiPropagator:
         integrated = rk4_path(rhs, P0.ravel(), [0.0, 2.0], 1e-3)[-1].reshape(3, 3)
         _, _, gamma = _flow_triple(A, BBt, CtC, 2.0, P0)
         assert_allclose(P0 + gamma, integrated, atol=1e-10)
+
+
+def _random_triple(rng, n):
+    """alpha with entries N(0, 1/n) plus I, beta and gamma symmetric PSD:
+    I + beta gamma then has its eigenvalues at or above 1."""
+    alpha = np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    Mb, Mg = rng.standard_normal((2, n, n)) / np.sqrt(n)
+    return alpha, Mb @ Mb.T, Mg @ Mg.T
+
+
+def _rel_miss(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestLapackKernels:
+    """`_compose` and `_flow_triple` against the stacked-block formulas."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 24])
+    def test_compose_matches_the_block_formulas(self, n):
+        rng = np.random.default_rng([13, n])
+        for _ in range(5):
+            first, second = _random_triple(rng, n), _random_triple(rng, n)
+            for got, want in zip(_compose(first, second), compose_by_blocks(first, second)):
+                assert got.shape == (n, n)
+                assert _rel_miss(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 24])
+    def test_flow_triple_matches_the_block_formulas(self, n):
+        rng = np.random.default_rng([13, n, 1])
+        for duration in (0.01, 0.7, 4.0):
+            A = rng.standard_normal((n, n)) / np.sqrt(n)
+            B = rng.standard_normal((n, 2)) / np.sqrt(n)
+            C = rng.standard_normal((n, n)) / np.sqrt(n)
+            M = rng.standard_normal((n, n)) / np.sqrt(n)
+            args = (A, B @ B.T, C.T @ C, duration, M @ M.T)
+            for got, want in zip(_flow_triple(*args), flow_triple_by_blocks(*args)):
+                assert _rel_miss(got, want) <= 1e-13
+
+    def test_singular_composition_is_an_escape(self):
+        # W = I + beta2 gamma1 = I - I is exactly singular
+        eye = np.eye(3)
+        with pytest.raises(EscapeTimeError, match="^Riccati flow lost invertibility$"):
+            _compose((eye, eye, -eye), (eye, eye, eye))
+
+    def test_singular_phi11_is_an_escape(self, monkeypatch):
+        # an exponential whose upper-left block is exactly singular
+        def expm(M):
+            Phi = scipy.linalg.expm(M)
+            Phi[0, :len(M) // 2] = 0.0
+            return Phi
+
+        monkeypatch.setattr(kernels, "expm", expm)
+        with pytest.raises(EscapeTimeError, match="^Riccati flow lost invertibility$"):
+            _flow_triple(np.eye(2), np.eye(2), np.eye(2), 1.0, np.zeros((2, 2)))
+
+
+class TestRiccatiSampleBudget:
+    def test_unallocatable_grid_is_refused_first(self):
+        # 10^14 steps: without the check np.empty fails with MemoryError
+        prob = LqrProblem(LtiSystem([[-1.0]], [[1.0]]), None, 1e11)
+        with pytest.raises(DomainError, match=r"m = \d+ steps at n = 1: .*MAX_RICCATI_ENTRIES"):
+            riccati_finite(prob)
+
+    def test_the_cap_bounds_samples_and_transitions(self, monkeypatch):
+        # m = 10 steps at n = 2: 11 samples and 10 transitions of 4 entries
+        prob = LqrProblem(_scan_draw(np.random.default_rng([2, 0]), 2, False), None, 1e-2)
+        monkeypatch.setattr(lqr, "MAX_RICCATI_ENTRIES", 84)
+        assert riccati_finite(prob, step=1e-3).grid.size == 11
+        monkeypatch.setattr(lqr, "MAX_RICCATI_ENTRIES", 83)
+        with pytest.raises(DomainError, match="84 entries, over MAX_RICCATI_ENTRIES = 83"):
+            riccati_finite(prob, step=1e-3)
+
+    def test_largest_tested_grid_is_well_inside(self):
+        # n = 24 at T = 5 on the default spacing of 1e-3
+        assert 10 * (2 * 5000 + 1) * 24 ** 2 <= MAX_RICCATI_ENTRIES
 
 
 def _scan_draw(rng, n, blind):
