@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fields as field_registry
+from . import kernels
 from . import lqr as lqr_mod
 from . import nonlinear, observability, reachability, stability, synthesis
 from .errors import (
@@ -27,6 +28,7 @@ from .errors import (
     DomainError,
     LinControlError,
     NumericalError,
+    NumericalInconsistencyError,
     PreconditionError,
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
@@ -36,6 +38,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
+
+# Bound on the `steer` endpoint error, relative to ||x1|| + ||e^{(t1 - t0) A} x0||.
+STEER_ENDPOINT_TOL = 1e-6
 
 SYSTEM_KEYS = {"name", "A", "B", "C", "metadata"}
 CONFIG_KEYS = {f.name for f in dataclasses.fields(ToleranceConfig)} | {"fields"}
@@ -197,6 +202,7 @@ def cmd_gramian(args, cfg, extra_fields, out_dir: Path):
         "gramian": report.gramian,
         "min_eigenvalue": report.min_eigenvalue,
         "invertible": report.invertible,
+        "lyapunov_residual": report.residual,
     }
     params = {"system": args.system, "t0": args.t0, "t1": args.t1}
     return name, params, results, []
@@ -211,6 +217,12 @@ def cmd_steer(args, cfg, extra_fields, out_dir: Path):
     grid = uniform_grid(args.t0, args.t1, args.points)
     traj = simulate(sys_obj, x0, control, grid, cfg)
     err = float(np.linalg.norm(traj.final_state() - x1))
+    free = kernels.expm((args.t1 - args.t0) * sys_obj.A) @ x0
+    bound = STEER_ENDPOINT_TOL * float(np.linalg.norm(x1) + np.linalg.norm(free))
+    if not err <= bound:
+        raise NumericalInconsistencyError(
+            f"simulated endpoint misses x1 by {err:.3e}, over {STEER_ENDPOINT_TOL:.0e} of "
+            "||x1|| + ||e^{(t1 - t0) A} x0||: the simulation does not resolve the system")
     csv_path = _traj_path(out_dir, name, "steer")
     results = {
         "predicted_cost": cost,
@@ -491,6 +503,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # argparse drops a value of "--" (as in --x0=--) and stores an empty list
+    empty = [key for key, value in vars(args).items() if isinstance(value, list)]
+    if empty:
+        print(f"error: --{empty[0].replace('_', '-')} needs a value", file=sys.stderr)
+        return EXIT_PARSE
 
     manifest = {"command": args.command, "parameters": {}, "outputs": [],
                 "verdicts": {}, "errors": []}

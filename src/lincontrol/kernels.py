@@ -1,7 +1,12 @@
 """Dense numerical kernels: matrix exponential, eigenvalues, rank with
 tolerance, Sylvester/Lyapunov solves (Bartels-Stewart on real Schur
-forms), fixed-step RK4 and resolvent integration, composite Simpson
-quadrature, and Hermite dense output.
+forms), the doubling of Riccati flow triples, fixed-step RK4 and
+resolvent integration, composite Simpson quadrature, and Hermite dense
+output.
+
+`_flow_triple` and `_compose` are the one doubling kernel: `lqr` runs its
+Riccati flows on them, and `reachability` the constant-coefficient
+Gramian, the flow with no quadratic term.
 
 Everything here is a pure function of its inputs. Matrices are plain
 float64 numpy arrays; eigenvalue lists are complex numpy arrays that come
@@ -16,10 +21,12 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesv as _gesv
 
 from .errors import (
     DimensionError,
     DomainError,
+    EscapeTimeError,
     NumericalError,
     SingularEquationError,
 )
@@ -183,6 +190,81 @@ def _scaled_norm(M: np.ndarray) -> float:
     if s == 0.0 or not math.isfinite(s):
         return s
     return float(np.linalg.norm(M / s)) * s
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.T)
+
+
+def _flow_triple(A, BBt, CtC, duration, P0):
+    """Triple (alpha, beta, gamma) of the backward Riccati flow over
+    `duration`, acting on the deviation D = P - P0 from the terminal weight:
+
+        D  |->  gamma + alpha^T D (I + beta D)^{-1} alpha.
+
+    The shear [[I, 0], [P0, I]] moves the Hamiltonian to the graph of P0,
+    where it reads [[-Ac, B B^T], [R(P0), Ac^T]] with Ac = A - B B^T P0 and
+    R(P0) the Riccati residual at P0. Anchored at 0 instead, alpha and
+    beta grow like e^{lambda tau} and e^{2 lambda tau} along an unstable
+    mode that C does not see, and the doubling turns singular. The
+    exponential Phi is taken on a step with unit 1-norm and doubled back
+    up. That step bounds the condition of alpha = Phi11^{-1} by about e^2;
+    a step at the Pade limit of expm (1-norm about 5.4) would allow e^11,
+    so the step is not traded for fewer doublings. One gesv against
+    [I, Phi12] gives alpha and beta = alpha Phi12 together.
+    A Hamiltonian that overflows is refused (`EscapeTimeError`).
+    """
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = BBt @ P0 - A  # -Ac
+    H[:n, n:] = BBt
+    P0A = P0 @ A
+    H[n:, :n] = CtC + P0A + P0A.T - P0 @ BBt @ P0
+    H[n:, n:] = -H[:n, :n].T
+    if not np.isfinite(H).all():
+        raise EscapeTimeError("Riccati Hamiltonian overflows: its entries are not finite")
+    scale = np.abs(H).sum(axis=0).max()
+    s = max(0, math.ceil(math.log2(duration) + math.log2(scale))) if scale > 0 else 0
+    Phi = expm((duration / 2.0 ** s) * H)
+    rhs = np.zeros((n, 2 * n))
+    rhs.reshape(-1)[::2 * n + 1] = 1.0  # the identity in the left half
+    rhs[:, n:] = Phi[:n, n:]
+    X = _solve(Phi[:n, :n], rhs)
+    alpha = X[:, :n]
+    triple = (alpha, _sym(X[:, n:]), _sym(Phi[n:, :n] @ alpha))
+    for _ in range(s):
+        triple = _compose(triple, triple)
+    return triple
+
+
+def _solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """W^{-1} rhs by one LAPACK gesv; a singular W is a lost flow."""
+    _, _, X, info = _gesv(W, rhs)
+    if info > 0:
+        raise EscapeTimeError("Riccati flow lost invertibility")
+    return X
+
+
+def _compose(first, second):
+    """The triple of the flow of `first` followed by that of `second`.
+
+    With W = I + beta2 gamma1 the composite is
+
+        alpha = alpha1 W^{-1} alpha2,
+        beta  = beta1 + alpha1 W^{-1} beta2 alpha1^T,
+        gamma = gamma2 + alpha2^T gamma1 W^{-1} alpha2,
+
+    from one gesv over the stacked right-hand sides [alpha2, beta2 alpha1^T].
+    `_compose(t, t)` is the doubling step of Anderson & Moore.
+    """
+    a1, b1, g1 = first
+    a2, b2, g2 = second
+    n = a1.shape[0]
+    W = b2 @ g1
+    W.reshape(-1)[::n + 1] += 1.0
+    X = _solve(W, np.concatenate((a2, b2 @ a1.T), axis=1))
+    Wa = X[:, :n]
+    return (a1 @ Wa, _sym(b1 + a1 @ X[:, n:]), _sym(g2 + a2.T @ g1 @ Wa))
 
 
 def rk4_step(f: Callable, t: float, x: np.ndarray, h: float) -> np.ndarray:

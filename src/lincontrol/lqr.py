@@ -14,10 +14,12 @@ over a duration tau is the linear-fractional map of expm(tau H), with the
 Hamiltonian H = [[-A, B B^T], [C^T C, A^T]], written as a triple
 (alpha, beta, gamma). Triples compose in closed form, and a triple
 composed with itself is the doubling step of Anderson & Moore (Optimal
-Filtering, 1979). `are_solve` doubles the horizon. `riccati_finite` takes
-all its samples from a doubling scan: the samples 1..c grid steps back
-from T, carried by the flow over c steps, are the samples c+1..2c, so m
-samples cost ceil(log2 m) batched steps. Neither integrates, so
+Filtering, 1979); the triple kernels live in `kernels`, where
+`reachability` takes the constant-coefficient Gramian from them too.
+`are_solve` doubles the horizon. `riccati_finite` takes all its samples
+from a doubling scan: the samples 1..c grid steps back from T, carried
+by the flow over c steps, are the samples c+1..2c, so m samples cost
+ceil(log2 m) batched steps. Neither integrates, so
 cfg.ode_step sets no error there. The triple of one grid step certifies
 the samples and gives the closed-loop transitions `lqr_trajectory` runs.
 """
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgesv as _gesv
 
 from . import kernels, reachability
 from .errors import (
@@ -125,91 +126,17 @@ class AreSolution:
     horizon_used: float
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
-
-
 def _check_escape(P: np.ndarray, where: str) -> None:
     if not np.abs(P).max() < BLOWUP_NORM:  # also catches nan
         raise EscapeTimeError(f"Riccati solution blew up {where}")
 
 
-def _flow_triple(A, BBt, CtC, duration, P0):
-    """Triple (alpha, beta, gamma) of the backward Riccati flow over
-    `duration`, acting on the deviation D = P - P0 from the terminal weight:
-
-        D  |->  gamma + alpha^T D (I + beta D)^{-1} alpha.
-
-    The shear [[I, 0], [P0, I]] moves the Hamiltonian to the graph of P0,
-    where it reads [[-Ac, B B^T], [R(P0), Ac^T]] with Ac = A - B B^T P0 and
-    R(P0) the Riccati residual at P0. Anchored at 0 instead, alpha and
-    beta grow like e^{lambda tau} and e^{2 lambda tau} along an unstable
-    mode that C does not see, and the doubling turns singular. The
-    exponential Phi is taken on a step with unit 1-norm and doubled back
-    up. That step bounds the condition of alpha = Phi11^{-1} by about e^2;
-    a step at the Pade limit of expm (1-norm about 5.4) would allow e^11,
-    so the step is not traded for fewer doublings. One gesv against
-    [I, Phi12] gives alpha and beta = alpha Phi12 together.
-    A Hamiltonian that overflows is refused (`EscapeTimeError`).
-    """
-    n = A.shape[0]
-    H = np.empty((2 * n, 2 * n))
-    H[:n, :n] = BBt @ P0 - A  # -Ac
-    H[:n, n:] = BBt
-    P0A = P0 @ A
-    H[n:, :n] = CtC + P0A + P0A.T - P0 @ BBt @ P0
-    H[n:, n:] = -H[:n, :n].T
-    if not np.isfinite(H).all():
-        raise EscapeTimeError("Riccati Hamiltonian overflows: its entries are not finite")
-    scale = np.abs(H).sum(axis=0).max()
-    s = max(0, math.ceil(math.log2(duration) + math.log2(scale))) if scale > 0 else 0
-    Phi = kernels.expm((duration / 2.0 ** s) * H)
-    rhs = np.zeros((n, 2 * n))
-    rhs.reshape(-1)[::2 * n + 1] = 1.0  # the identity in the left half
-    rhs[:, n:] = Phi[:n, n:]
-    X = _solve(Phi[:n, :n], rhs)
-    alpha = X[:, :n]
-    triple = (alpha, _sym(X[:, n:]), _sym(Phi[n:, :n] @ alpha))
-    for _ in range(s):
-        triple = _compose(triple, triple)
-    return triple
-
-
-def _solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """W^{-1} rhs by one LAPACK gesv; a singular W is a lost flow."""
-    _, _, X, info = _gesv(W, rhs)
-    if info > 0:
-        raise EscapeTimeError("Riccati flow lost invertibility")
-    return X
-
-
-def _compose(first, second):
-    """The triple of the flow of `first` followed by that of `second`.
-
-    With W = I + beta2 gamma1 the composite is
-
-        alpha = alpha1 W^{-1} alpha2,
-        beta  = beta1 + alpha1 W^{-1} beta2 alpha1^T,
-        gamma = gamma2 + alpha2^T gamma1 W^{-1} alpha2,
-
-    from one gesv over the stacked right-hand sides [alpha2, beta2 alpha1^T].
-    `_compose(t, t)` is the doubling step of Anderson & Moore.
-    """
-    a1, b1, g1 = first
-    a2, b2, g2 = second
-    n = a1.shape[0]
-    W = b2 @ g1
-    W.reshape(-1)[::n + 1] += 1.0
-    X = _solve(W, np.concatenate((a2, b2 @ a1.T), axis=1))
-    Wa = X[:, :n]
-    return (a1 @ Wa, _sym(b1 + a1 @ X[:, n:]), _sym(g2 + a2.T @ g1 @ Wa))
-
-
 def _advance(triple, D: np.ndarray):
     """The flow map of `triple` applied to each deviation of a stack D:
     gamma + alpha^T D X with X = (I + beta D)^{-1} alpha, the gamma part of
-    `_compose` with D in place of gamma1, returned with X. Over one grid
-    step, from D at t + h, X is the closed-loop transition x(t + h) = X x(t)."""
+    `kernels._compose` with D in place of gamma1, returned with X. Over one
+    grid step, from D at t + h, X is the closed-loop transition
+    x(t + h) = X x(t)."""
     alpha, beta, gamma = triple
     W = beta @ D
     W += np.eye(alpha.shape[0])
@@ -228,7 +155,7 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 
     The deviation from P0 at T vanishes, so the sample k grid steps back
     from T is P0 + gamma of the flow triple over k steps (anchored at P0,
-    see `_flow_triple`). A doubling scan finds them all: the flow over c
+    see `kernels._flow_triple`). A doubling scan finds them all: the flow over c
     steps maps the samples 1..c to the samples c+1..2c in one batched
     step, and the triple then doubles, so m samples take ceil(log2 m)
     steps and carry no time-discretization error. Each level is checked
@@ -265,7 +192,7 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     with np.errstate(over="ignore", invalid="ignore"):
         BBt = B @ B.T
         CtC = C.T @ C
-        triple = one_step = _flow_triple(A, BBt, CtC, h, prob.P0)
+        triple = one_step = kernels._flow_triple(A, BBt, CtC, h, prob.P0)
         D[1] = triple[2]
         while True:
             big = ~(np.abs(prob.P0 + D[lo:c + 1]).max(axis=(1, 2)) < BLOWUP_NORM)
@@ -275,7 +202,7 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
             if c == m:
                 break
             if c > 1:
-                triple = _compose(triple, triple)  # the flow over c steps
+                triple = kernels._compose(triple, triple)  # the flow over c steps
             k = min(c, m - c)
             D[c + 1:c + k + 1] = _advance(triple, D[1:k + 1])[0]
             lo, c = c + 1, c + k
@@ -388,7 +315,7 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     the values P_T(0), P_{2T}(0), P_{4T}(0), ... are taken until
     ||P_{2T}(0) - P_T(0)||_F drops below the convergence tolerance.
     Each is exact, not integrated: the triple of the Riccati flow over
-    T (anchored at I, see `_flow_triple`) doubles in closed form, so
+    T (anchored at I, see `kernels._flow_triple`) doubles in closed form, so
     horizon 2^k T costs k doublings at O(n^3) each. The terminal weight
     I steers the limit to the stabilizing root even when C misses
     unstable modes. A limit whose ARE residual exceeds ARE_RESIDUAL_TOL
@@ -409,13 +336,13 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
         CtC = C.T @ C
         eye = np.eye(sys.n)
         T = initial_horizon
-        triple = _flow_triple(A, BBt, CtC, T, eye)
+        triple = kernels._flow_triple(A, BBt, CtC, T, eye)
         P_prev = eye + triple[2]
         _check_escape(P_prev, f"within horizon {T:.6g}")
         converged = False
         diff = math.inf
         for _ in range(max_doublings):
-            triple = _compose(triple, triple)
+            triple = kernels._compose(triple, triple)
             P_next = eye + triple[2]
             T *= 2.0
             _check_escape(P_next, f"within horizon {T:.6g}")

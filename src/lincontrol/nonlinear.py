@@ -13,8 +13,8 @@ linearization. The map contracts on a small ball around x1.
 
 At an equilibrium reference (`equilibrium_reference`) the linearization
 is the one constant pair A = f_x(x_e, u_e), B = f_u(x_e, u_e): its
-Jacobians are evaluated once and its Gramian is summed panel by panel
-by doubling on e^{hA}, as for any LtiSystem. Any other reference is
+Jacobians are evaluated once and its Gramian is read off the flow
+triple, as for any LtiSystem. Any other reference is
 linearized as a time-varying system, sampled at the stage times of the
 flow.
 """
@@ -221,8 +221,9 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
 
     An equilibrium reference is steered through its constant
     linearization: f_x and f_u are evaluated once at (x_e, u_e), the
-    Gramian is summed by doubling on e^{hA}, and the control is
-    u_e + B^T w(s). Any other reference goes through `linearize_along`,
+    Gramian is read off the flow triple (see `reachability._gramian`), and
+    the control is u_e + B^T w(s), with w sampled on the Simpson nodes by
+    doubling on e^{hA}. Any other reference goes through `linearize_along`,
     with f_x and f_u sampled at the stage times of the flow.
     """
     x0 = kernels.as_vector(x0, "x0")
@@ -255,7 +256,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
             f"(Gramian min eigenvalue {report.min_eigenvalue:.3e})",
             min_eigenvalue=report.min_eigenvalue)
     G = report.gramian
-    # simulate on the Simpson nodes of the quadrature; spacing <= ode_step
+    # simulate on the Simpson nodes of the adjoint; spacing <= ode_step
     grid = np.linspace(t0, t1, kernels.simpson_intervals(t1 - t0, cfg.ode_step) + 1)
     if equilibrium is None:
         # every pass samples its control at these times: the reference part

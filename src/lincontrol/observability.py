@@ -1,6 +1,6 @@
 """Observability, duality, and detectability.
 
-The rank test stacks C, CA, ..., CA^{n-1}; the Gramian route integrates
+The rank test stacks C, CA, ..., CA^{n-1}; the Gramian route takes
 R_T = int_0^T e^{tA^T} C^T C e^{tA} dt. Both are computed and must agree.
 Everything dualizes: (A, C) is observable iff (A^T, C^T) is controllable,
 and each object here is the controllability object of (A^T, C^T).
@@ -44,7 +44,8 @@ def observation_gramian(A, C, horizon: float,
                         cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramianReport:
     """R_T on [0, horizon], by duality: substituting s = horizon - t, R_T
     is the controllability Gramian of (A^T, C^T) on [0, horizon], so it
-    comes from the same Simpson quadrature and invertibility cutoff."""
+    comes from the same flow triple, Lyapunov residual and invertibility
+    cutoff."""
     C = kernels.as_matrix(C, "C")
     return reachability.controllability_gramian(
         LtiSystem(kernels.require_square(A, "A").T, C.T), 0.0, horizon, cfg)

@@ -8,15 +8,19 @@ Implements the rank test on M = [B, AB, ..., A^{n-1}B], the eigenvalue
 the Gramian-inverse minimum-energy control, and the orthogonal
 decomposition into controllable and uncontrollable blocks.
 
-The Gramian is composite Simpson on m intervals. For a constant system
-it is summed panel by panel by doubling (R. A. Smith, SIAM J. Appl.
-Math. 16, 1968), in O(log m) products and O(n^2) memory, and the
-steering adjoint R(t1, s)^T z is built at the nodes by doubling on the
-vector; a time-varying system sums RK4 samples of R(t1, s).
+For a constant system the Gramian is the Lyapunov flow
+W' = A W + W A^T + B B^T from W(0) = 0, the Riccati flow with no
+quadratic term, so it is read off the doubled flow triple of
+`kernels._flow_triple`, with no quadrature error and in O(n^2) memory,
+and certified by its Lyapunov identity. The steering adjoint
+R(t1, s)^T z is built at Simpson nodes by doubling on the vector. A
+time-varying system's Gramian is composite Simpson on RK4 samples of
+R(t1, s).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -28,11 +32,17 @@ from .errors import (
     DimensionError,
     DomainError,
     NumericalError,
+    NumericalInconsistencyError,
     UncontrollableIntervalError,
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
 from .stability import STABILITY_MARGIN
 from .systems import ControlSignal, LtiSystem, LtvSystem
+
+# Bound on the Lyapunov identity A G + G A^T + B B^T = R B B^T R^T of a
+# constant-coefficient Gramian G with R = R(t1, t0), relative to the size
+# of its four terms.
+LYAPUNOV_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,7 @@ class GramianReport:
     interval: tuple
     min_eigenvalue: float
     invertible: bool
+    residual: Optional[float] = None   # Lyapunov identity; None for an LtvSystem
 
 
 @dataclass(frozen=True)
@@ -200,27 +211,6 @@ def _gramian_from_samples(nodes: np.ndarray, E: np.ndarray, B_at: np.ndarray) ->
     return M @ M.T
 
 
-def _panel_sum(E: np.ndarray, Q: np.ndarray, panels: int):
-    """(S, D^panels) with S = sum_{i < panels} D^i Y D^i^T, D = E^2 and
-    Y = Q + 4 E Q E^T + D Q D^T, the Simpson panel of the nodes 0, 1, 2.
-
-    Smith's doubling for Stein sums, on the bits of `panels` from the
-    top: S(2k) = S(k) + D^k S(k) D^k^T and S(k + 1) = Y + D S(k) D^T,
-    about 3 log2(panels) n x n products. Every term is PSD; nothing is
-    subtracted.
-    """
-    D = E @ E
-    Y = Q + 4.0 * (E @ Q @ E.T) + D @ Q @ D.T
-    S, P = Y, D
-    for bit in bin(panels)[3:]:
-        S = S + P @ S @ P.T
-        P = P @ P
-        if bit == "1":
-            S = Y + D @ S @ D.T
-            P = D @ P
-    return S, P
-
-
 def gramian_invertibility_cutoff(G: np.ndarray,
                                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Invertibility threshold for a PSD Gramian.
@@ -244,29 +234,43 @@ class _Quadrature(NamedTuple):
 
 def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
              cfg: ToleranceConfig) -> _Quadrature:
-    """Composite-Simpson quadrature of the Gramian on m intervals of [t0, t1].
+    """The Gramian on [t0, t1], R(t1, t0), and the steering adjoint.
 
-    For an LtiSystem, E = e^{hA} with h = (t1 - t0) / m and the sum is
-    taken panel by panel (`_panel_sum`) in O(n^2) memory; R(t1, t0) is
-    D^{m/2}, and `adjoint(z)` builds the rows z^T E^j at the nodes by
-    doubling, v_{K+j} = v_j E^K. For an LtvSystem, the RK4 adjoint
+    For an LtiSystem, G is the Lyapunov flow W' = A W + W A^T + B B^T,
+    W(0) = 0, over t1 - t0, so `kernels._flow_triple(A^T, 0, B B^T,
+    t1 - t0, 0)` returns (R(t1, t0)^T, 0, G), with no quadrature error
+    and no dependence on cfg.ode_step; `report.residual` is its Lyapunov
+    identity (LYAPUNOV_RESIDUAL_TOL). `adjoint(z)` takes E = e^{hA} on the
+    Simpson nodes of step h = (t1 - t0) / m and builds the rows z^T E^j
+    there by doubling, v_{K+j} = v_j E^K. For an LtvSystem, the RK4 adjoint
     resolvent of `_transition_samples` is summed by
-    `_gramian_from_samples`. Both adjoints are cubic-Hermite dense output
-    with slope -w A(s). A sum or R(t1, t0) that overflows is refused
-    (`NumericalError`), without a floating-point warning.
+    `_gramian_from_samples`, and the residual is None. Both adjoints are
+    cubic-Hermite dense output with slope -w A(s). A B B^T, G or
+    R(t1, t0) that overflows is refused (`NumericalError`), without a
+    floating-point warning.
     """
     if not t0 < t1:
         raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
     m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
     h = (t1 - t0) / m
+    overflow = NumericalError(
+        f"controllability Gramian on [{t0}, {t1}] overflows: the "
+        "transition matrix or the quadrature sum is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(sys, LtiSystem):
-            A, E = sys.A, kernels.expm(h * sys.A)
-            S, R10 = _panel_sum(E, sys.B @ sys.B.T, m // 2)
-            G = S * (h / 3.0)
+            A, BBt = sys.A, sys.B @ sys.B.T
+            if not np.isfinite(BBt).all():
+                raise overflow
+            # G is linear in B B^T: the flow runs on B B^T / c, c the power of two
+            # nearest above max |B B^T|, so a large B B^T cannot shrink the
+            # step of the flow until A is lost to rounding in alpha
+            c = math.ldexp(1.0, math.frexp(float(np.abs(BBt).max(initial=0.0)))[1])
+            zero = np.zeros_like(A)
+            alpha, _, G = kernels._flow_triple(A.T, zero, BBt / c, t1 - t0, zero)
+            G, R10 = c * G, alpha.T
 
             def adjoint(z):
-                V, P = z[None], E   # V[j] = z^T E^j, P = E^len(V)
+                V, P = z[None], kernels.expm(h * A)   # V[j] = z^T E^j, P = E^len(V)
                 while len(V) <= m:
                     V = np.concatenate([V, V[:m + 1 - len(V)] @ P])
                     if len(V) <= m:
@@ -282,22 +286,39 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
                 return kernels.SampledMatrixFunction(t0, h, w, -(w[:, None] @ A_at)[:, 0])
         G = 0.5 * (G + G.T)
         if not (np.isfinite(G).all() and np.isfinite(R10).all()):
-            raise NumericalError(
-                f"controllability Gramian on [{t0}, {t1}] overflows: the "
-                "transition matrix or the quadrature sum is not finite")
+            raise overflow
+        residual = _lyapunov_residual(A, BBt, G, R10) if isinstance(sys, LtiSystem) else None
+    if residual is not None and not residual <= LYAPUNOV_RESIDUAL_TOL:
+        raise NumericalInconsistencyError(
+            f"controllability Gramian on [{t0}, {t1}] misses the Lyapunov identity "
+            f"A G + G A^T + B B^T = R B B^T R^T by {residual:.3e} of its terms "
+            f"(bound {LYAPUNOV_RESIDUAL_TOL:.0e})")
     min_eig = float(np.linalg.eigvalsh(G)[0])
     report = GramianReport(
         gramian=G,
         interval=(t0, t1),
         min_eigenvalue=min_eig,
         invertible=min_eig > gramian_invertibility_cutoff(G, cfg),
+        residual=residual,
     )
     return _Quadrature(report, R10, adjoint)
 
 
+def _lyapunov_residual(A, BBt, G, R10) -> float:
+    """||A G + G A^T + B B^T - R B B^T R^T|| relative to the sum of the
+    norms of its four terms (0 when all vanish), every norm scaled
+    (`kernels._scaled_norm`); nan or inf if a term overflows."""
+    AG = A @ G
+    RQR = R10 @ BBt @ R10.T
+    norm = kernels._scaled_norm
+    size = 2.0 * norm(AG) + norm(BBt) + norm(RQR)
+    miss = norm(AG + AG.T + BBt - RQR)
+    return miss / size if size > 0.0 else miss
+
+
 def controllability_gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
                             cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramianReport:
-    """Composite-Simpson quadrature of the controllability Gramian on [t0, t1]."""
+    """The controllability Gramian on [t0, t1] (see `_gramian`)."""
     return _gramian(sys, t0, t1, cfg).report
 
 

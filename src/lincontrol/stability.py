@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +58,7 @@ def lyapunov_certificate(A, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Sta
             "the Lyapunov integral diverges")
     Q = kernels.solve_sylvester(A.T, A, -R, cfg)
     Q = 0.5 * (Q + Q.T)
-    residual = float(np.linalg.norm(A.T @ Q + Q @ A + R))
+    residual = kernels._scaled_norm(A.T @ Q + Q @ A + R)
     return StabilityReport(
         omega=base.omega,
         stable=True,
@@ -73,8 +74,10 @@ def lyapunov_stability_test(A, C, Q_candidate,
     A^T Q + Q A = -C^T C implies A is stable.
 
     Returns True iff Q_candidate satisfies the equation to residual
-    tolerance; a satisfied equation with an unstable A is reported as a
-    numerical inconsistency since the two verdicts cannot disagree.
+    tolerance, ||A^T Q + Q A + C^T C|| <= residual_tol (1 + ||C^T C||) in
+    scaled Frobenius norms (`kernels._scaled_norm`); a satisfied equation
+    with an unstable A is reported as a numerical inconsistency since the
+    two verdicts cannot disagree.
     """
     from .observability import observability_test  # deferred, avoids an import cycle
 
@@ -88,8 +91,10 @@ def lyapunov_stability_test(A, C, Q_candidate,
     if not observability_test(A, C, 1.0, cfg).observable:
         raise PreconditionError("(A, C) must be observable")
     R = C.T @ C
-    residual = float(np.linalg.norm(A.T @ Q + Q @ A + R))
-    ok = residual <= cfg.residual_tol * (1.0 + np.linalg.norm(R))
+    # scaled norms: a residual that overflows is not finite and never accepted
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = kernels._scaled_norm(A.T @ Q + Q @ A + R)
+    ok = math.isfinite(residual) and residual <= cfg.residual_tol * (1.0 + kernels._scaled_norm(R))
     stable = spectral_abscissa(A) < -STABILITY_MARGIN
     if ok and not stable:
         raise NumericalInconsistencyError(

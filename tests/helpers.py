@@ -5,8 +5,10 @@ solutions are re-derived from the defining improper integral, Gramians
 from explicit matrix-exponential quadrature, costs from Simpson sums of
 sampled integrands. `riccati_sweep` is the one-step-at-a-time backward
 sweep that the doubling scan of `lqr.riccati_finite` replaced, and
-`transition_samples` stacks the m + 1 powers of e^{hA} that the panel
-doubling of the constant-coefficient Gramian replaced.
+`transition_samples` stacks the m + 1 powers of e^{hA} that the flow
+triple of the constant-coefficient Gramian replaced; summed around
+`van_loan_gramian`, the Gramian of one step, they give the exact
+constant-coefficient Gramian.
 """
 
 import numpy as np
@@ -14,8 +16,8 @@ import scipy.linalg
 
 from lincontrol import ControlSignal, DimensionError, LtiSystem, LtvSystem, kalman_test
 from lincontrol import kernels
-from lincontrol.kernels import DEFAULT_TOLERANCES
-from lincontrol.lqr import BLOWUP_NORM, _flow_triple
+from lincontrol.kernels import DEFAULT_TOLERANCES, _flow_triple
+from lincontrol.lqr import BLOWUP_NORM
 from lincontrol.reachability import _transition_samples
 
 
@@ -89,7 +91,7 @@ def riccati_sweep(prob, h):
 
 
 def flow_triple_by_blocks(A, BBt, CtC, duration, P0):
-    """`lqr._flow_triple` from np.block, np.linalg.norm and np.linalg.inv,
+    """`kernels._flow_triple` from np.block, np.linalg.norm and np.linalg.inv,
     doubled up by `compose_by_blocks`."""
     Ac = A - BBt @ P0
     P0A = P0 @ A
@@ -108,7 +110,7 @@ def flow_triple_by_blocks(A, BBt, CtC, duration, P0):
 
 
 def compose_by_blocks(first, second):
-    """`lqr._compose` from np.eye, np.hstack, np.split and np.linalg.solve."""
+    """`kernels._compose` from np.eye, np.hstack, np.split and np.linalg.solve."""
     a1, b1, g1 = first
     a2, b2, g2 = second
     W = np.eye(a1.shape[0]) + b2 @ g1
@@ -206,9 +208,10 @@ def transition_samples(sys, t0, t1, cfg=DEFAULT_TOLERANCES):
     matrix A for constant systems).
 
     For an LtiSystem, the explicit stacked-power oracle: the m + 1
-    powers of e^{hA}, built by doubling, that the panel doubling of
-    `reachability._gramian` replaced. Time-varying systems take the RK4
-    samples of `reachability._transition_samples`.
+    powers of e^{hA}, built by doubling, where `reachability._gramian`
+    takes the Gramian from the flow triple and R(t1, t0) from its alpha.
+    Time-varying systems take the RK4 samples of
+    `reachability._transition_samples`.
     """
     if not isinstance(sys, LtiSystem):
         return _transition_samples(sys, t0, t1, cfg)
@@ -222,6 +225,15 @@ def transition_samples(sys, t0, t1, cfg=DEFAULT_TOLERANCES):
         P = np.concatenate([P, (P.reshape(-1, n) @ (P[-1] @ Eh)).reshape(P.shape)])
     B_at = np.broadcast_to(sys.B, (m + 1,) + sys.B.shape)
     return nodes, P[m::-1], sys.A, B_at
+
+
+def van_loan_gramian(A, B, h):
+    """int_0^h e^{sA} B B^T e^{sA^T} ds from the block exponential
+    expm([[-A, B B^T], [0, A^T]] h) = [[F11, F12], [0, F22]] as F22^T F12
+    (Van Loan, IEEE TAC 23, 1978)."""
+    n = A.shape[0]
+    F = scipy.linalg.expm(np.block([[-A, B @ B.T], [np.zeros((n, n)), A.T]]) * h)
+    return F[n:, n:].T @ F[:n, n:]
 
 
 def steering_endpoint_by_quadrature(sys, t0, t1, u, cfg=DEFAULT_TOLERANCES):

@@ -125,6 +125,13 @@ class TestCommands:
         assert data["results"]["gramian"][0][0] == pytest.approx(1.0, abs=1e-9)
         assert data["results"]["invertible"] is True
 
+    def test_gramian_reports_its_lyapunov_residual(self, tmp_path, capsys):
+        path = write(tmp_path, PEND)
+        assert run(["gramian", path, "--t1", "5", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        data = json.loads((tmp_path / "pendulum-upright__gramian.json").read_text())
+        assert 0.0 <= data["results"]["lyapunov_residual"] <= 1e-14
+
     def test_place_double_integrator(self, tmp_path, capsys):
         path = write(tmp_path, DI)
         assert run(["place", path, "--poly=-1,-2",
@@ -610,6 +617,35 @@ class TestExitCodes:
                     f"--points={points}", "--out-dir", str(tmp_path)]) == 2
         capsys.readouterr()
         assert not (tmp_path / "pendulum__steer-nl.json").exists()
+
+    @pytest.mark.parametrize("lam, code", [(-50, 0), (-200, 4), (-800, 4), (-3000, 4)])
+    def test_steer_refuses_a_missed_endpoint(self, tmp_path, capsys, lam, code):
+        # the Gramian is exact at every rate; the RK4 run misses x1 = 1 by
+        # 4e-8 at -50 and by 1e-5 ... 0.3 at -200 ... -3000
+        path = write(tmp_path, {"name": "stiff", "A": [[lam]], "B": [[1]]})
+        assert run(["steer", path, "--t1", "1", "--x0", "0", "--x1", "1",
+                    "--out-dir", str(tmp_path)]) == code
+        manifest = json.loads(capsys.readouterr().out)
+        if code:
+            assert manifest["errors"][0]["type"] == "NumericalInconsistencyError"
+            assert "misses x1" in manifest["errors"][0]["message"]
+            assert not (tmp_path / "stiff__steer.json").exists()
+        else:
+            data = json.loads((tmp_path / "stiff__steer.json").read_text())["results"]
+            assert data["endpoint_error"] <= cli.STEER_ENDPOINT_TOL
+            assert data["predicted_cost"] == pytest.approx(-2.0 * lam / -math.expm1(2.0 * lam),
+                                                           rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t1", "1", "--x0=--"],
+        ["simulate", "--t1=--", "--x0", "0"],
+        ["place", "--roots=--"],
+    ])
+    def test_a_dropped_value_is_2(self, tmp_path, capsys, argv):
+        # argparse drops the value "--" and stores an empty list
+        path = write(tmp_path, SCALAR)
+        assert run([argv[0], path, *argv[1:], "--out-dir", str(tmp_path)]) == 2
+        assert "needs a value" in capsys.readouterr().err
 
     def test_two_points_accepted(self, tmp_path, capsys):
         path = write(tmp_path, SCALAR)

@@ -27,8 +27,8 @@ from lincontrol import (
     uniform_grid,
 )
 from lincontrol import kernels, lqr
-from lincontrol.kernels import rk4_path
-from lincontrol.lqr import MAX_RICCATI_ENTRIES, _compose, _flow_triple
+from lincontrol.kernels import _compose, _flow_triple, rk4_path
+from lincontrol.lqr import MAX_RICCATI_ENTRIES
 
 from helpers import compose_by_blocks, control_from_samples, flow_triple_by_blocks, riccati_sweep
 

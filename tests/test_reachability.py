@@ -14,6 +14,7 @@ from lincontrol import (
     LtiSystem,
     LtvSystem,
     NumericalError,
+    NumericalInconsistencyError,
     ToleranceConfig,
     UncontrollableIntervalError,
     controllability_gramian,
@@ -209,19 +210,22 @@ def _config_with_intervals(span, m):
 
 
 class TestPanelDoubling:
-    """The panel-doubled constant-coefficient Gramian against the
-    explicit stacked powers of e^{hA} in `helpers.transition_samples`."""
+    """The constant-coefficient Gramian from the flow triple, and its
+    adjoint, against the explicit stacked powers of e^{hA} in
+    `helpers.transition_samples`."""
 
     @pytest.mark.parametrize("m", [2, 4, 6, 10, 1000, 1002])
     def test_matches_stacked_powers(self, rng, m):
+        # the exact Gramian is sum_{k < m} E_k G_h E_k^T, with E_k = e^{khA}
+        # and G_h the exact Gramian of one step
         t0, t1 = 0.3, 1.55
         cfg = _config_with_intervals(t1 - t0, m)
         for n in (1, 3, 8, 24):
             sys = helpers.random_system(rng, n, n)
-            nodes, E, _, B_at = helpers.transition_samples(sys, t0, t1, cfg)
-            F = E @ B_at
-            w = kernels.simpson_weights(m) * ((t1 - t0) / m / 3.0)
-            expected = np.einsum("k,kip,kjp->ij", w, F, F)
+            _, E, _, _ = helpers.transition_samples(sys, t0, t1, cfg)
+            powers = E[:0:-1]   # e^{khA} for k = 0, ..., m - 1
+            G_h = helpers.van_loan_gramian(sys.A, sys.B, (t1 - t0) / m)
+            expected = np.einsum("kij,jl,kml->im", powers, G_h, powers)
             quad = _gramian(sys, t0, t1, cfg)
             G = quad.report.gramian
             assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -281,11 +285,70 @@ class TestPanelDoubling:
             with pytest.raises(NumericalError):
                 min_energy_control(LtiSystem(A, B), 0.0, t1, np.ones(len(A)), np.zeros(len(A)))
 
+    def test_overflowing_input_product_is_refused(self):
+        # B B^T overflows before the flow sees it; the message names the interval
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"Gramian on \[0.0, 1.0\] overflows"):
+                controllability_gramian(LtiSystem(np.diag([-1.0, -2.0]), [[1e200], [1.0]]),
+                                        0.0, 1.0)
+
     def test_time_varying_overflow_is_refused(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
                 controllability_gramian(constant_ltv([[800.0]], [[1.0]], 0.0, 1.0), 0.0, 1.0)
+
+
+class TestExactConstantGramian:
+    """The constant-coefficient Gramian is the Lyapunov flow, exact in A."""
+
+    @pytest.mark.parametrize("lam", [-50.0, -800.0, -3000.0])
+    def test_stiff_closed_form(self, lam):
+        # G = (1 - e^{2 lam T}) / (-2 lam) on [0, 1]; the minimum energy from
+        # 0 to 1 is 1 / G
+        sys = LtiSystem([[lam]], [[1.0]])
+        exact = -math.expm1(2.0 * lam) / (-2.0 * lam)
+        G = controllability_gramian(sys, 0.0, 1.0).gramian[0, 0]
+        assert abs(G - exact) <= 1e-12 * exact
+        _, cost = min_energy_control(sys, 0.0, 1.0, [0.0], [1.0])
+        assert abs(cost - 1.0 / exact) <= 1e-12 / exact
+
+    def test_independent_of_the_ode_step(self, rng):
+        sys = helpers.random_system(rng, 4, 2)
+        coarse = _gramian(sys, 0.0, 1.5, ToleranceConfig(ode_step=1e-2))
+        fine = _gramian(sys, 0.0, 1.5, ToleranceConfig(ode_step=1e-4))
+        assert np.array_equal(coarse.report.gramian, fine.report.gramian)
+        assert np.array_equal(coarse.transition, fine.transition)
+
+    def test_lyapunov_residual_is_reported(self, rng):
+        for n in (1, 4, 12, 24):
+            A = rng.standard_normal((n, n)) / np.sqrt(n)
+            sys = LtiSystem(A, rng.standard_normal((n, 2)) / np.sqrt(n))
+            for t1 in (1.0, 5.0):
+                assert controllability_gramian(sys, 0.0, t1).residual <= 1e-13
+        ltv = constant_ltv(np.zeros((2, 2)), [[1.0], [0.5]], 0.0, 1.0)
+        assert controllability_gramian(ltv, 0.0, 1.0).residual is None
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
+    def test_scale_of_the_input_is_exact(self, scale):
+        # B -> s B maps G to s^2 G; the flow sees B B^T at unit size either way
+        A, B = np.array([[-1.0, 0.3], [0.2, -2.0]]), np.array([[1.0], [0.5]])
+        G = controllability_gramian(LtiSystem(A, B), 0.0, 1.0).gramian
+        scaled = controllability_gramian(LtiSystem(A, scale * B), 0.0, 1.0)
+        assert np.abs(scaled.gramian / scale ** 2 - G).max() <= 1e-15 * np.abs(G).max()
+        assert scaled.residual <= 1e-15
+
+    def test_a_missed_identity_is_refused(self, monkeypatch):
+        exact = kernels._flow_triple
+
+        def perturbed(*args):
+            alpha, beta, gamma = exact(*args)
+            return alpha, beta, gamma * (1.0 + 1e-8)
+
+        monkeypatch.setattr(kernels, "_flow_triple", perturbed)
+        with pytest.raises(NumericalInconsistencyError, match="Lyapunov identity"):
+            controllability_gramian(LtiSystem([[-1.0]], [[1.0]]), 0.0, 1.0)
 
 
 class TestMinEnergy:

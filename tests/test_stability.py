@@ -79,6 +79,30 @@ class TestLyapunovStabilityTest:
             lyapunov_stability_test(-np.eye(2), np.eye(2), np.diag([1.0, -1.0]))
 
 
+class TestScaledResiduals:
+    """Residual norms are taken scaled, so a large C^T C cannot overflow them."""
+
+    A = np.array([[-1.0, 0.3], [0.0, -2.0]])
+
+    def test_a_wrong_candidate_is_rejected_at_any_scale(self):
+        # Q = I does not solve A^T Q + Q A = -C^T C; unscaled, both the
+        # residual and its bound overflowed to inf and the check passed
+        for c in (1.0, 1e80):
+            assert not lyapunov_stability_test(self.A, [[c, 0.5 * c]], np.eye(2))
+
+    def test_the_solution_is_accepted_at_a_large_scale(self):
+        C = np.array([[1e80, 5e79]])
+        Q = lyapunov_certificate(self.A, C.T @ C).lyapunov_Q
+        assert lyapunov_stability_test(self.A, C, Q)
+
+    def test_certificate_residual_is_finite(self, rng):
+        # residual entries near 1e185: their unscaled sum of squares is inf
+        A = rng.standard_normal((4, 4)) / 2.0 - 2.0 * np.eye(4)
+        C = 1e100 * rng.standard_normal((2, 4))
+        rep = lyapunov_certificate(A, C.T @ C)
+        assert 0.0 < rep.residual <= 1e-10 * np.abs(C.T @ C).max()
+
+
 class TestStabilityEquivalences:
     def test_stable_iff_state_energy_integral_converges(self, rng):
         # finite int ||e^{tA} x||^2 dt detected by a vanishing tail
