@@ -74,6 +74,12 @@ def dumps(value) -> str:
         raise NumericalError("verdict payload overflowed to a non-finite value") from exc
 
 
+def _witnesses(exc: LinControlError) -> dict:
+    """The numeric fields an exception carries, as JSON values; one that is
+    not finite becomes the string "NaN", "Infinity" or "-Infinity"."""
+    return json.loads(json.dumps(vars(exc), default=_encode), parse_constant=str)
+
+
 # ---------------------------------------------------------------------------
 # input parsing
 
@@ -142,14 +148,9 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (name, parameters, results, files),
-# files a list of (path, write) pairs that `main` writes with write(path)
-# once the verdict has serialized
-
-
-def _traj_path(out_dir: Path, name: str, command: str, suffix: str = "") -> Path:
-    stem = f"{name}__{command}{suffix}"
-    return out_dir / f"{stem}.csv"
+# command implementations; each returns (name, results, csvs), csvs a list
+# of (suffix, write) pairs that `main` writes with write(path) to
+# <name>__<command><suffix>.csv once the verdict has serialized
 
 
 def _analyze_one(sys_obj: LtiSystem, cfg: ToleranceConfig) -> dict:
@@ -174,7 +175,7 @@ def _analyze_one(sys_obj: LtiSystem, cfg: ToleranceConfig) -> dict:
     }
 
 
-def cmd_analyze(args, cfg, extra_fields, out_dir: Path):
+def cmd_analyze(args, cfg, extra_fields):
     if args.dir is None and args.system is None:
         raise ParseFailure("analyze needs a system file or --dir")
     path = Path(args.dir if args.dir is not None else args.system)
@@ -185,16 +186,14 @@ def cmd_analyze(args, cfg, extra_fields, out_dir: Path):
         for child in sorted(path.glob("*.json")):
             sys_obj, name = load_system(child)
             results[name] = _analyze_one(sys_obj, cfg)
-        params = {"system": str(path), "batch": True}
         name = path.name or "batch"
     else:
         sys_obj, name = load_system(path)
         results = _analyze_one(sys_obj, cfg)
-        params = {"system": str(path)}
-    return name, params, results, []
+    return name, results, []
 
 
-def cmd_gramian(args, cfg, extra_fields, out_dir: Path):
+def cmd_gramian(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     report = reachability.controllability_gramian(sys_obj, args.t0, args.t1, cfg)
     results = {
@@ -204,11 +203,10 @@ def cmd_gramian(args, cfg, extra_fields, out_dir: Path):
         "invertible": report.invertible,
         "lyapunov_residual": report.residual,
     }
-    params = {"system": args.system, "t0": args.t0, "t1": args.t1}
-    return name, params, results, []
+    return name, results, []
 
 
-def cmd_steer(args, cfg, extra_fields, out_dir: Path):
+def cmd_steer(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     x0 = _parse_vector(args.x0, "x0")
     x1 = _parse_vector(args.x1, "x1")
@@ -223,15 +221,12 @@ def cmd_steer(args, cfg, extra_fields, out_dir: Path):
         raise NumericalInconsistencyError(
             f"simulated endpoint misses x1 by {err:.3e}, over {STEER_ENDPOINT_TOL:.0e} of "
             "||x1|| + ||e^{(t1 - t0) A} x0||: the simulation does not resolve the system")
-    csv_path = _traj_path(out_dir, name, "steer")
     results = {
         "predicted_cost": cost,
         "endpoint_error": err,
         "final_state": traj.final_state(),
     }
-    params = {"system": args.system, "t0": args.t0, "t1": args.t1,
-              "x0": args.x0, "x1": args.x1, "points": args.points}
-    return name, params, results, [(csv_path, traj.to_csv)]
+    return name, results, [("", traj.to_csv)]
 
 
 def _parse_target(args, n: int) -> synthesis.MonicPolynomial:
@@ -249,7 +244,7 @@ def _parse_target(args, n: int) -> synthesis.MonicPolynomial:
     return synthesis.MonicPolynomial(degree=n, alphas=alphas)
 
 
-def cmd_place(args, cfg, extra_fields, out_dir: Path):
+def cmd_place(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     target = _parse_target(args, sys_obj.n)
     gain = synthesis.pole_place(sys_obj.A, sys_obj.B, target, cfg)
@@ -258,30 +253,27 @@ def cmd_place(args, cfg, extra_fields, out_dir: Path):
         "achieved_spectrum": [[v.real, v.imag] for v in gain.achieved_spectrum],
         "residual": gain.residual,
     }
-    params = {"system": args.system, "poly": args.poly, "roots": args.roots}
-    return name, params, results, []
+    return name, results, []
 
 
-def cmd_observer(args, cfg, extra_fields, out_dir: Path):
+def cmd_observer(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     target = _parse_target(args, sys_obj.n)
     gain = synthesis.design_observer(sys_obj.A, sys_obj.C, target, cfg)
     results = {"L": gain.L, "closed_loop_abscissa": gain.closed_loop_abscissa}
-    params = {"system": args.system, "poly": args.poly, "roots": args.roots}
-    return name, params, results, []
+    return name, results, []
 
 
-def cmd_lqr(args, cfg, extra_fields, out_dir: Path):
+def cmd_lqr(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     prob = lqr_mod.LqrProblem(sys_obj, None, args.horizon)
     ric = lqr_mod.riccati_finite(prob, cfg)
     n = sys_obj.n
     value = Trajectory(grid=ric.grid, states=ric.P_samples.reshape(ric.grid.size, -1))
     value = value.subsample(args.points)
-    value_csv = _traj_path(out_dir, name, "lqr", "_value")
     header = ["t"] + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     rows = np.hstack([value.grid[:, None], value.states])
-    outputs = [(value_csv, lambda path: write_csv(path, header, rows))]
+    csvs = [("_value", lambda path: write_csv(path, header, rows))]
     results = {
         "horizon": args.horizon,
         "value_at_0": ric.P_samples[0],
@@ -290,16 +282,13 @@ def cmd_lqr(args, cfg, extra_fields, out_dir: Path):
     if args.xi is not None:
         xi = _parse_vector(args.xi, "xi")
         run = lqr_mod.lqr_trajectory(prob, ric, xi)
-        traj_csv = _traj_path(out_dir, name, "lqr", "_trajectory")
-        outputs.append((traj_csv, run.trajectory.subsample(args.points).to_csv))
+        csvs.append(("_trajectory", run.trajectory.subsample(args.points).to_csv))
         results["cost"] = run.cost
         results["value"] = run.value
-    params = {"system": args.system, "horizon": args.horizon,
-              "xi": args.xi, "points": args.points}
-    return name, params, results, outputs
+    return name, results, csvs
 
 
-def cmd_are(args, cfg, extra_fields, out_dir: Path):
+def cmd_are(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     sol = lqr_mod.are_solve(sys_obj, cfg, initial_horizon=args.initial_horizon,
                             max_doublings=args.max_doublings)
@@ -310,14 +299,12 @@ def cmd_are(args, cfg, extra_fields, out_dir: Path):
         "closed_loop_abscissa": sol.closed_loop_abscissa,
         "horizon_used": sol.horizon_used,
     }
-    params = {"system": args.system, "initial_horizon": args.initial_horizon,
-              "max_doublings": args.max_doublings}
-    return name, params, results, []
+    return name, results, []
 
 
-def cmd_gramian_stab(args, cfg, extra_fields, out_dir: Path):
+def cmd_gramian_stab(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
-    stab = synthesis.gramian_stabilizer(sys_obj.A, sys_obj.B, args.lam, cfg)
+    stab = synthesis.gramian_stabilizer(sys_obj.A, sys_obj.B, getattr(args, "lambda"), cfg)
     results = {
         "decay_rate": stab.decay_rate,
         "Q": stab.Q,
@@ -326,11 +313,10 @@ def cmd_gramian_stab(args, cfg, extra_fields, out_dir: Path):
         "riccati_residual": stab.riccati_residual,
         "closed_loop_abscissa": stab.closed_loop_abscissa,
     }
-    params = {"system": args.system, "lambda": args.lam}
-    return name, params, results, []
+    return name, results, []
 
 
-def cmd_simulate(args, cfg, extra_fields, out_dir: Path):
+def cmd_simulate(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     x0 = _parse_vector(args.x0, "x0")
     grid = uniform_grid(args.t0, args.t1, args.points)
@@ -342,14 +328,11 @@ def cmd_simulate(args, cfg, extra_fields, out_dir: Path):
         control = ControlSignal.vectorized(
             args.t0, args.t1, sys_obj.p, lambda t: np.full(np.shape(t) + uvec.shape, uvec))
     traj = simulate(sys_obj, x0, control, grid, cfg)
-    csv_path = _traj_path(out_dir, name, "simulate")
     results = {"final_state": traj.final_state()}
-    params = {"system": args.system, "t0": args.t0, "t1": args.t1,
-              "x0": args.x0, "u": args.u, "points": args.points}
-    return name, params, results, [(csv_path, traj.to_csv)]
+    return name, results, [("", traj.to_csv)]
 
 
-def cmd_steer_nl(args, cfg, extra_fields, out_dir: Path):
+def cmd_steer_nl(args, cfg, extra_fields):
     try:
         vf, xeq, ueq = field_registry.get_field(args.field, extra_fields)
     except (KeyError, ValueError) as exc:
@@ -368,7 +351,6 @@ def cmd_steer_nl(args, cfg, extra_fields, out_dir: Path):
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     result = nonlinear.steer_nonlinear(vf, ref, x0, x1, cfg, delta=args.delta)
-    csv_path = _traj_path(out_dir, args.field, "steer-nl")
     traj = result.trajectory.subsample(args.points)
     results = {
         "converged": result.converged,
@@ -377,9 +359,7 @@ def cmd_steer_nl(args, cfg, extra_fields, out_dir: Path):
         "error_history": list(result.error_history),
         "final_state": result.trajectory.final_state(),
     }
-    params = {"field": args.field, "t0": args.t0, "t1": args.t1,
-              "x0": args.x0, "x1": args.x1, "delta": args.delta}
-    return args.field, params, results, [(csv_path, traj.to_csv)]
+    return args.field, results, [("", traj.to_csv)]
 
 
 HANDLERS = {
@@ -466,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gramian-stab", help="prescribed-decay stabilization")
     common(p)
-    p.add_argument("--lambda", dest="lam", type=_finite, required=True,
+    p.add_argument("--lambda", type=_finite, required=True,
                    help="prescribed exponential decay rate")
 
     p = sub.add_parser("simulate", help="open-loop simulation")
@@ -509,7 +489,10 @@ def main(argv=None) -> int:
         print(f"error: --{empty[0].replace('_', '-')} needs a value", file=sys.stderr)
         return EXIT_PARSE
 
-    manifest = {"command": args.command, "parameters": {}, "outputs": [],
+    # one record of the run: the manifest's parameters and the verdict's
+    # inputs; out_dir is left out so that reruns elsewhere stay byte identical
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
+    manifest = {"command": args.command, "parameters": params, "outputs": [],
                 "verdicts": {}, "errors": []}
     exit_code = EXIT_OK
     try:
@@ -517,10 +500,10 @@ def main(argv=None) -> int:
             Path(args.config) if args.config else None)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        name, params, results, files = HANDLERS[args.command](
-            args, cfg, extra_fields, out_dir)
-        manifest["parameters"] = params
-        verdict_path = out_dir / f"{name}__{args.command}.json"
+        name, results, csvs = HANDLERS[args.command](args, cfg, extra_fields)
+        stem = f"{name}__{args.command}"
+        verdict_path = out_dir / f"{stem}.json"
+        files = [(out_dir / f"{stem}{suffix}.csv", write) for suffix, write in csvs]
         payload = {
             "command": args.command,
             "inputs": params,
@@ -540,7 +523,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except LinControlError as exc:
         manifest["errors"].append(
-            {"type": type(exc).__name__, "message": str(exc)})
+            {"type": type(exc).__name__, "message": str(exc), **_witnesses(exc)})
         manifest["verdicts"] = {"ok": False}
         exit_code = EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_NUMERICAL
 

@@ -212,14 +212,25 @@ def _flow_triple(A, BBt, CtC, duration, P0):
     a step at the Pade limit of expm (1-norm about 5.4) would allow e^11,
     so the step is not traded for fewer doublings. One gesv against
     [I, Phi12] gives alpha and beta = alpha Phi12 together.
+
+    The flow runs on D / d, whose Hamiltonian has off-diagonal blocks
+    B B^T d and R(P0) / d, and returns (alpha, beta / d, gamma d): d is the
+    power of two near sqrt(max|R(P0)| / max|B B^T|), or the one that brings
+    the only nonzero block to unit size, so a step of unit 1-norm is not
+    shrunk by one large weight until A is lost to rounding in alpha. A
+    power of two makes the scaling exact.
     A Hamiltonian that overflows is refused (`EscapeTimeError`).
     """
     n = A.shape[0]
+    P0A = P0 @ A
+    R = CtC + P0A + P0A.T - P0 @ BBt @ P0
+    r, b = np.abs(R).max(initial=0.0), np.abs(BBt).max(initial=0.0)
+    er, eb = math.frexp(r)[1], math.frexp(b)[1]
+    d = math.ldexp(1.0, er if b == 0.0 else -eb if r == 0.0 else (er - eb) // 2)
     H = np.empty((2 * n, 2 * n))
     H[:n, :n] = BBt @ P0 - A  # -Ac
-    H[:n, n:] = BBt
-    P0A = P0 @ A
-    H[n:, :n] = CtC + P0A + P0A.T - P0 @ BBt @ P0
+    H[:n, n:] = BBt * d
+    H[n:, :n] = R / d
     H[n:, n:] = -H[:n, :n].T
     if not np.isfinite(H).all():
         raise EscapeTimeError("Riccati Hamiltonian overflows: its entries are not finite")
@@ -234,7 +245,8 @@ def _flow_triple(A, BBt, CtC, duration, P0):
     triple = (alpha, _sym(X[:, n:]), _sym(Phi[n:, :n] @ alpha))
     for _ in range(s):
         triple = _compose(triple, triple)
-    return triple
+    alpha, beta, gamma = triple
+    return alpha, beta / d, gamma * d
 
 
 def _solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:

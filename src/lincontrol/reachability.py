@@ -20,7 +20,6 @@ R(t1, s).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -261,13 +260,9 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
             A, BBt = sys.A, sys.B @ sys.B.T
             if not np.isfinite(BBt).all():
                 raise overflow
-            # G is linear in B B^T: the flow runs on B B^T / c, c the power of two
-            # nearest above max |B B^T|, so a large B B^T cannot shrink the
-            # step of the flow until A is lost to rounding in alpha
-            c = math.ldexp(1.0, math.frexp(float(np.abs(BBt).max(initial=0.0)))[1])
             zero = np.zeros_like(A)
-            alpha, _, G = kernels._flow_triple(A.T, zero, BBt / c, t1 - t0, zero)
-            G, R10 = c * G, alpha.T
+            alpha, _, G = kernels._flow_triple(A.T, zero, BBt, t1 - t0, zero)
+            R10 = alpha.T
 
             def adjoint(z):
                 V, P = z[None], kernels.expm(h * A)   # V[j] = z^T E^j, P = E^len(V)

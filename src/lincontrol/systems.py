@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import ConditioningError, DimensionError, DomainError, NumericalError
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, as_vector
 
 
@@ -217,7 +217,10 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
     state is stored exactly. Superposition holds to integration accuracy
     since everything is linear in (x0, u). A run whose state overflows
     raises NumericalError naming the first grid time where it is not
-    finite.
+    finite. On an LtiSystem, a decaying eigenvalue lam of A that the
+    largest substep h grows, |R(h lam)| > 1 for the RK4 stability
+    polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, is refused with
+    ConditioningError before the run.
     """
     grid = time_grid(grid)
     x0 = as_vector(x0, "x0")
@@ -231,6 +234,16 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
     p = sys.p
 
     stages = kernels.rk4_stages(grid, cfg.ode_step)
+    if isinstance(sys, LtiSystem):
+        h = float(stages.h.max())
+        z = h * kernels.eigenvalues(sys.A)
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+        growth = float(R[z.real < 0].max(initial=0.0))
+        if growth > 1.0:
+            raise ConditioningError(
+                f"RK4 step h = {h:.6g} grows a decaying mode of A by {growth:.6g} "
+                "per step: the step is outside RK4's stability region")
     times = stages.times
     U = controls = None
     if u is not None:

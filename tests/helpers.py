@@ -92,11 +92,19 @@ def riccati_sweep(prob, h):
 
 def flow_triple_by_blocks(A, BBt, CtC, duration, P0):
     """`kernels._flow_triple` from np.block, np.linalg.norm and np.linalg.inv,
-    doubled up by `compose_by_blocks`."""
+    doubled up by `compose_by_blocks`, on the Hamiltonian balanced by the
+    same power of two d (the flow of D / d, scaled back at the end)."""
     Ac = A - BBt @ P0
     P0A = P0 @ A
     R = CtC + P0A + P0A.T - P0 @ BBt @ P0
-    H = np.block([[-Ac, BBt], [R, Ac.T]])
+    (_, er), (_, eb) = np.frexp(np.abs(R).max()), np.frexp(np.abs(BBt).max())
+    if not BBt.any():
+        d = 2.0 ** er
+    elif not R.any():
+        d = 2.0 ** -eb
+    else:
+        d = 2.0 ** ((er - eb) // 2)
+    H = np.block([[-Ac, BBt * d], [R / d, Ac.T]])
     scale = np.linalg.norm(H, 1)
     s = max(0, int(np.ceil(np.log2(duration) + np.log2(scale)))) if scale > 0 else 0
     Phi = scipy.linalg.expm((duration / 2.0 ** s) * H)
@@ -106,7 +114,7 @@ def flow_triple_by_blocks(A, BBt, CtC, duration, P0):
     triple = (alpha, 0.5 * (beta + beta.T), 0.5 * (gamma + gamma.T))
     for _ in range(s):
         triple = compose_by_blocks(triple, triple)
-    return triple
+    return triple[0], triple[1] / d, triple[2] * d
 
 
 def compose_by_blocks(first, second):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import shlex
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lincontrol import cli
 from lincontrol.cli import main
+from lincontrol.errors import DecayRateTooSmallError, DivergenceError
 
 PEND = {
     "name": "pendulum-upright",
@@ -97,6 +99,129 @@ class TestDeterminism:
         assert run(["gramian", path]) == 2  # --t1 required
         assert "required: --t1" in capsys.readouterr().err
         assert len(built) == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The argument lists of the README's command-line block, run from the
+    repository root."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines()]
+
+
+def parsed(argv):
+    """The parsed arguments of argv, less the command and the output directory."""
+    return {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items()
+            if k not in ("command", "out_dir")}
+
+
+class TestRunRecord:
+    """The verdict's inputs and the manifest's parameters are one record:
+    the parsed arguments, less the command and the output directory."""
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_inputs_are_the_parsed_arguments(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(README.parent)
+        argv = [*argv, "--out-dir", str(tmp_path)]
+        assert run(argv) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        verdict = json.loads(Path(manifest["outputs"][0]).read_text())
+        assert verdict["inputs"] == manifest["parameters"] == parsed(argv)
+        assert "out_dir" not in verdict["inputs"]
+
+    def test_steer_nl_records_its_reference_and_config(self, tmp_path, capsys):
+        config = tmp_path / "tol.json"
+        config.write_text(json.dumps({"ode_step": 0.002}))
+        assert run(["steer-nl", "--field", "pendulum", "--x0", f"{math.pi + 0.05},0",
+                    "--x1", f"{math.pi - 0.05},0", f"--xeq={math.pi},0", "--ueq", "0",
+                    "--points", "11", "--config", str(config),
+                    "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        inputs = json.loads((tmp_path / "pendulum__steer-nl.json").read_text())["inputs"]
+        assert inputs == manifest["parameters"]
+        assert {key: inputs[key] for key in ("xeq", "ueq", "points", "config")} == {
+            "xeq": f"{math.pi},0", "ueq": "0", "points": 11, "config": str(config)}
+
+    @pytest.mark.parametrize("payload, argv, code, want", [
+        (UNCONTROLLABLE, ["steer", "--t1", "1", "--x0", "0,0", "--x1", "1,1"], 3,
+         {"t0": 0.0, "t1": 1.0, "x0": "0,0", "x1": "1,1", "points": 1001}),
+        ({"name": "slow", "A": [[0.01]], "B": [[1]], "C": [[1]]},
+         ["are", "--initial-horizon", "0.25", "--max-doublings", "1"], 4,
+         {"initial_horizon": 0.25, "max_doublings": 1}),
+    ], ids=["steer-3", "are-4"])
+    def test_a_refused_run_records_its_parameters(self, tmp_path, capsys, payload, argv,
+                                                  code, want):
+        path = write(tmp_path, payload)
+        assert run([argv[0], path, *argv[1:], "--out-dir", str(tmp_path)]) == code
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["verdicts"] == {"ok": False}
+        assert manifest["parameters"] == {"system": path, "config": None, **want}
+
+
+class TestWitnesses:
+    """A refusal's manifest error carries the numeric fields of its exception."""
+
+    def refusal(self, tmp_path, capsys, payload, argv, code):
+        path = write(tmp_path, payload)
+        assert run([argv[0], path, *argv[1:], "--out-dir", str(tmp_path)]) == code
+        (error,) = json.loads(capsys.readouterr().out)["errors"]
+        return error
+
+    def test_min_eigenvalue(self, tmp_path, capsys):
+        error = self.refusal(tmp_path, capsys, UNCONTROLLABLE,
+                             ["steer", "--t1", "1", "--x0", "0,0", "--x1", "1,1"], 3)
+        assert error["type"] == "UncontrollableIntervalError"
+        assert abs(error["min_eigenvalue"]) <= 1e-12
+
+    def test_bad_eigenvalue(self, tmp_path, capsys):
+        # mode 2 is unstable and out of reach of B
+        error = self.refusal(tmp_path, capsys, UNCONTROLLABLE, ["are"], 3)
+        assert error["type"] == "FiniteCostViolationError"
+        assert error["bad_eigenvalue"] == pytest.approx([2.0, 0.0], abs=1e-12)
+
+    def test_minimal_rate(self, tmp_path, capsys):
+        error = self.refusal(tmp_path, capsys, {"name": "fast", "A": [[-3]], "B": [[1]]},
+                             ["gramian-stab", "--lambda", "1"], 3)
+        assert error["type"] == "DecayRateTooSmallError"
+        assert error["minimal_rate"] == pytest.approx(3.0)
+
+    def test_history(self, tmp_path, capsys):
+        # x2' = 10 x1^2 + x1 + u: the fixed-point iterate leaves the trust ball
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fields": {"quad": {
+            "state_dim": 2, "control_dim": 1,
+            "rhs": [[{"coeff": 1.0, "x": [0, 1], "u": [0]}],
+                    [{"coeff": 10.0, "x": [2, 0], "u": [0]},
+                     {"coeff": 1.0, "x": [1, 0], "u": [0]},
+                     {"coeff": 1.0, "x": [0, 0], "u": [1]}]],
+        }}}))
+        assert run(["steer-nl", "--field", "quad", "--x0", "0.3,0", "--x1", "0.3,0",
+                    "--xeq", "0,0", "--ueq", "0", "--delta", "0.35", "--config", str(config),
+                    "--out-dir", str(tmp_path)]) == 4
+        (error,) = json.loads(capsys.readouterr().out)["errors"]
+        assert error["type"] == "DivergenceError"
+        assert len(error["history"]) >= 1
+        assert all(isinstance(e, float) and e > 0 for e in error["history"])
+
+    @pytest.mark.parametrize("exc, code, field, want", [
+        (DecayRateTooSmallError("no rate", minimal_rate=math.nan), 3, "minimal_rate", "NaN"),
+        (DivergenceError("diverged", history=[0.5, math.inf, -math.inf]), 4, "history",
+         [0.5, "Infinity", "-Infinity"]),
+    ], ids=["nan-3", "inf-4"])
+    def test_a_witness_that_is_not_finite_is_a_string(self, tmp_path, capsys, monkeypatch,
+                                                      exc, code, field, want):
+        def refuse(args, cfg, extra_fields):
+            raise exc
+
+        monkeypatch.setitem(cli.HANDLERS, "are", refuse)
+        path = write(tmp_path, SCALAR)
+        assert run(["are", path, "--out-dir", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["errors"][0][field] == want
 
 
 class TestCommands:
@@ -621,14 +746,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("lam, code", [(-50, 0), (-200, 4), (-800, 4), (-3000, 4)])
     def test_steer_refuses_a_missed_endpoint(self, tmp_path, capsys, lam, code):
         # the Gramian is exact at every rate; the RK4 run misses x1 = 1 by
-        # 4e-8 at -50 and by 1e-5 ... 0.3 at -200 ... -3000
+        # 4e-8 at -50 and by 1e-5 ... 3e-3 at -200 ... -800, and at -3000
+        # its step grows the mode, which simulate refuses first
         path = write(tmp_path, {"name": "stiff", "A": [[lam]], "B": [[1]]})
         assert run(["steer", path, "--t1", "1", "--x0", "0", "--x1", "1",
                     "--out-dir", str(tmp_path)]) == code
         manifest = json.loads(capsys.readouterr().out)
         if code:
-            assert manifest["errors"][0]["type"] == "NumericalInconsistencyError"
-            assert "misses x1" in manifest["errors"][0]["message"]
+            error, message = (("ConditioningError", "outside RK4's stability region")
+                              if lam == -3000 else ("NumericalInconsistencyError", "misses x1"))
+            assert manifest["errors"][0]["type"] == error
+            assert message in manifest["errors"][0]["message"]
             assert not (tmp_path / "stiff__steer.json").exists()
         else:
             data = json.loads((tmp_path / "stiff__steer.json").read_text())["results"]

@@ -526,6 +526,19 @@ class TestLapackKernels:
         with pytest.raises(EscapeTimeError, match="^Riccati flow lost invertibility$"):
             _flow_triple(np.eye(2), np.eye(2), np.eye(2), 1.0, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("c", [1e2, 1e3, 1e4, 1e6])
+    def test_unbalanced_weights_scale_exactly(self, c):
+        # B -> B / c and C -> c C map every value matrix to c^2 times its own;
+        # the unit-norm step of an unbalanced Hamiltonian used to lose A to
+        # rounding (misses 7e-13 ... 4e-5 at c = 1e2 ... 1e6)
+        A = np.array([[-1.0, 0.3], [0.2, -2.0]])
+        B, C = np.array([[1.0], [0.5]]), np.array([[1.0, 0.0]])
+        base, scaled = LtiSystem(A, B, C), LtiSystem(A, B / c, c * C)
+        for solve in (lambda s: are_solve(s).P,
+                      lambda s: riccati_finite(LqrProblem(s, None, 1.0)).P_samples):
+            want = solve(base)
+            assert np.abs(solve(scaled) / c ** 2 - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestRiccatiSampleBudget:
     def test_unallocatable_grid_is_refused_first(self):

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lincontrol import (
+    ConditioningError,
     ControlSignal,
     DimensionError,
     DomainError,
@@ -123,6 +124,19 @@ class TestSimulate:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match=r"not finite at t = 0\.6$"):
                 simulate(sys, [1e308], None, uniform_grid(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize("lam, refused", [
+        (-3000.0, True), (-2786.0, True), (-2700.0, False), (-2000.0, False)])
+    def test_a_step_that_grows_a_decaying_mode_is_refused(self, lam, refused):
+        # RK4's stability interval on the negative axis ends at h lam = -2.785;
+        # past it x' = -3000 x from 1 reached 2e138 on [0, 1]
+        sys = LtiSystem([[lam]], [[1.0]])
+        grid = uniform_grid(0.0, 1.0, 1001)
+        if refused:
+            with pytest.raises(ConditioningError, match=r"h = 0\.001 grows .* by 1\.\d+"):
+                simulate(sys, [1.0], None, grid)
+        else:
+            assert 0.0 <= simulate(sys, [1.0], None, grid).final_state()[0] <= 1e-50
 
 
 class TestLinearPath:
