@@ -24,6 +24,7 @@ from . import kernels
 from . import lqr as lqr_mod
 from . import nonlinear, observability, reachability, stability, synthesis
 from .errors import (
+    ConvergenceError,
     DimensionError,
     DomainError,
     LinControlError,
@@ -351,6 +352,11 @@ def cmd_steer_nl(args, cfg, extra_fields):
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     result = nonlinear.steer_nonlinear(vf, ref, x0, x1, cfg, delta=args.delta)
+    if not result.converged:
+        raise ConvergenceError(
+            f"terminal error {result.terminal_error:.3e} above fixed_point_tol = "
+            f"{cfg.fixed_point_tol:.1e} after max_iter = {cfg.max_iter} passes",
+            history=result.error_history)
     traj = result.trajectory.subsample(args.points)
     results = {
         "converged": result.converged,

@@ -88,6 +88,10 @@ class ConditioningError(NumericalError):
 class ConvergenceError(NumericalError):
     """An iteration hit its cap before reaching the requested tolerance."""
 
+    def __init__(self, message, history=()):
+        super().__init__(message)
+        self.history = tuple(history)
+
 
 class EscapeTimeError(NumericalError):
     """An integrated quantity blew up before the end of the interval."""

@@ -1,8 +1,8 @@
 """Dense numerical kernels: matrix exponential, eigenvalues, rank with
 tolerance, Sylvester/Lyapunov solves (Bartels-Stewart on real Schur
-forms), the doubling of Riccati flow triples, fixed-step RK4 and
-resolvent integration, composite Simpson quadrature, and Hermite dense
-output.
+forms), the doubling of Riccati flow triples, fixed-step RK4, the
+fourth-order Magnus steps of every linear path (exact for constant A),
+composite Simpson quadrature, and Hermite dense output.
 
 `_flow_triple` and `_compose` are the one doubling kernel: `lqr` runs its
 Riccati flows on them, and `reachability` the constant-coefficient
@@ -41,7 +41,7 @@ class ToleranceConfig:
 
     rank_rtol        relative singular-value cutoff factor for rank decisions
     residual_tol     acceptance bound for linear matrix-equation residuals
-    ode_step         default integrator / quadrature step, in time units
+    ode_step         largest substep and Simpson gap of the paths, in time units
     fixed_point_tol  terminal-error target of the nonlinear steering iteration
     max_iter         cap on fixed-point iterations
     """
@@ -288,14 +288,17 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Substeps per block of coefficient samples in rk4_linear: the stage
-# samples of one block are a few hundred (n, n) matrices, not the whole path.
-RK4_CHUNK = 256
+# Substeps per block of coefficient samples in linear_path: the samples
+# of one block are a few hundred (n, n) matrices, not the whole path.
+PATH_CHUNK = 256
+
+# The two Gauss points of [0, 1], where the Magnus steps sample A(t), b(t).
+GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 
 @dataclass(frozen=True)
 class Rk4Stages:
-    """The substeps RK4 takes through a grid.
+    """The substeps of the fixed-step paths through a grid.
 
     Each grid gap is split uniformly into ceil(|gap| / max_step) substeps
     (at least one), with the quotient shrunk by a relative 1e-12 first: a
@@ -304,7 +307,8 @@ class Rk4Stages:
     Substep s starts at t[s] and has length h[s] (negative
     on a decreasing grid); stop[i] is the number of substeps taken on
     reaching grid[i + 1]. `times[s]` holds the three stage times of
-    substep s, computed as `rk4_step` computes them: t, t + h/2, t + h.
+    substep s, computed as `rk4_step` computes them: t, t + h/2, t + h;
+    `gauss[s]` holds its two Gauss times t + h (1/2 -+ sqrt(3)/6).
     """
 
     t: np.ndarray
@@ -315,9 +319,13 @@ class Rk4Stages:
     def times(self) -> np.ndarray:
         return np.stack([self.t, self.t + 0.5 * self.h, self.t + self.h], axis=1)
 
+    @property
+    def gauss(self) -> np.ndarray:
+        return self.t[:, None] + self.h[:, None] * GAUSS
+
 
 def rk4_stages(grid, max_step: float) -> Rk4Stages:
-    """The substep split of `rk4_path` and `rk4_linear` on the grid."""
+    """The substep split of `rk4_path` and `linear_path` on the grid."""
     grid = np.asarray(grid, dtype=float)
     gaps = np.diff(grid)
     m = np.maximum(1, np.ceil(np.abs(gaps) / max_step * (1.0 - 1e-12))).astype(int)
@@ -348,58 +356,61 @@ def rk4_path(f: Callable, x0: np.ndarray, grid: np.ndarray, max_step: float) -> 
     return out
 
 
-def _rk4_step_maps(A: np.ndarray, b, h: np.ndarray):
-    """The RK4 steps of x' = A(t) x + b(t) as affine maps x -> M x + c.
+def _exp_phi(Omega: np.ndarray, phi: bool):
+    """e^Omega for a stack of Omega, and phi1(Omega) = int_0^1 e^{s Omega} ds
+    if `phi`, as blocks of one expm([[Omega, I], [0, 0]])."""
+    if not phi:
+        return scipy.linalg.expm(Omega), None
+    n, zero = Omega.shape[-1], np.zeros_like(Omega)
+    E = scipy.linalg.expm(np.block([[Omega, zero + np.eye(n)], [zero, zero]]))
+    return E[..., :n, :n], E[..., :n, n:]
 
-    A holds the coefficient at the three stage times of each substep,
-    shape (c, 3, n, n), or is one (n, n) matrix for constant coefficients;
-    b has shape (c, 3, n, k) or is None for b = 0. Stage j of RK4 is
-    k_j = P_j x + q_j (P1 = A0, q1 = b0), so M = I + h/6 (P1 + 2 P2 +
-    2 P3 + P4) and c = h/6 (q1 + 2 q2 + 2 q3 + q4), formed for all
-    substeps at once.
+
+def _magnus_step_maps(A: np.ndarray, b, h: np.ndarray, exps=None):
+    """Fourth-order Magnus steps of x' = A(t) x + b(t) as affine maps x -> M x + c.
+
+    A is A(t) at the two Gauss times of each substep, (c, 2, n, n), or one
+    (n, n) matrix whose (e^{hA}, phi1(hA)) per substep come in `exps`; b is
+    (c, 2, n, k) or None. M = e^Omega, Omega = h/2 (A1 + A2) + s [A2, A1] and
+    c = phi1(Omega) (h/2 (b1 + b2) + s (A2 b1 - A1 b2)), s = sqrt(3)/12 h^2.
     """
-    if A.ndim == 2:
-        A0 = Am = A1 = A
-    else:
-        A0, Am, A1 = A[:, 0], A[:, 1], A[:, 2]
     hh = h[:, None, None]
-    half = 0.5 * hh
-    P2 = Am + half * (Am @ A0)
-    P3 = Am + half * (Am @ P2)
-    P4 = A1 + hh * (A1 @ P3)
-    M = np.eye(A.shape[-1]) + (hh / 6.0) * (A0 + 2.0 * P2 + 2.0 * P3 + P4)
+    A1, A2 = (A, A) if A.ndim == 2 else (A[:, 0], A[:, 1])
+    s = math.sqrt(3.0) / 12.0 * hh * hh
+    M, phi = exps or _exp_phi((0.5 * hh) * (A1 + A2) + s * (A2 @ A1 - A1 @ A2), b is not None)
     if b is None:
         return M, None
-    b0, bm, b1 = b[:, 0], b[:, 1], b[:, 2]
-    q2 = half * (Am @ b0) + bm
-    q3 = half * (Am @ q2) + bm
-    q4 = hh * (A1 @ q3) + b1
-    return M, (hh / 6.0) * (b0 + 2.0 * q2 + 2.0 * q3 + q4)
+    return M, phi @ ((0.5 * hh) * (b[:, 0] + b[:, 1]) + s * (A2 @ b[:, 0] - A1 @ b[:, 1]))
 
 
-def rk4_linear(coefficients: Callable, x0, stages: Rk4Stages) -> np.ndarray:
-    """RK4 for the linear system x' = A(t) x + b(t), x a vector or a matrix.
+def linear_path(coefficients: Callable, x0, stages: Rk4Stages) -> np.ndarray:
+    """Magnus steps for the linear system x' = A(t) x + b(t), x a vector or a matrix.
 
     Takes the substeps of `stages` (see `rk4_stages`) in blocks of
-    RK4_CHUNK. For each block, `coefficients(sl)` returns (A, b) sampled
-    at `stages.times[sl]`: A of shape (c, 3, n, n), or one (n, n) matrix
-    when it is constant, and b of shape (c, 3) + x0.shape, or None for
-    b = 0. The step maps of the block are formed in batched products;
-    only their application is sequential. Returns the states at the grid
-    points that `stages` was built on, the first one x0 exactly.
+    PATH_CHUNK. For each block, `coefficients(sl)` returns (A, b) sampled
+    at `stages.gauss[sl]`: A of shape (c, 2, n, n), or one (n, n) matrix
+    when it is constant, and b of shape (c, 2) + x0.shape, or None for
+    b = 0. The block's step maps are batched (`_magnus_step_maps`); only
+    their application is sequential. Returns the states at the grid points
+    that `stages` was built on, the first one x0 exactly.
     """
     x = np.array(x0, dtype=float)
     col = x.reshape(x.shape[0], -1)
     out = np.empty((stages.stop.size + 1,) + col.shape)
     out[0] = col
     stop = stages.stop.tolist()
+    lengths, which = np.unique(stages.h, return_inverse=True)
+    table = None
     i = 0
-    for lo in range(0, stages.h.size, RK4_CHUNK):
-        sl = slice(lo, min(lo + RK4_CHUNK, stages.h.size))
+    for lo in range(0, stages.h.size, PATH_CHUNK):
+        sl = slice(lo, min(lo + PATH_CHUNK, stages.h.size))
         A, b = coefficients(sl)
         if b is not None:
             b = np.reshape(b, b.shape[:2] + col.shape)
-        M, c = _rk4_step_maps(np.asarray(A, dtype=float), b, stages.h[sl])
+        if A.ndim == 2:  # e^{hA} and phi1(hA) once per path and distinct substep length
+            table = table or _exp_phi(lengths[:, None, None] * A, b is not None)
+        exps = table and tuple(None if e is None else e[which[sl]] for e in table)
+        M, c = _magnus_step_maps(A, b, stages.h[sl], exps)
         for s in range(M.shape[0]):
             col = M[s] @ col if c is None else M[s] @ col + c[s]
             if stop[i] == lo + s + 1:
@@ -426,9 +437,9 @@ def resolvent(sys: "LtvSystem", s: float, t: float,
               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """State-transition matrix R(t, s) of x' = A(tau) x.
 
-    Solves the matrix ODE d/dt R(t, s) = A(t) R(t, s), R(s, s) = I with
-    fixed-step RK4 (step <= cfg.ode_step), A sampled once per stage
-    time. Works in both time directions.
+    Solves the matrix ODE d/dt R(t, s) = A(t) R(t, s), R(s, s) = I by
+    fourth-order Magnus steps (`linear_path`, step <= cfg.ode_step), A
+    sampled once at each Gauss time. Works in both time directions.
     """
     lo, hi = sys.t0, sys.t1
     slack = 1e-9 * (1.0 + abs(hi - lo))
@@ -439,9 +450,8 @@ def resolvent(sys: "LtvSystem", s: float, t: float,
     if t == s:
         return np.eye(n)
     stages = rk4_stages([s, t], cfg.ode_step)
-    times = stages.times
-    path = rk4_linear(lambda sl: (sample_at(sys.A_of, times[sl]), None), np.eye(n), stages)
-    return path[-1]
+    times = stages.gauss
+    return linear_path(lambda sl: (sample_at(sys.A_of, times[sl]), None), np.eye(n), stages)[-1]
 
 
 def simpson_intervals(span: float, max_step: float) -> int:
@@ -492,7 +502,7 @@ class SampledMatrixFunction:
     """Cubic-Hermite dense output over uniform samples of a smooth function.
 
     values[k] and derivs[k] are the function and its time derivative at
-    t0 + k h; the interpolation error is O(h^4), matching the RK4 paths
+    t0 + k h; the interpolation error is O(h^4), matching the paths
     the samples come from. Values may have any trailing shape.
     """
 

@@ -15,8 +15,8 @@ At an equilibrium reference (`equilibrium_reference`) the linearization
 is the one constant pair A = f_x(x_e, u_e), B = f_u(x_e, u_e): its
 Jacobians are evaluated once and its Gramian is read off the flow
 triple, as for any LtiSystem. Any other reference is
-linearized as a time-varying system, sampled at the stage times of the
-flow.
+linearized as a time-varying system, sampled at the Gauss times and nodes
+of the Gramian's Magnus steps.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     Gramian is read off the flow triple (see `reachability._gramian`), and
     the control is u_e + B^T w(s), with w sampled on the Simpson nodes by
     doubling on e^{hA}. Any other reference goes through `linearize_along`,
-    with f_x and f_u sampled at the stage times of the flow.
+    and its f_u is sampled again at the stage times of the flow.
     """
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")

@@ -14,8 +14,7 @@ quadratic term, so it is read off the doubled flow triple of
 `kernels._flow_triple`, with no quadrature error and in O(n^2) memory,
 and certified by its Lyapunov identity. The steering adjoint
 R(t1, s)^T z is built at Simpson nodes by doubling on the vector. A
-time-varying system's Gramian is composite Simpson on RK4 samples of
-R(t1, s).
+time-varying system's Gramian is that flow by one Magnus step a node gap.
 """
 
 from __future__ import annotations
@@ -171,43 +170,36 @@ def unstabilizable_mode(A: np.ndarray, B: np.ndarray,
 
 
 def _transition_samples(sys: LtvSystem, t0: float, t1: float, cfg: ToleranceConfig):
-    """Samples of E(s) = R(t1, s) on Simpson nodes of [t0, t1].
-
-    Returns (nodes, E, A_at, B_at), with A_at and B_at the system
-    matrices at the nodes. The adjoint resolvent ODE
-    d/ds E^T = -A(s)^T E^T is integrated backward from E(t1) = I, one RK4
-    step per node, with A sampled once at the nodes and midpoints.
+    """(nodes, E, A_at, G): E(s) = R(t1, s) and A(s) on the Simpson nodes
+    of [t0, t1], and the Gramian. Each gap, of step (t1 - t0) / m, takes
+    one Magnus step Phi of H = [[-A^T, 0], [B B^T, A]], the linear system
+    of the Lyapunov flow W' = A W + W A^T + B B^T: Phi22 is the step
+    transition and S = Phi21 Phi22^T the step Gramian, so from E_m = I,
+    E_k = E_{k+1} Phi22 and G = sum_k E_{k+1} S_k E_{k+1}^T.
     """
     slack = 1e-9 * (1.0 + abs(sys.t1 - sys.t0))
     if t0 < sys.t0 - slack or t1 > sys.t1 + slack:
         raise DomainError(
             f"[{t0}, {t1}] leaves the system interval [{sys.t0}, {sys.t1}]")
-    span = t1 - t0
-    nodes = np.linspace(t0, t1, kernels.simpson_intervals(span, cfg.ode_step) + 1)
+    m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
+    h = (t1 - t0) / m
+    nodes = np.linspace(t0, t1, m + 1)
+    times = nodes[:-1, None] + h * kernels.GAUSS
     n = sys.n
-    stages = kernels.rk4_stages(nodes[::-1], span)
-    times = stages.times
-    A_all = kernels.sample_at(sys.A_of, np.concatenate([times.ravel(), nodes]))
-    A_at = A_all[times.size:]
-    minus_AT = -A_all[:times.size].reshape(times.shape + (n, n)).transpose(0, 1, 3, 2)
-    B_at = kernels.sample_at(sys.B_of, nodes)
-    ET = kernels.rk4_linear(lambda sl: (minus_AT[sl], None), np.eye(n), stages)
-    return nodes, ET[::-1].transpose(0, 2, 1), A_at, B_at
-
-
-def _gramian_from_samples(nodes: np.ndarray, E: np.ndarray, B_at: np.ndarray) -> np.ndarray:
-    """Composite-Simpson sum of w_k F_k F_k^T with F_k = E_k B_at[k].
-
-    The scaled factors sqrt(w_k) F_k are laid side by side in one
-    n x (K p) matrix M, so the sum is the single product M M^T. The step
-    is (t1 - t0) / m, not a difference of neighbouring nodes, which
-    cancels on a short span far from 0.
-    """
-    m = nodes.size - 1
-    w = kernels.simpson_weights(m) * ((nodes[-1] - nodes[0]) / m / 3.0)
-    F = (E @ B_at) * np.sqrt(w)[:, None, None]
-    M = F.transpose(1, 0, 2).reshape(F.shape[1], -1)
-    return M @ M.T
+    A_at = kernels.sample_at(sys.A_of, nodes)
+    Phi22, S = np.empty((m, n, n)), np.empty((m, n, n))
+    for lo in range(0, m, kernels.PATH_CHUNK):  # (2n, 2n) steps of a few hundred gaps at a time
+        sl = slice(lo, lo + kernels.PATH_CHUNK)
+        A, B = kernels.sample_at(sys.A_of, times[sl]), kernels.sample_at(sys.B_of, times[sl])
+        H = np.block([[-A.swapaxes(-1, -2), np.zeros_like(A)], [B @ B.swapaxes(-1, -2), A]])
+        Phi, _ = kernels._magnus_step_maps(H, None, np.full(len(H), h))
+        Phi22[sl], S[sl] = Phi[:, n:, n:], Phi[:, n:, :n] @ Phi[:, n:, n:].swapaxes(-1, -2)
+    E = np.empty((m + 1, n, n))
+    E[m] = np.eye(n)
+    for k in range(m - 1, -1, -1):
+        E[k] = E[k + 1] @ Phi22[k]
+    G = (E[1:] @ S @ E[1:].swapaxes(-1, -2)).sum(axis=0)
+    return nodes, E, A_at, G
 
 
 def gramian_invertibility_cutoff(G: np.ndarray,
@@ -241,9 +233,9 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     and no dependence on cfg.ode_step; `report.residual` is its Lyapunov
     identity (LYAPUNOV_RESIDUAL_TOL). `adjoint(z)` takes E = e^{hA} on the
     Simpson nodes of step h = (t1 - t0) / m and builds the rows z^T E^j
-    there by doubling, v_{K+j} = v_j E^K. For an LtvSystem, the RK4 adjoint
-    resolvent of `_transition_samples` is summed by
-    `_gramian_from_samples`, and the residual is None. Both adjoints are
+    there by doubling, v_{K+j} = v_j E^K. For an LtvSystem, G and the
+    adjoint samples come from the Magnus steps of `_transition_samples`,
+    and the residual is None. Both adjoints are
     cubic-Hermite dense output with slope -w A(s). A B B^T, G or
     R(t1, t0) that overflows is refused (`NumericalError`), without a
     floating-point warning.
@@ -273,8 +265,8 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
                 w = np.ascontiguousarray(V[::-1])   # contiguous rows interpolate faster
                 return kernels.SampledMatrixFunction(t0, h, w, -(w @ A))
         else:
-            nodes, E, A_at, B_at = _transition_samples(sys, t0, t1, cfg)
-            G, R10 = _gramian_from_samples(nodes, E, B_at), E[0]
+            _, E, A_at, G = _transition_samples(sys, t0, t1, cfg)
+            R10 = E[0]
 
             def adjoint(z):
                 w = z @ E

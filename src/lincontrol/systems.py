@@ -1,9 +1,9 @@
 """System models and trajectory simulation.
 
-The solution of x' = A(t) x + B(t) u is integrated with fixed-step RK4;
-for constant coefficients this realizes the variation-of-constants
-(Duhamel) formula x(t) = e^{(t-t0)A} x0 + int e^{(t-s)A} B u(s) ds
-numerically at fourth order.
+The solution of x' = A(t) x + B(t) u is integrated with fixed-step
+fourth-order Magnus steps (`kernels.linear_path`): for constant A a step
+is the variation-of-constants (Duhamel) formula x(t) = e^{(t-t0)A} x0 +
+int e^{(t-s)A} B u(s) ds, exact in A and fourth order in the input.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConditioningError, DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, as_vector
 
 
@@ -211,16 +211,13 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Trajectory:
     """Integrate the system from x0 along the grid, driven by u (or zero).
 
-    States are produced at every grid point by RK4 with internal substeps
-    no longer than cfg.ode_step (`kernels.rk4_linear`); the coefficients
-    and the control are sampled once per stage time, and the initial
-    state is stored exactly. Superposition holds to integration accuracy
-    since everything is linear in (x0, u). A run whose state overflows
-    raises NumericalError naming the first grid time where it is not
-    finite. On an LtiSystem, a decaying eigenvalue lam of A that the
-    largest substep h grows, |R(h lam)| > 1 for the RK4 stability
-    polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, is refused with
-    ConditioningError before the run.
+    States are produced at every grid point by Magnus steps no longer
+    than cfg.ode_step (`kernels.linear_path`); the coefficients and the
+    control are sampled once at each of the two Gauss times of a substep,
+    and the initial state is stored exactly. Superposition holds to
+    integration accuracy since everything is linear in (x0, u). A run
+    whose state overflows raises NumericalError naming the first grid
+    time where it is not finite.
     """
     grid = time_grid(grid)
     x0 = as_vector(x0, "x0")
@@ -234,17 +231,7 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
     p = sys.p
 
     stages = kernels.rk4_stages(grid, cfg.ode_step)
-    if isinstance(sys, LtiSystem):
-        h = float(stages.h.max())
-        z = h * kernels.eigenvalues(sys.A)
-        with np.errstate(over="ignore", invalid="ignore"):
-            R = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
-        growth = float(R[z.real < 0].max(initial=0.0))
-        if growth > 1.0:
-            raise ConditioningError(
-                f"RK4 step h = {h:.6g} grows a decaying mode of A by {growth:.6g} "
-                "per step: the step is outside RK4's stability region")
-    times = stages.times
+    times = stages.gauss
     U = controls = None
     if u is not None:
         if u.dim != p:
@@ -266,7 +253,7 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
 
     # an overflow shows as a non-finite state and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        states = kernels.rk4_linear(coefficients, x0, stages)
+        states = kernels.linear_path(coefficients, x0, stages)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise NumericalError(

@@ -8,11 +8,13 @@ sweep that the doubling scan of `lqr.riccati_finite` replaced, and
 `transition_samples` stacks the m + 1 powers of e^{hA} that the flow
 triple of the constant-coefficient Gramian replaced; summed around
 `van_loan_gramian`, the Gramian of one step, they give the exact
-constant-coefficient Gramian.
+constant-coefficient Gramian. `_gramian_from_samples` is the composite
+Simpson sum over such samples that the Gramian once was.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from lincontrol import ControlSignal, DimensionError, LtiSystem, LtvSystem, kalman_test
 from lincontrol import kernels
@@ -218,11 +220,12 @@ def transition_samples(sys, t0, t1, cfg=DEFAULT_TOLERANCES):
     For an LtiSystem, the explicit stacked-power oracle: the m + 1
     powers of e^{hA}, built by doubling, where `reachability._gramian`
     takes the Gramian from the flow triple and R(t1, t0) from its alpha.
-    Time-varying systems take the RK4 samples of
+    Time-varying systems take the Magnus samples of
     `reachability._transition_samples`.
     """
     if not isinstance(sys, LtiSystem):
-        return _transition_samples(sys, t0, t1, cfg)
+        nodes, E, A_at, _ = _transition_samples(sys, t0, t1, cfg)
+        return nodes, E, A_at, kernels.sample_at(sys.B_of, nodes)
     m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
     nodes = np.linspace(t0, t1, m + 1)
     n = sys.n
@@ -233,6 +236,43 @@ def transition_samples(sys, t0, t1, cfg=DEFAULT_TOLERANCES):
         P = np.concatenate([P, (P.reshape(-1, n) @ (P[-1] @ Eh)).reshape(P.shape)])
     B_at = np.broadcast_to(sys.B, (m + 1,) + sys.B.shape)
     return nodes, P[m::-1], sys.A, B_at
+
+
+def _gramian_from_samples(nodes: np.ndarray, E: np.ndarray, B_at: np.ndarray) -> np.ndarray:
+    """Composite-Simpson sum of w_k F_k F_k^T with F_k = E_k B_at[k].
+
+    The scaled factors sqrt(w_k) F_k are laid side by side in one
+    n x (K p) matrix M, so the sum is the single product M M^T. The step
+    is (t1 - t0) / m, not a difference of neighbouring nodes, which
+    cancels on a short span far from 0.
+    """
+    m = nodes.size - 1
+    w = kernels.simpson_weights(m) * ((nodes[-1] - nodes[0]) / m / 3.0)
+    F = (E @ B_at) * np.sqrt(w)[:, None, None]
+    M = F.transpose(1, 0, 2).reshape(F.shape[1], -1)
+    return M @ M.T
+
+
+def gramian_by_radau(sys, t0, t1, rtol):
+    """The Gramian of an LtvSystem on [t0, t1] as the Lyapunov flow
+    W' = A W + W A^T + B B^T, W(t0) = 0, integrated by Radau with its
+    exact Jacobian I (x) A + A (x) I."""
+    n = sys.n
+    eye = np.eye(n)
+
+    def rhs(t, w):
+        A, B = sys.A_of(t), sys.B_of(t)
+        W = w.reshape(n, n)
+        return (A @ W + W @ A.T + B @ B.T).ravel()
+
+    def jac(t, w):
+        A = sys.A_of(t)
+        return np.kron(A, eye) + np.kron(eye, A)
+
+    sol = solve_ivp(rhs, (t0, t1), np.zeros(n * n), method="Radau",
+                    rtol=rtol, atol=1e-20, jac=jac)
+    assert sol.success
+    return sol.y[:, -1].reshape(n, n)
 
 
 def van_loan_gramian(A, B, h):

@@ -15,10 +15,10 @@ import lincontrol as lc
 from lincontrol import fields
 from lincontrol.cli import main as cli_main
 from lincontrol.kernels import ToleranceConfig, simpson_weights
-from lincontrol.reachability import _gramian_from_samples
 from lincontrol.synthesis import minimal_decay_rate
 
 import helpers
+from helpers import _gramian_from_samples
 
 PI = math.pi
 

@@ -453,6 +453,20 @@ class TestExitCodes:
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["errors"][0]["type"] == "ConvergenceError"
 
+    def test_steer_nl_nonconvergence_is_4(self, tmp_path, capsys):
+        # one pass of the README swing leaves 4.1e-6 against fixed_point_tol 1e-9
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps({"max_iter": 1}))
+        assert run(["steer-nl", "--field", "pendulum", "--t1", "1",
+                    "--x0", f"{math.pi + 0.05},0", "--x1", f"{math.pi - 0.05},0",
+                    "--config", str(cpath), "--out-dir", str(tmp_path)]) == 4
+        error = json.loads(capsys.readouterr().out)["errors"][0]
+        assert error["type"] == "ConvergenceError"
+        for part in ("max_iter = 1 ", "terminal error 4.", "fixed_point_tol = 1.0e-09"):
+            assert part in error["message"]
+        assert len(error["history"]) == 1 and error["history"][0] > 1e-9
+        assert not (tmp_path / "pendulum__steer-nl.json").exists()
+
     def test_config_overrides_tolerances(self, tmp_path, capsys):
         cpath = tmp_path / "cfg.json"
         cpath.write_text(json.dumps({"ode_step": 0.01}))
@@ -745,18 +759,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("lam, code", [(-50, 0), (-200, 4), (-800, 4), (-3000, 4)])
     def test_steer_refuses_a_missed_endpoint(self, tmp_path, capsys, lam, code):
-        # the Gramian is exact at every rate; the RK4 run misses x1 = 1 by
-        # 4e-8 at -50 and by 1e-5 ... 3e-3 at -200 ... -800, and at -3000
-        # its step grows the mode, which simulate refuses first
+        # the Gramian is exact at every rate and the Magnus run exact in A,
+        # but the Hermite control is not resolved: the run misses x1 = 1 by
+        # 3.7e-6 ... 9.9e-2 at -200 ... -3000
         path = write(tmp_path, {"name": "stiff", "A": [[lam]], "B": [[1]]})
         assert run(["steer", path, "--t1", "1", "--x0", "0", "--x1", "1",
                     "--out-dir", str(tmp_path)]) == code
         manifest = json.loads(capsys.readouterr().out)
         if code:
-            error, message = (("ConditioningError", "outside RK4's stability region")
-                              if lam == -3000 else ("NumericalInconsistencyError", "misses x1"))
-            assert manifest["errors"][0]["type"] == error
-            assert message in manifest["errors"][0]["message"]
+            assert manifest["errors"][0]["type"] == "NumericalInconsistencyError"
+            assert "misses x1" in manifest["errors"][0]["message"]
             assert not (tmp_path / "stiff__steer.json").exists()
         else:
             data = json.loads((tmp_path / "stiff__steer.json").read_text())["results"]

@@ -233,6 +233,16 @@ class TestResolvent:
             ref = rk4_path(lambda tau, M: A_of(tau) @ M, np.eye(2), [s, t], 1e-3)[-1]
             assert np.abs(resolvent(sys, s, t) - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("lam", [-2000.0, -3000.0])
+    def test_stiff_decay_meets_the_closed_form(self, lam):
+        # A(t) = lam + 1000 t, so R(t, 0) = e^{lam t + 500 t^2}: the Gauss
+        # points integrate the linear A exactly, and R(1, 0) underflows to 0
+        sys = LtvSystem(0.0, 1.0, lambda t: np.array([[lam + 1000.0 * t]]),
+                        lambda t: np.ones((1, 1)))
+        exact = math.exp(0.01 * lam + 0.05)
+        assert abs(resolvent(sys, 0.0, 0.01)[0, 0] - exact) <= 1e-12 * exact
+        assert 0.0 <= resolvent(sys, 0.0, 1.0)[0, 0] <= 1e-300
+
     def test_outside_interval_raises(self):
         sys = constant_ltv(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 1.0)
         with pytest.raises(DomainError):

@@ -29,14 +29,18 @@ from lincontrol import (
 )
 from lincontrol.reachability import (
     _gramian,
-    _gramian_from_samples,
     is_controllable,
     kalman_matrix,
     unstabilizable_mode,
 )
 
 import helpers
-from helpers import constant_ltv, control_energy, steering_endpoint_by_quadrature
+from helpers import (
+    _gramian_from_samples,
+    constant_ltv,
+    control_energy,
+    steering_endpoint_by_quadrature,
+)
 
 
 class TestKalman:
@@ -349,6 +353,35 @@ class TestExactConstantGramian:
         monkeypatch.setattr(kernels, "_flow_triple", perturbed)
         with pytest.raises(NumericalInconsistencyError, match="Lyapunov identity"):
             controllability_gramian(LtiSystem([[-1.0]], [[1.0]]), 0.0, 1.0)
+
+
+class TestMagnusGramian:
+    """The time-varying Gramian from one Magnus step of the Lyapunov flow
+    per Simpson node gap."""
+
+    @pytest.mark.parametrize("lam", [-2000.0, -3000.0])
+    def test_stiff_closed_form(self, lam):
+        # G = (1 - e^{2 lam}) / (-2 lam) on [0, 1]
+        exact = -math.expm1(2.0 * lam) / (-2.0 * lam)
+        G = controllability_gramian(constant_ltv([[lam]], [[1.0]], 0.0, 1.0), 0.0, 1.0).gramian
+        assert abs(G[0, 0] - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("rate, rtol, bound", [
+        (None, 1e-13, 1e-12), (-2000.0, 1e-10, 1e-6), (-3000.0, 1e-10, 1e-6)])
+    def test_matches_radau(self, rate, rtol, bound):
+        # smooth: A = [[-1, t], [0, -2 + sin 3t]], B = [1; cos t]; stiff:
+        # A = [[rate, 10 sin t], [0, -1 - t]], B = [1; 1 + t]. Magnus loses
+        # order on the stiff mode (3.4e-8 and 6.8e-8 of the largest entry)
+        if rate is None:
+            A_of = lambda t: np.array([[-1.0, t], [0.0, -2.0 + math.sin(3.0 * t)]])
+            B_of = lambda t: np.array([[1.0], [math.cos(t)]])
+        else:
+            A_of = lambda t: np.array([[rate, 10.0 * math.sin(t)], [0.0, -1.0 - t]])
+            B_of = lambda t: np.array([[1.0], [1.0 + t]])
+        sys = LtvSystem(0.0, 1.0, A_of, B_of)
+        ref = helpers.gramian_by_radau(sys, 0.0, 1.0, rtol)
+        G = controllability_gramian(sys, 0.0, 1.0).gramian
+        assert np.abs(G - ref).max() <= bound * np.abs(ref).max()
 
 
 class TestMinEnergy:

@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lincontrol import (
-    ConditioningError,
     ControlSignal,
     DimensionError,
     DomainError,
@@ -99,12 +98,19 @@ class TestSimulate:
         assert np.abs(tail.states - full.states[mid:]).max() < 1e-8
 
     def test_fourth_order_convergence(self):
-        sys = LtiSystem([[-1.0]], [[0.0]])
-        grid = np.array([0.0, 1.0])
+        # x' = -x is exact: the step is e^{-h}
+        free = LtiSystem([[-1.0]], [[0.0]])
+        traj = simulate(free, [1.0], None, np.array([0.0, 1.0]), ToleranceConfig(ode_step=0.1))
+        assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 1e-15
+        # the order shows on the input: x' = -x + cos 3t, x(0) = 1 has
+        # x = 0.9 e^{-t} + (cos 3t + 3 sin 3t) / 10
+        sys = LtiSystem([[-1.0]], [[1.0]])
+        u = ControlSignal(0.0, 1.0, 1, lambda t: np.array([math.cos(3.0 * t)]))
+        exact = 0.9 * math.exp(-1.0) + (math.cos(3.0) + 3.0 * math.sin(3.0)) / 10.0
         errs = []
         for h in (0.1, 0.05):
-            traj = simulate(sys, [1.0], None, grid, ToleranceConfig(ode_step=h))
-            errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
+            traj = simulate(sys, [1.0], u, np.array([0.0, 1.0]), ToleranceConfig(ode_step=h))
+            errs.append(abs(traj.states[-1, 0] - exact))
         assert errs[0] / errs[1] >= 8.0
 
     def test_grid_outside_ltv_interval(self):
@@ -128,15 +134,26 @@ class TestSimulate:
     @pytest.mark.parametrize("lam, refused", [
         (-3000.0, True), (-2786.0, True), (-2700.0, False), (-2000.0, False)])
     def test_a_step_that_grows_a_decaying_mode_is_refused(self, lam, refused):
-        # RK4's stability interval on the negative axis ends at h lam = -2.785;
-        # past it x' = -3000 x from 1 reached 2e138 on [0, 1]
+        # `refused` marks the rates past RK4's stability interval (h lam below
+        # -2.785). The Magnus step is e^{h lam}: no decaying mode grows, so
+        # nothing is refused and every rate meets the closed form
         sys = LtiSystem([[lam]], [[1.0]])
-        grid = uniform_grid(0.0, 1.0, 1001)
-        if refused:
-            with pytest.raises(ConditioningError, match=r"h = 0\.001 grows .* by 1\.\d+"):
-                simulate(sys, [1.0], None, grid)
-        else:
-            assert 0.0 <= simulate(sys, [1.0], None, grid).final_state()[0] <= 1e-50
+        grid = uniform_grid(0.0, 0.01, 11)
+        exact = np.exp(lam * grid)
+        states = simulate(sys, [1.0], None, grid).states[:, 0]
+        assert np.all(np.abs(states - exact) <= 1e-12 * exact)
+
+    @pytest.mark.parametrize("lam", [-2000.0, -3000.0])
+    def test_stiff_input_meets_the_closed_form(self, lam):
+        # x' = lam x + 1 from 1 is x = e^{lam t} + (e^{lam t} - 1) / lam: the
+        # Magnus step integrates a constant input exactly, and the block expm
+        # rounds by about 5e-14 a step at h lam = -3
+        sys = LtiSystem([[lam]], [[1.0]])
+        grid = uniform_grid(0.0, 0.01, 11)
+        u = ControlSignal.vectorized(0.0, 0.01, 1, lambda t: np.ones(np.shape(t) + (1,)))
+        exact = np.exp(lam * grid) + np.expm1(lam * grid) / lam
+        states = simulate(sys, [1.0], u, grid).states[:, 0]
+        assert np.all(np.abs(states - exact) <= 1e-12 * np.abs(exact))
 
 
 class TestLinearPath:
@@ -170,7 +187,7 @@ class TestLinearPath:
         u = ControlSignal(0.0, 1.0, 1, lambda t: calls.append(t) or np.array([math.sin(t)]))
         grid = uniform_grid(0.0, 1.0, 11)
         simulate(double_integrator, [0.0, 0.0], u, grid, ToleranceConfig(ode_step=0.03))
-        stage_times = np.concatenate([rk4_stages(grid, 0.03).times.ravel(), grid])
+        stage_times = np.concatenate([rk4_stages(grid, 0.03).gauss.ravel(), grid])
         assert len(calls) == len(set(calls)) == np.unique(stage_times).size
 
 
