@@ -292,6 +292,20 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, h: float) -> np.ndarray:
 # of one block are a few hundred (n, n) matrices, not the whole path.
 PATH_CHUNK = 256
 
+# Cap on the float64 entries of the per-substep or per-node arrays of one
+# path: 512 MiB, the budget of lqr.MAX_RICCATI_ENTRIES.
+MAX_PATH_ENTRIES = 2 ** 26
+
+
+def check_path_entries(entries: float, what: str) -> None:
+    """Refuse (`DomainError`) a path whose `what` would hold more than
+    MAX_PATH_ENTRIES entries, before anything is allocated."""
+    if not entries <= MAX_PATH_ENTRIES:
+        raise DomainError(
+            f"{what}: {entries:.0f} entries, over MAX_PATH_ENTRIES = {MAX_PATH_ENTRIES}; "
+            "shorten the horizon or widen ode_step")
+
+
 # The two Gauss points of [0, 1], where the Magnus steps sample A(t), b(t).
 GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
@@ -325,10 +339,17 @@ class Rk4Stages:
 
 
 def rk4_stages(grid, max_step: float) -> Rk4Stages:
-    """The substep split of `rk4_path` and `linear_path` on the grid."""
+    """The substep split of `rk4_path` and `linear_path` on the grid.
+
+    A split whose stage times exceed MAX_PATH_ENTRIES is refused first.
+    """
     grid = np.asarray(grid, dtype=float)
     gaps = np.diff(grid)
-    m = np.maximum(1, np.ceil(np.abs(gaps) / max_step * (1.0 - 1e-12))).astype(int)
+    with np.errstate(over="ignore"):  # an infinite count is refused below
+        m = np.maximum(1, np.ceil(np.abs(gaps) / max_step * (1.0 - 1e-12)))
+    substeps = m.sum()
+    check_path_entries(3 * substeps, f"the stage times of {substeps:.0f} substeps")
+    m = m.astype(int)
     stop = np.cumsum(m)
     h = np.repeat(gaps / m, m)
     j = np.arange(h.size) - np.repeat(stop - m, m)
@@ -455,7 +476,10 @@ def resolvent(sys: "LtvSystem", s: float, t: float,
 
 
 def simpson_intervals(span: float, max_step: float) -> int:
-    """Even interval count with spacing at most max_step."""
+    """Even interval count with spacing at most max_step; an interval of
+    no finite count is refused (`DomainError`)."""
+    if not math.isfinite(span / max_step):
+        raise DomainError(f"a span of {span} has no finite count of steps of {max_step}")
     m = max(2, math.ceil(span / max_step))
     return m + (m % 2)
 

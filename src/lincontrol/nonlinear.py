@@ -21,7 +21,8 @@ of the Gramian's Magnus steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,9 +90,10 @@ def _central_jacobian(g: Callable, z: np.ndarray, rows: int) -> np.ndarray:
 class ReferenceTrajectory:
     """A C^1 trajectory (xbar, ubar) of a vector field on [t0, t1].
 
-    Construction verifies xbar' = f(xbar, ubar) on an interior grid, the
-    derivative taken by central differences of the callable. A reference
-    built by `equilibrium_reference` also keeps its (x_e, u_e).
+    Construction checks the lengths of xbar(t0) and ubar(t0)
+    (`DimensionError`) and verifies xbar' = f(xbar, ubar) on an interior
+    grid, the derivative taken by central differences of the callable. A
+    reference built by `equilibrium_reference` also keeps its (x_e, u_e).
     """
 
     vf: VectorField
@@ -104,6 +106,8 @@ class ReferenceTrajectory:
     def __post_init__(self):
         if not self.t0 < self.t1:
             raise ValueError("need t0 < t1")
+        _check_lengths(self.vf, self.xbar(self.t0), self.ubar(self.t0),
+                       "xbar(t0) and ubar(t0)")
         span = self.t1 - self.t0
         hd = 1e-5 * span
         worst = 0.0
@@ -117,11 +121,21 @@ class ReferenceTrajectory:
                 f"reference does not solve the dynamics (residual {worst:.3e})")
 
 
+def _check_lengths(vf: VectorField, x, u, names: str) -> None:
+    """Refuse (`DimensionError`) an x or u whose length is not the field's."""
+    if (np.size(x), np.size(u)) != (vf.state_dim, vf.control_dim):
+        raise DimensionError(
+            f"{names} must have lengths {vf.state_dim} and {vf.control_dim}, "
+            f"got {np.size(x)} and {np.size(u)}")
+
+
 def equilibrium_reference(vf: VectorField, x_eq, u_eq, t0: float, t1: float,
                           tol: float = 1e-9) -> ReferenceTrajectory:
-    """Constant reference at an equilibrium, after checking f(x_e, u_e) = 0."""
+    """Constant reference at an equilibrium, after checking the lengths of
+    x_e and u_e (`DimensionError`) and f(x_e, u_e) = 0."""
     x_eq = kernels.as_vector(x_eq, "x_eq")
-    u_eq = np.atleast_1d(np.asarray(u_eq, dtype=float))
+    u_eq = kernels.as_vector(u_eq, "u_eq")
+    _check_lengths(vf, x_eq, u_eq, "x_eq and u_eq")
     drift = float(np.linalg.norm(vf(x_eq, u_eq)))
     if drift > tol:
         raise ValueError(f"(x_eq, u_eq) is not an equilibrium: |f| = {drift:.3e}")
@@ -148,11 +162,6 @@ def linearize_along(vf: VectorField, ref: ReferenceTrajectory) -> LtvSystem:
     )
 
 
-def _sample_times(stages: kernels.Rk4Stages, grid: np.ndarray) -> np.ndarray:
-    """The stage times of the RK4 flow through the grid, then the grid."""
-    return np.concatenate([stages.times.ravel(), grid])
-
-
 def _derivative(f: Callable, x: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """f(x, u) as a float vector, refused unless it has length n."""
     out = np.asarray(f(x, u), dtype=float)
@@ -176,7 +185,7 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
     x0 = kernels.as_vector(x0, "x0")
     grid = np.asarray(grid, float)
     stages = kernels.rk4_stages(grid, cfg.ode_step)
-    U = np.asarray(u.at(_sample_times(stages, grid)), dtype=float)
+    U = np.asarray(u.at(np.concatenate([stages.times.ravel(), grid])), dtype=float)
     f, n = vf.f, vf.state_dim
     states = np.empty((grid.size, x0.size))
     states[0] = x = x0
@@ -201,13 +210,6 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
     return Trajectory(grid=grid, states=states, controls=U[-grid.size:])
 
 
-def _along(vf: VectorField, ref: ReferenceTrajectory, times: np.ndarray):
-    """ubar(t) and f_u(xbar(t), ubar(t))^T at an array of times."""
-    ubar = kernels.sample_at(lambda s: np.atleast_1d(ref.ubar(s)), times)
-    fuT = kernels.sample_at(lambda s: vf.jacobian_u(ref.xbar(s), ref.ubar(s)).T, times)
-    return ubar, fuT
-
-
 def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                     delta: float = 0.1) -> SteeringResult:
@@ -219,12 +221,14 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     phi <- phi - H(phi) + x1. Divergence is declared when the iterate
     leaves the ball of radius 10 delta around x1 or is not finite.
 
-    An equilibrium reference is steered through its constant
-    linearization: f_x and f_u are evaluated once at (x_e, u_e), the
-    Gramian is read off the flow triple (see `reachability._gramian`), and
-    the control is u_e + B^T w(s), with w sampled on the Simpson nodes by
-    doubling on e^{hA}. Any other reference goes through `linearize_along`,
-    and its f_u is sampled again at the stage times of the flow.
+    A pass's control is ubar(s) + B(s)^T w(s), the reference control plus
+    the minimum-energy control of the linearization toward phi - xbar(t1),
+    built as `reachability.min_energy_control` builds it. An equilibrium
+    reference is steered through its constant linearization: f_x and f_u
+    are evaluated once at (x_e, u_e), the Gramian is read off the flow
+    triple (see `reachability._gramian`), and ubar = u_e. Any other
+    reference goes through `linearize_along`, with f_u and ubar evaluated
+    once a time per steer.
     """
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")
@@ -246,9 +250,19 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
 
     equilibrium = ref._equilibrium
     if equilibrium is None:
+        # the passes sample the same times: f_u and ubar once a time per steer
+        cache = functools.lru_cache(maxsize=None)
         lin = linearize_along(vf, ref)
+        lin = replace(lin, B_of=cache(lin.B_of))
+        ubar_of = cache(lambda t: np.atleast_1d(ref.ubar(t)))
+
+        def ubar(s):
+            return kernels.sample_at(ubar_of, s)
     else:
         lin = LtiSystem(vf.jacobian_x(*equilibrium), vf.jacobian_u(*equilibrium))
+
+        def ubar(s):
+            return equilibrium[1]
     report, R10, adjoint = reachability._gramian(lin, t0, t1, cfg)
     if not report.invertible:
         raise LinearTestInapplicableError(
@@ -257,28 +271,14 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
             min_eigenvalue=report.min_eigenvalue)
     G = report.gramian
     # simulate on the Simpson nodes of the adjoint; spacing <= ode_step
-    grid = np.linspace(t0, t1, kernels.simpson_intervals(t1 - t0, cfg.ode_step) + 1)
-    if equilibrium is None:
-        # every pass samples its control at these times: the reference part
-        # is sampled there once
-        times = _sample_times(kernels.rk4_stages(grid, cfg.ode_step), grid)
-        kept = _along(vf, ref, times)
-
-        def steering(w, s):
-            at_stages = s.shape == times.shape and np.array_equal(s, times)
-            ubar, fuT = kept if at_stages else _along(vf, ref, s)
-            return ubar + np.einsum("...pn,...n->...p", fuT, w(s))
-    else:
-        u_eq, B = equilibrium[1], lin.B
-
-        def steering(w, s):
-            return u_eq + w(s) @ B
+    m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
+    kernels.check_path_entries(m + 1, "the steering grid")
+    grid = np.linspace(t0, t1, m + 1)
 
     def control_for(phi: np.ndarray) -> ControlSignal:
         z = np.linalg.solve(G, (phi - xbar1) - R10 @ dx0)
-        w = adjoint(z)
-        return ControlSignal.vectorized(
-            t0, t1, vf.control_dim, lambda s: steering(w, np.asarray(s, dtype=float)))
+        u = reachability._steering(lin, adjoint(z))
+        return ControlSignal.vectorized(t0, t1, vf.control_dim, lambda s: ubar(s) + u(s))
 
     phi = x1.copy()
     errors = []

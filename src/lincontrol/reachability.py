@@ -175,17 +175,20 @@ def _transition_samples(sys: LtvSystem, t0: float, t1: float, cfg: ToleranceConf
     one Magnus step Phi of H = [[-A^T, 0], [B B^T, A]], the linear system
     of the Lyapunov flow W' = A W + W A^T + B B^T: Phi22 is the step
     transition and S = Phi21 Phi22^T the step Gramian, so from E_m = I,
-    E_k = E_{k+1} Phi22 and G = sum_k E_{k+1} S_k E_{k+1}^T.
+    E_k = E_{k+1} Phi22 and G = sum_k E_{k+1} S_k E_{k+1}^T. Stacks over
+    MAX_PATH_ENTRIES are refused first (`kernels.check_path_entries`).
     """
     slack = 1e-9 * (1.0 + abs(sys.t1 - sys.t0))
     if t0 < sys.t0 - slack or t1 > sys.t1 + slack:
         raise DomainError(
             f"[{t0}, {t1}] leaves the system interval [{sys.t0}, {sys.t1}]")
     m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
+    n = sys.n
+    kernels.check_path_entries(
+        (4 * m + 2) * n * n, f"the Magnus stacks of {m} node gaps at n = {n}")
     h = (t1 - t0) / m
     nodes = np.linspace(t0, t1, m + 1)
     times = nodes[:-1, None] + h * kernels.GAUSS
-    n = sys.n
     A_at = kernels.sample_at(sys.A_of, nodes)
     Phi22, S = np.empty((m, n, n)), np.empty((m, n, n))
     for lo in range(0, m, kernels.PATH_CHUNK):  # (2n, 2n) steps of a few hundred gaps at a time
@@ -233,10 +236,11 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     and no dependence on cfg.ode_step; `report.residual` is its Lyapunov
     identity (LYAPUNOV_RESIDUAL_TOL). `adjoint(z)` takes E = e^{hA} on the
     Simpson nodes of step h = (t1 - t0) / m and builds the rows z^T E^j
-    there by doubling, v_{K+j} = v_j E^K. For an LtvSystem, G and the
+    there by doubling, v_{K+j} = v_j E^K, refused first (`DomainError`)
+    over MAX_PATH_ENTRIES entries. For an LtvSystem, G and the
     adjoint samples come from the Magnus steps of `_transition_samples`,
-    and the residual is None. Both adjoints are
-    cubic-Hermite dense output with slope -w A(s). A B B^T, G or
+    and the residual is None. Both adjoints are cubic-Hermite dense output
+    with slope -w A(s), made a control by `_steering`. A B B^T, G or
     R(t1, t0) that overflows is refused (`NumericalError`), without a
     floating-point warning.
     """
@@ -257,6 +261,7 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
             R10 = alpha.T
 
             def adjoint(z):
+                kernels.check_path_entries((m + 1) * z.size, f"the adjoint's {m + 1} node rows")
                 V, P = z[None], kernels.expm(h * A)   # V[j] = z^T E^j, P = E^len(V)
                 while len(V) <= m:
                     V = np.concatenate([V, V[:m + 1 - len(V)] @ P])
@@ -315,7 +320,8 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
 
     Returns (u, cost) with u(s) = B(s)^T R(t1, s)^T z for
     z = Gc^{-1} (x1 - R(t1, t0) x0) and cost = <z, Gc z>, the exact
-    minimum of int ||u||^2 over all steering controls.
+    minimum of int ||u||^2 over all steering controls. u is `_steering` of
+    the adjoint dense output, as in `nonlinear.steer_nonlinear`.
     """
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")
@@ -331,20 +337,17 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     G = report.gramian
     z = np.linalg.solve(G, x1 - R10 @ x0)
     cost = float(z @ G @ z)
-    w = adjoint(z)
+    return ControlSignal.vectorized(t0, t1, sys.p, _steering(sys, adjoint(z))), cost
 
+
+def _steering(sys: Union[LtiSystem, LtvSystem], w: Callable) -> Callable:
+    """u(s) = B(s)^T w(s) for an adjoint dense output w, at a time or at
+    every entry of an array of times (B(s) by `kernels.sample_at`)."""
     if isinstance(sys, LtiSystem):
         B = sys.B
-
-        def u_at(s):
-            return w(s) @ B
-    else:
-        B_of = sys.B_of
-
-        def u_at(s):
-            return np.einsum("...np,...n->...p", kernels.sample_at(B_of, s), w(s))
-
-    return ControlSignal.vectorized(t0, t1, sys.p, u_at), cost
+        return lambda s: w(s) @ B
+    B_of = sys.B_of
+    return lambda s: np.einsum("...np,...n->...p", kernels.sample_at(B_of, s), w(s))
 
 
 def kalman_decomposition(sys: LtiSystem,

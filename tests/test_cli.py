@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lincontrol import cli
+from lincontrol import cli, kernels
 from lincontrol.cli import main
 from lincontrol.errors import DecayRateTooSmallError, DivergenceError
 
@@ -452,6 +452,40 @@ class TestExitCodes:
         assert code == 4
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["errors"][0]["type"] == "ConvergenceError"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "pendulum.json", "--x0", "1,0"],
+        ["steer", "scalar.json", "--x0", "0", "--x1", "1"]])
+    def test_path_past_the_budget_is_2(self, tmp_path, capsys, monkeypatch, argv):
+        # at --t1 1e9 these allocated 7 TiB (simulate) or grew the adjoint
+        # until killed (steer); the budget is lowered here so that a missing
+        # check costs 10^5 substeps, not 10^12
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 10 ** 4)
+        command, system, *rest = argv
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / system)
+        assert run([command, path, "--t1", "100", *rest, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "entries, over MAX_PATH_ENTRIES = 10000" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_constant_gramian_past_the_budget_is_0(self, tmp_path, capsys, monkeypatch):
+        # the flow-triple Gramian stores nothing per node
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 10 ** 4)
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        assert run(["gramian", path, "--t1", "1e9", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, lengths", [
+        (["--ueq", "0,0"], "got 2 and 2"),
+        (["--xeq", "0,0,0"], "got 3 and 1"),
+        (["--ueq", "1,2"], "got 2 and 2")])
+    def test_wrong_length_equilibrium_is_2(self, tmp_path, capsys, flag, lengths):
+        # --ueq 0,0 used to exit 0 with a two-column control for one input
+        assert run(["steer-nl", "--field", "pendulum", "--x0", "3.2,0", "--x1", "3.1,0",
+                    *flag, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"x_eq and u_eq must have lengths 2 and 1, {lengths}" in err
+        assert not list(tmp_path.iterdir())
 
     def test_steer_nl_nonconvergence_is_4(self, tmp_path, capsys):
         # one pass of the README swing leaves 4.1e-6 against fixed_point_tol 1e-9

@@ -20,6 +20,7 @@ from lincontrol import (
     resolvent,
     solve_sylvester,
 )
+from lincontrol import kernels
 from lincontrol.kernels import (
     SampledMatrixFunction,
     composite_simpson,
@@ -322,6 +323,30 @@ class TestStageSampling:
         assert sorted(calls) == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
         assert out.shape == (3, 3, 2)
         assert np.array_equal(out[..., 1], 2.0 * times)
+
+
+class TestPathBudget:
+    def test_stage_times_past_the_budget_are_refused_first(self, monkeypatch):
+        # 10 substeps of 3 stage times
+        grid = np.linspace(0.0, 1.0, 11)
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 30)
+        assert rk4_stages(grid, 0.1).h.size == 10
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 29)
+        with pytest.raises(DomainError, match="the stage times of 10 substeps: 30 entries, "
+                                              "over MAX_PATH_ENTRIES = 29"):
+            rk4_stages(grid, 0.1)
+
+    def test_resolvent_is_refused_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 100)
+        sys = constant_ltv(np.array([[-1.0]]), np.array([[1.0]]), 0.0, 1.0)
+        with pytest.raises(DomainError, match="MAX_PATH_ENTRIES = 100"):
+            resolvent(sys, 0.0, 1.0)
+
+    def test_an_infinite_split_is_refused(self):
+        with pytest.raises(DomainError, match="inf entries"):
+            rk4_stages([0.0, 1e308], 1e-300)
+        with pytest.raises(DomainError, match="no finite count"):
+            kernels.simpson_intervals(2e308, 1e-3)
 
 
 class TestToleranceConfig:

@@ -11,7 +11,9 @@ from lincontrol import (
     ControlSignal,
     DimensionError,
     DivergenceError,
+    DomainError,
     LinearTestInapplicableError,
+    LtiSystem,
     NumericalError,
     ToleranceConfig,
     Trajectory,
@@ -19,9 +21,10 @@ from lincontrol import (
     VectorField,
     equilibrium_reference,
     linearize_along,
+    min_energy_control,
     steer_nonlinear,
 )
-from lincontrol import nonlinear
+from lincontrol import kernels, nonlinear
 from lincontrol.fields import double_integrator, pendulum, polynomial_field
 from lincontrol.kernels import rk4_path, rk4_stages
 from lincontrol.nonlinear import ReferenceTrajectory, integrate_field
@@ -141,6 +144,22 @@ class TestLinearization:
 
 
 class TestReferences:
+    @pytest.mark.parametrize("x_eq, u_eq, lengths", [
+        ([PI, 0.0], [0.0, 0.0], "got 2 and 2"),
+        ([0.0, 0.0, 0.0], [0.0], "got 3 and 1"),
+        ([PI, 0.0], [1.0, 2.0], "got 2 and 2")])
+    def test_wrong_length_equilibrium_rejected(self, pend_field, x_eq, u_eq, lengths):
+        # [0, 0] is an equilibrium control of the one-input pendulum if its
+        # second entry goes unread
+        with pytest.raises(DimensionError, match=f"must have lengths 2 and 1, {lengths}"):
+            equilibrium_reference(pend_field, x_eq, u_eq, 0.0, 1.0)
+
+    def test_wrong_length_reference_rejected(self, pend_field):
+        with pytest.raises(DimensionError, match=r"xbar\(t0\) and ubar\(t0\) must have "
+                                                 "lengths 2 and 1, got 2 and 2"):
+            ReferenceTrajectory(pend_field, 0.0, 1.0, lambda t: np.array([PI, 0.0]),
+                                lambda t: np.zeros(2))
+
     def test_non_equilibrium_rejected(self, pend_field):
         with pytest.raises(ValueError):
             equilibrium_reference(pend_field, [1.0, 0.0], [0.0], 0.0, 1.0)
@@ -242,6 +261,18 @@ class TestFlow:
         assert counts[0] == counts[1]
 
 
+def _varying_gain_swing():
+    """The field, reference and endpoints (x0, x1) of
+    `test_control_samples_match_u_of`: a pendulum whose input gain grows
+    with the angle, swung along x(t) = (t, 1)."""
+    vf = VectorField(2, 1,
+                     lambda x, u: np.array([x[1], -math.sin(x[0]) + (1.0 + 0.5 * x[0]) * u[0]]),
+                     fu=lambda x, u: np.array([[0.0], [1.0 + 0.5 * x[0]]]))
+    ref = ReferenceTrajectory(vf, 0.0, 1.0, lambda t: np.array([t, 1.0]),
+                              lambda t: np.array([math.sin(t) / (1.0 + 0.5 * t)]))
+    return vf, ref, [0.03, 1.0], [1.0, 0.98]
+
+
 class TestSteering:
     def test_wrong_length_endpoint_rejected(self, pend_field, upright_ref):
         with pytest.raises(DimensionError):
@@ -288,6 +319,26 @@ class TestSteering:
         assert_allclose(res.control.at(times), [res.control.u_of(t) for t in times],
                         rtol=1e-13, atol=1e-14)
 
+    @pytest.mark.parametrize("case", ["equilibrium", "hand-built", "swing"])
+    def test_one_pass_is_the_linear_minimum_energy_control(self, case):
+        # the first pass targets phi = x1: its control is ubar plus the
+        # minimum-energy control of the linearization between the deviations
+        if case == "swing":
+            vf, ref, x0, x1 = _varying_gain_swing()
+            lin = linearize_along(vf, ref)
+        else:
+            build, (xe, ue), (x0, x1) = EQUILIBRIUM_CASES["pendulum"]
+            vf = build()
+            ref = _both_references(vf, xe, ue)[case == "hand-built"]
+            lin = (LtiSystem(vf.jacobian_x(xe, ue), vf.jacobian_u(xe, ue))
+                   if case == "equilibrium" else linearize_along(vf, ref))
+        res = steer_nonlinear(vf, ref, x0, x1, ToleranceConfig(max_iter=1))
+        du, _ = min_energy_control(lin, ref.t0, ref.t1, np.subtract(x0, ref.xbar(ref.t0)),
+                                   np.subtract(x1, ref.xbar(ref.t1)))
+        times = (np.arange(37) + 0.5) / 37.0   # no stage time k/2000
+        ubar = np.array([np.atleast_1d(ref.ubar(t)) for t in times])
+        assert_allclose(res.control.at(times), ubar + du.at(times), rtol=1e-12, atol=0.0)
+
     def test_leaves_no_cyclic_garbage(self, pend_field, upright_ref):
         steer = lambda: steer_nonlinear(pend_field, upright_ref,
                                         [PI + 0.05, 0.0], [PI - 0.05, 0.0])
@@ -327,6 +378,12 @@ class TestSteering:
                                   [PI + d, 0.0], [PI - d, 0.0], cfg, delta=0.2)
             errs[d] = res.error_history[0]
         assert errs[0.05] / errs[0.005] >= 50.0
+
+    def test_grid_past_the_budget_is_refused_first(self, pend_field, upright_ref, monkeypatch):
+        # 1001 Simpson nodes on [0, 1]
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 1000)
+        with pytest.raises(DomainError, match="the steering grid: 1001 entries"):
+            steer_nonlinear(pend_field, upright_ref, [PI + 0.05, 0.0], [PI - 0.05, 0.0])
 
     def test_trust_region_enforced(self, pend_field, upright_ref):
         with pytest.raises(TrustRegionError):

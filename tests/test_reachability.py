@@ -384,6 +384,30 @@ class TestMagnusGramian:
         assert np.abs(G - ref).max() <= bound * np.abs(ref).max()
 
 
+class TestPathBudget:
+    def test_constant_gramian_allocates_nothing_per_node(self, monkeypatch):
+        # m = 1000 Simpson nodes: the adjoint's 1001 rows of one entry are
+        # refused, the flow-triple Gramian is not
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 1000)
+        sys = LtiSystem([[-1.0]], [[1.0]])
+        assert controllability_gramian(sys, 0.0, 1.0).invertible
+        with pytest.raises(DomainError, match="the adjoint's 1001 node rows: 1001 entries, "
+                                              "over MAX_PATH_ENTRIES = 1000"):
+            min_energy_control(sys, 0.0, 1.0, [0.0], [1.0])
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 1001)
+        min_energy_control(sys, 0.0, 1.0, [0.0], [1.0])
+
+    def test_time_varying_stacks_are_refused_first(self, monkeypatch):
+        # (4m + 2) n^2 = 4002 entries for m = 1000 gaps at n = 1
+        sys = constant_ltv([[-1.0]], [[1.0]], 0.0, 1.0)
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 4001)
+        with pytest.raises(DomainError, match="the Magnus stacks of 1000 node gaps at n = 1: "
+                                              "4002 entries"):
+            controllability_gramian(sys, 0.0, 1.0)
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 4002)
+        assert controllability_gramian(sys, 0.0, 1.0).invertible
+
+
 class TestMinEnergy:
     @pytest.mark.parametrize("x0, x1", [([0.0, 0.0, 0.0], [1.0, 0.0]),
                                         ([0.0, 0.0], [1.0])])

@@ -19,6 +19,7 @@ from lincontrol import (
     uniform_grid,
 )
 
+from lincontrol import kernels
 from lincontrol.kernels import rk4_path, rk4_stages
 
 import helpers
@@ -154,6 +155,12 @@ class TestSimulate:
         exact = np.exp(lam * grid) + np.expm1(lam * grid) / lam
         states = simulate(sys, [1.0], u, grid).states[:, 0]
         assert np.all(np.abs(states - exact) <= 1e-12 * np.abs(exact))
+
+    def test_substeps_past_the_budget_are_refused(self, monkeypatch):
+        # 10^4 substeps on [0, 10]: 3 10^4 stage times
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 10 ** 4)
+        with pytest.raises(DomainError, match="10000 substeps: 30000 entries"):
+            simulate(LtiSystem([[-1.0]], [[1.0]]), [1.0], None, uniform_grid(0, 10, 11))
 
 
 class TestLinearPath:
