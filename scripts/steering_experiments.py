@@ -45,7 +45,7 @@ def pendulum_swing():
     x1 = [math.pi - 0.05, 0.0]
     res = lc.steer_nonlinear(vf, ref, x0, x1)
     print(f"converged: {res.converged} in {res.iterations} passes, "
-          f"terminal error {res.terminal_error:.2e}")
+          f"terminal error {res.terminal_error:.2e}, flow error {res.flow_error:.2e}")
     for k, err in enumerate(res.error_history, start=1):
         print(f"  pass {k}: endpoint miss {err:.3e}")
     res.trajectory.to_csv(OUT / "pendulum_swing.csv")

@@ -15,6 +15,7 @@ from .errors import (
     DomainError,
     EscapeTimeError,
     FiniteCostViolationError,
+    FlowAccuracyError,
     LinControlError,
     LinearTestInapplicableError,
     NoCertificateError,

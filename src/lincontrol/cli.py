@@ -138,6 +138,14 @@ def load_config(path: Path | None):
     return cfg, extra_fields
 
 
+def _span(args) -> float:
+    """t1 - t0 of the parsed interval, refused where it overflows."""
+    span = args.t1 - args.t0
+    if not math.isfinite(span):
+        raise ParseFailure(f"the interval [{args.t0}, {args.t1}] is longer than the float range")
+    return span
+
+
 def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
         vec = np.array([float(v) for v in text.split(",")])
@@ -196,6 +204,7 @@ def cmd_analyze(args, cfg, extra_fields):
 
 def cmd_gramian(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
+    _span(args)
     report = reachability.controllability_gramian(sys_obj, args.t0, args.t1, cfg)
     results = {
         "interval": [report.interval[0], report.interval[1]],
@@ -211,12 +220,13 @@ def cmd_steer(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     x0 = _parse_vector(args.x0, "x0")
     x1 = _parse_vector(args.x1, "x1")
+    span = _span(args)
     control, cost = reachability.min_energy_control(
         sys_obj, args.t0, args.t1, x0, x1, cfg)
     grid = uniform_grid(args.t0, args.t1, args.points)
     traj = simulate(sys_obj, x0, control, grid, cfg)
     err = float(np.linalg.norm(traj.final_state() - x1))
-    free = kernels.expm((args.t1 - args.t0) * sys_obj.A) @ x0
+    free = kernels.expm(span * sys_obj.A) @ x0
     bound = STEER_ENDPOINT_TOL * float(np.linalg.norm(x1) + np.linalg.norm(free))
     if not err <= bound:
         raise NumericalInconsistencyError(
@@ -320,6 +330,7 @@ def cmd_gramian_stab(args, cfg, extra_fields):
 def cmd_simulate(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     x0 = _parse_vector(args.x0, "x0")
+    _span(args)
     grid = uniform_grid(args.t0, args.t1, args.points)
     control = None
     if args.u is not None:
@@ -347,6 +358,7 @@ def cmd_steer_nl(args, cfg, extra_fields):
             f"field {args.field!r} has no default equilibrium; pass --xeq/--ueq")
     x0 = _parse_vector(args.x0, "x0")
     x1 = _parse_vector(args.x1, "x1")
+    _span(args)
     try:
         ref = nonlinear.equilibrium_reference(vf, xeq, ueq, args.t0, args.t1)
     except ValueError as exc:
@@ -362,6 +374,7 @@ def cmd_steer_nl(args, cfg, extra_fields):
         "converged": result.converged,
         "iterations": result.iterations,
         "terminal_error": result.terminal_error,
+        "flow_error": result.flow_error,
         "error_history": list(result.error_history),
         "final_state": result.trajectory.final_state(),
     }

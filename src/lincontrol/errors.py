@@ -97,6 +97,14 @@ class EscapeTimeError(NumericalError):
     """An integrated quantity blew up before the end of the interval."""
 
 
+class FlowAccuracyError(NumericalError):
+    """A nonlinear flow's error estimate is not below the steering tolerance."""
+
+    def __init__(self, message, flow_error):
+        super().__init__(message)
+        self.flow_error = flow_error
+
+
 class DivergenceError(NumericalError):
     """The fixed-point iterate left the trust ball."""
 

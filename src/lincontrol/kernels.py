@@ -41,8 +41,11 @@ class ToleranceConfig:
 
     rank_rtol        relative singular-value cutoff factor for rank decisions
     residual_tol     acceptance bound for linear matrix-equation residuals
-    ode_step         largest substep and Simpson gap of the paths, in time units
-    fixed_point_tol  terminal-error target of the nonlinear steering iteration
+    ode_step         largest substep of the linear paths and the Simpson gap,
+                     in time units; the nonlinear flow's output grid, not its
+                     accuracy
+    fixed_point_tol  terminal-error target of the nonlinear steering iteration;
+                     the nonlinear flow runs at rtol = atol = 1e-3 of it
     max_iter         cap on fixed-point iterations
     """
 
@@ -347,7 +350,7 @@ def rk4_stages(grid, max_step: float) -> Rk4Stages:
     gaps = np.diff(grid)
     with np.errstate(over="ignore"):  # an infinite count is refused below
         m = np.maximum(1, np.ceil(np.abs(gaps) / max_step * (1.0 - 1e-12)))
-    substeps = m.sum()
+        substeps = m.sum()
     check_path_entries(3 * substeps, f"the stage times of {substeps:.0f} substeps")
     m = m.astype(int)
     stop = np.cumsum(m)

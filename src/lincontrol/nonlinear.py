@@ -16,21 +16,24 @@ is the one constant pair A = f_x(x_e, u_e), B = f_u(x_e, u_e): its
 Jacobians are evaluated once and its Gramian is read off the flow
 triple, as for any LtiSystem. Any other reference is
 linearized as a time-varying system, sampled at the Gauss times and nodes
-of the Gramian's Magnus steps.
+of the Gramian's Magnus steps. The nonlinear flow is the adaptive DOP853
+pair with dense output (`integrate_field`), and a converged steer carries
+the gap to a flow at 1/100 of its tolerance as its `flow_error`.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels, reachability
+from . import dop853, kernels, reachability
 from .errors import (
     DimensionError,
     DivergenceError,
+    FlowAccuracyError,
     LinearTestInapplicableError,
     NumericalError,
     TrustRegionError,
@@ -151,6 +154,7 @@ class SteeringResult:
     terminal_error: float
     converged: bool
     error_history: tuple
+    flow_error: Optional[float] = None  # certified gap; None unless converged
 
 
 def linearize_along(vf: VectorField, ref: ReferenceTrajectory) -> LtvSystem:
@@ -170,44 +174,147 @@ def _derivative(f: Callable, x: np.ndarray, u: np.ndarray, n: int) -> np.ndarray
     return out
 
 
+# Attempted steps allowed to one flow (about 1.2 million field evaluations);
+# a flow that needs more is refused.
+MAX_FLOW_STEPS = 100_000
+# The least rtol = atol of a steering pass's flow, about 5 ulp of 1; its
+# certificate runs at 1/100 of the pass's tolerance.
+FLOW_TOL_FLOOR = 1e-15
+# Hairer's step-size controller: h <- h * SAFETY * err^(-1/8), the factor
+# kept within [MIN_FACTOR, MAX_FACTOR] and at most 1 after a rejection.
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 1.0 / 3.0, 6.0
+
+_ROWS = [dop853.A[s, :s].copy() for s in range(16)]  # stage s from stages 0..s-1
+_ESTIMATES = np.stack([dop853.E5, dop853.E3, dop853.B])
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v, rescaled where its sum of squares overflows."""
+    square = float(np.dot(v, v))
+    return math.sqrt(square) if square < math.inf else kernels._scaled_norm(v)
+
+
+def _rms(v: np.ndarray) -> float:
+    return _norm(v) / math.sqrt(max(v.size, 1))
+
+
 def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Trajectory:
-    """RK4 flow of x' = f(x, u(t)) through the grid points.
+    """Flow of x' = f(x, u(t)) from grid[0] through the grid points.
 
-    The substeps are those of `kernels.rk4_stages`, each taken with the
-    arithmetic of `kernels.rk4_step`; the stages call vf.f directly and
-    check what it returns as `VectorField.__call__` does. u is sampled
-    once, in one array, at the stage times of the flow and at the grid
-    points: stage times t, t + h/2 and t + h of substep s are rows 3s,
-    3s + 1 and 3s + 2. A flow whose state overflows raises NumericalError
-    naming the first grid time where it is not finite.
+    DOP853 (`dop853`) with Hairer's step-size control and initial step
+    (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.6), at
+    rtol = atol = 1e-3 cfg.fixed_point_tol: the steps are the method's own,
+    not the grid's, and the states at the grid points come from the
+    seventh-order dense output of the step that holds them (the last one
+    is the step's end). cfg.ode_step plays no part. u is sampled once per
+    attempted step, in one array at its 16 stage times, and once at the
+    grid points; the stages call vf.f directly and check what it returns
+    as `VectorField.__call__` does.
+
+    The flow is refused (`NumericalError`, naming the time t it reached)
+    when its step falls below 10 ulp of t, where a trial state or
+    derivative that is not finite reports the flow as not finite, and when
+    it attempts more than MAX_FLOW_STEPS steps.
     """
     x0 = kernels.as_vector(x0, "x0")
     grid = np.asarray(grid, float)
-    stages = kernels.rk4_stages(grid, cfg.ode_step)
-    U = np.asarray(u.at(np.concatenate([stages.times.ravel(), grid])), dtype=float)
     f, n = vf.f, vf.state_dim
-    states = np.empty((grid.size, x0.size))
+    if x0.size != n:
+        raise DimensionError(f"x0 must have length {n}, got {x0.size}")
+    tol = 1e-3 * cfg.fixed_point_tol
+    controls = np.asarray(u.at(grid), dtype=float)
+    states = np.empty((grid.size, n))
     states[0] = x = x0
-    hs = stages.h.tolist()
-    start = 0
-    # an overflow shows as a non-finite state and is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, stop in enumerate(stages.stop.tolist(), 1):
-            for s in range(start, stop):
-                h, r = hs[s], 3 * s
-                half = 0.5 * h
-                k1 = _derivative(f, x, U[r], n)
-                k2 = _derivative(f, x + half * k1, U[r + 1], n)
-                k3 = _derivative(f, x + half * k2, U[r + 1], n)
-                k4 = _derivative(f, x + h * k3, U[r + 2], n)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[i] = x
-            start = stop
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        raise NumericalError(f"flow state is not finite at t = {grid[np.argmin(finite)]:.6g}")
-    return Trajectory(grid=grid, states=states, controls=U[-grid.size:])
+    t, t_end = float(grid[0]), float(grid[-1])
+    K = np.empty((16, n))
+    row, steps = 1, 0
+    # a state or derivative that is not finite is rejected below, never warned
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        K[0] = _derivative(f, x, controls[0], n)
+        finite = bool(np.isfinite(K[0]).all())
+        h = _initial_step(f, n, x, K[0], u, t, t_end - t, tol)
+        while t < t_end:
+            rejected = False
+            while True:
+                if not h >= 10.0 * (math.nextafter(t, math.inf) - t):
+                    what = "state is not finite" if not finite else "step fell below 10 ulp"
+                    raise NumericalError(f"flow {what} at t = {t:.6g}")
+                steps += 1
+                if steps > MAX_FLOW_STEPS:
+                    raise NumericalError(
+                        f"flow took over MAX_FLOW_STEPS = {MAX_FLOW_STEPS} steps "
+                        f"by t = {t:.6g}")
+                last = t + 1.01 * h >= t_end
+                if last:
+                    h = t_end - t
+                U = u.at(t + dop853.C * h)
+                for s in range(1, 12):
+                    K[s] = _derivative(f, x + h * (_ROWS[s] @ K[:s]), U[s], n)
+                err5, err3, slope = _ESTIMATES @ K[:12]
+                x_new = x + h * slope
+                scale = tol * (1.0 + np.maximum(np.abs(x), np.abs(x_new)))
+                e5, e3 = _norm(err5 / scale), _norm(err3 / scale)
+                # h |e5|^2 / sqrt(n (|e5|^2 + |e3|^2 / 100)), which cannot overflow
+                err = h * e5 * (e5 / math.hypot(e5, 0.1 * e3)) / math.sqrt(n) if e5 else 0.0
+                finite = math.isfinite(err) and bool(np.isfinite(x_new).all())
+                if finite and err < 1.0:
+                    break
+                factor = SAFETY * err ** -0.125 if finite else MIN_FACTOR
+                h *= max(MIN_FACTOR, factor)
+                rejected = True
+            t_new = t_end if last else t + h
+            K[12] = _derivative(f, x_new, U[12], n)
+            stop = int(np.searchsorted(grid, t_new))
+            if stop > row:  # grid points inside the step: dense output
+                for s in range(13, 16):
+                    K[s] = _derivative(f, x + h * (_ROWS[s] @ K[:s]), U[s], n)
+                states[row:stop] = _dense(x, x_new, K, h, (grid[row:stop] - t) / h)
+            if stop < grid.size and grid[stop] == t_new:
+                states[stop] = x_new
+                stop += 1
+            row = stop
+            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.125)
+            h *= min(1.0, factor) if rejected else factor
+            t, x = t_new, x_new
+            K[0] = K[12]
+    return Trajectory(grid=grid, states=states, controls=controls)
+
+
+def _initial_step(f, n, x, f0, u, t, span, tol) -> float:
+    """Hairer's starting step (Solving ODEs I, Sec. II.4): one Euler probe
+    of length h0 = d0/(100 d1) gauges the second derivative, and the step
+    is min(100 h0, (0.01 / max(d1, d2))^(1/8), span)."""
+    scale = tol * (1.0 + np.abs(x))
+    d0, d1 = _rms(x / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    if not h0 > 0.0:  # f0 too large to scale: the first step is refused
+        return 0.0
+    f1 = _derivative(f, x + h0 * f0, u.at(np.array([t + h0]))[0], n)
+    d2 = _rms((f1 - f0) / scale) / h0
+    d12 = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d12 <= 1e-15 else (0.01 / d12) ** 0.125
+    return min(100.0 * h0, h1, span)
+
+
+def _dense(x, x_new, K, h, theta) -> np.ndarray:
+    """The seventh-order dense output of one step at the fractions theta
+    of it (Hairer, Norsett & Wanner, Sec. II.6). Hairer's CONTD8 nests it
+    as x + th (F0 + (1 - th)(F1 + th (F2 + ... + th F6))); row k of W is
+    the product of the first k + 1 factors th, 1 - th, th, ..., the weight
+    of Fk."""
+    delta = x_new - x
+    F = np.empty((7, x.size))
+    F[0] = delta
+    F[1] = h * K[0] - delta
+    F[2] = 2.0 * delta - h * (K[12] + K[0])
+    F[3:] = h * (dop853.D @ K)
+    W = np.empty((theta.size, 7))
+    W[:, 0::2] = theta[:, None]
+    W[:, 1::2] = 1.0 - theta[:, None]
+    np.cumprod(W, axis=1, out=W)
+    return x + W @ F
 
 
 def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
@@ -227,8 +334,16 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     reference is steered through its constant linearization: f_x and f_u
     are evaluated once at (x_e, u_e), the Gramian is read off the flow
     triple (see `reachability._gramian`), and ubar = u_e. Any other
-    reference goes through `linearize_along`, with f_u and ubar evaluated
-    once a time per steer.
+    reference goes through `linearize_along`, its control evaluating f_u
+    and ubar at each time it is sampled.
+
+    Each pass flows by `integrate_field` at rtol = atol =
+    1e-3 fixed_point_tol, floored at FLOW_TOL_FLOOR. On the converged pass
+    the same control is flowed again at 1/100 of that tolerance, and the
+    gap between the two endpoints is returned as `flow_error`; a gap that
+    is not below fixed_point_tol is refused (`FlowAccuracyError`), since
+    the terminal error would then be measured against a flow less
+    accurate than the claim.
     """
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")
@@ -250,14 +365,10 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
 
     equilibrium = ref._equilibrium
     if equilibrium is None:
-        # the passes sample the same times: f_u and ubar once a time per steer
-        cache = functools.lru_cache(maxsize=None)
         lin = linearize_along(vf, ref)
-        lin = replace(lin, B_of=cache(lin.B_of))
-        ubar_of = cache(lambda t: np.atleast_1d(ref.ubar(t)))
 
         def ubar(s):
-            return kernels.sample_at(ubar_of, s)
+            return kernels.sample_at(lambda t: np.atleast_1d(ref.ubar(t)), s)
     else:
         lin = LtiSystem(vf.jacobian_x(*equilibrium), vf.jacobian_u(*equilibrium))
 
@@ -280,20 +391,32 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
         u = reachability._steering(lin, adjoint(z))
         return ControlSignal.vectorized(t0, t1, vf.control_dim, lambda s: ubar(s) + u(s))
 
+    # the passes' flows at rtol = atol = 1e-3 fixed_point_tol, floored;
+    # the certificate's at 1/100 of that
+    flow_cfg = replace(cfg, fixed_point_tol=max(cfg.fixed_point_tol, 1e3 * FLOW_TOL_FLOOR))
+    fine_cfg = replace(cfg, fixed_point_tol=flow_cfg.fixed_point_tol / 100.0)
     phi = x1.copy()
     errors = []
     traj = None
     control = None
     for iteration in range(1, cfg.max_iter + 1):
         control = control_for(phi)
-        traj = integrate_field(vf, x0, control, grid, cfg)
+        traj = integrate_field(vf, x0, control, grid, flow_cfg)
         endpoint = traj.final_state()
         err = float(np.linalg.norm(endpoint - x1))
         errors.append(err)
         if err <= cfg.fixed_point_tol:
+            fine = integrate_field(vf, x0, control, grid, fine_cfg).final_state()
+            flow_error = float(np.linalg.norm(endpoint - fine))
+            if not flow_error < cfg.fixed_point_tol:
+                raise FlowAccuracyError(
+                    f"flow error {flow_error:.3e} is not below fixed_point_tol = "
+                    f"{cfg.fixed_point_tol:.1e}: the terminal error "
+                    f"{err:.3e} is not resolved", flow_error=flow_error)
             return SteeringResult(
                 trajectory=traj, control=control, iterations=iteration,
-                terminal_error=err, converged=True, error_history=tuple(errors))
+                terminal_error=err, converged=True, error_history=tuple(errors),
+                flow_error=flow_error)
         phi = phi - endpoint + x1
         if not np.linalg.norm(phi - x1) <= 10.0 * delta:  # a nan iterate diverged too
             raise DivergenceError(

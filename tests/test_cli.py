@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lincontrol
 from lincontrol import cli, kernels
 from lincontrol.cli import main
 from lincontrol.errors import DecayRateTooSmallError, DivergenceError
@@ -33,6 +37,17 @@ def write(tmp_path, payload, name="sys.json"):
 
 def run(args):
     return main(args)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the CLI's one-shot start pays for no integrator it does not run
+    src = str(Path(lincontrol.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, lincontrol, lincontrol.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestAnalyze:
@@ -341,6 +356,7 @@ class TestCommands:
         data = json.loads((tmp_path / "pendulum__steer-nl.json").read_text())
         assert data["results"]["converged"] is True
         assert data["results"]["terminal_error"] <= 1e-8
+        assert 0.0 <= data["results"]["flow_error"] < 1e-9
 
     def test_steer_nl_polynomial_field_from_config(self, tmp_path, capsys):
         config = {
@@ -594,6 +610,39 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / f"fast__{argv[0]}.json").exists()
 
+    def test_steer_nl_unresolved_flow_is_4(self, tmp_path, capsys):
+        # x' = 20 x + u amplifies the flow's error by e^20 over [0, 1]; the
+        # fixed point converges on a flow that a finer one does not reproduce
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fields": {"unstable": {
+            "state_dim": 1, "control_dim": 1,
+            "rhs": [[{"coeff": 20.0, "x": [1], "u": [0]},
+                     {"coeff": 1.0, "x": [0], "u": [1]}]]}}}))
+        assert run(["steer-nl", "--field", "unstable", "--x0", "0.01", "--x1", "0.02",
+                    "--xeq", "0", "--ueq", "0", "--config", str(config),
+                    "--out-dir", str(tmp_path)]) == 4
+        error = json.loads(capsys.readouterr().out)["errors"][0]
+        assert error["type"] == "FlowAccuracyError"
+        assert error["flow_error"] >= 1e-9
+        assert "not below fixed_point_tol = 1.0e-09" in error["message"]
+        assert not (tmp_path / "unstable__steer-nl.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json"),
+         "--x0", "1"],
+        ["steer-nl", "--field", "pendulum", "--xeq", "0,0", "--ueq", "0",
+         "--x0", "0.01,0", "--x1", "0,0.01"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("t0, t1", [("-1e308", "1e308"), ("-8e307", "8e307")])
+    def test_float_range_horizon_is_2(self, tmp_path, capsys, argv, t0, t1):
+        # t1 - t0 overflows, or its count of ode_step substeps does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, f"--t0={t0}", "--t1", t1, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_steer_nl_overflow_is_4(self, tmp_path, capsys):
         # the upright pendulum's linearization grows like e^t: on [0, 800]
         # its transition matrix overflows
@@ -680,8 +729,8 @@ class TestExitCodes:
         assert not (tmp_path / "decay__lqr.json").exists()
 
     def test_steer_nl_huge_power_overflow_is_4(self, tmp_path, capsys):
-        # x2' = u + 1 - x1^(10^6) rests at x1 = 1; from x1 = 1.05 the first
-        # stage's monomial overflows, which the flow refuses
+        # x2' = u + 1 - x1^(10^6) rests at x1 = 1; from x1 = 1.05 the
+        # monomial overflows at the start, which the flow refuses
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"fields": {"steep": {
             "state_dim": 2, "control_dim": 1,
@@ -698,7 +747,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         error = json.loads(out)["errors"][0]
         assert error["type"] == "NumericalError"
-        assert "flow state is not finite at t = 0.001" in error["message"]
+        assert "flow state is not finite at t = 0" in error["message"]
         assert "Warning" not in err
 
     def test_gramian_stab_sylvester_norms_do_not_overflow(self, tmp_path, capsys):

@@ -1,17 +1,20 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from lincontrol import (
     ControlSignal,
     DimensionError,
     DivergenceError,
     DomainError,
+    FlowAccuracyError,
     LinearTestInapplicableError,
     LtiSystem,
     NumericalError,
@@ -26,7 +29,6 @@ from lincontrol import (
 )
 from lincontrol import kernels, nonlinear
 from lincontrol.fields import double_integrator, pendulum, polynomial_field
-from lincontrol.kernels import rk4_path, rk4_stages
 from lincontrol.nonlinear import ReferenceTrajectory, integrate_field
 
 PI = math.pi
@@ -185,13 +187,14 @@ class TestReferences:
         assert_allclose(ltv.A_of(0.5), [[0.0, 1.0], [-math.cos(0.5), 0.0]])
 
 
-def _oracle_flow(vf, x0, u, grid, cfg=ToleranceConfig()):
-    """The flow as `kernels.rk4_path` takes it, on a closure that looks up
-    each stage's control in the same `u.at` samples by its time."""
-    times = rk4_stages(grid, cfg.ode_step).times.ravel()
-    U = u.at(times)
-    row = {t: i for i, t in enumerate(times.tolist())}
-    return rk4_path(lambda t, x: vf(x, U[row[t]]), x0, grid, cfg.ode_step)
+def _reference_flow(vf, x0, u, grid):
+    """The flow by scipy's DOP853 at rtol = atol = 2.3e-14, just above its
+    floor, with u sampled one time at a time."""
+    sol = solve_ivp(lambda t, x: vf(x, u.u_of(t)), (grid[0], grid[-1]),
+                    np.asarray(x0, float), method="DOP853", t_eval=grid,
+                    rtol=2.3e-14, atol=2.3e-14)
+    assert sol.success
+    return sol.y.T
 
 
 def _wavy(p):
@@ -219,14 +222,17 @@ FLOW_GRIDS = {
 class TestFlow:
     @pytest.mark.parametrize("grid", sorted(FLOW_GRIDS))
     @pytest.mark.parametrize("case", ["pendulum", "double integrator", "linear n=24"])
-    def test_matches_rk4_path_bit_for_bit(self, case, grid):
+    def test_matches_dop853_reference(self, case, grid):
         vf = {"pendulum": pendulum, "double integrator": double_integrator,
               "linear n=24": _linear_field}[case]()
         x0 = np.linspace(0.5, -0.3, vf.state_dim)
         u = _wavy(vf.control_dim)
         grid = FLOW_GRIDS[grid]
         traj = integrate_field(vf, x0, u, grid)
-        assert np.array_equal(traj.states, _oracle_flow(vf, x0, u, grid))
+        expected = _reference_flow(vf, x0, u, grid)
+        assert np.array_equal(traj.states[0], x0)
+        assert np.abs(traj.final_state() - expected[-1]).max() <= 1e-11
+        assert np.abs(traj.states - expected).max() <= 1e-10
         assert np.array_equal(traj.controls, u.at(grid))
 
     def test_wrong_shape_on_third_call_is_refused(self):
@@ -246,19 +252,55 @@ class TestFlow:
         traj = integrate_field(listed, [0.3, 0.0], _wavy(1), grid)
         assert np.array_equal(traj.states,
                               integrate_field(pendulum(), [0.3, 0.0], _wavy(1), grid).states)
-        assert np.array_equal(traj.states, _oracle_flow(listed, [0.3, 0.0], _wavy(1), grid))
 
-    def test_hand_built_reference_samples_f_u_once_per_steer(self):
-        # every pass flows on the stage times that f_u was sampled at
-        build, (xe, ue), (x0, x1) = EQUILIBRIUM_CASES["duffing"]
-        counts = []
-        for max_iter in (1, 50):
-            vf, calls = _counting(build())
-            hand = _both_references(vf, xe, ue)[1]
-            res = steer_nonlinear(vf, hand, x0, x1, ToleranceConfig(max_iter=max_iter))
-            counts.append(calls["fu"])
-        assert res.converged and res.iterations >= 2
-        assert counts[0] == counts[1]
+    def test_accuracy_follows_fixed_point_tol_not_ode_step(self):
+        vf, x0, u = pendulum(), [0.3, 0.0], _wavy(1)
+        grid = FLOW_GRIDS["one substep a gap"]
+        expected = _reference_flow(vf, x0, u, grid)[-1]
+        base = integrate_field(vf, x0, u, grid).final_state()
+        coarse = ToleranceConfig(ode_step=0.5)
+        assert np.array_equal(integrate_field(vf, x0, u, grid, coarse).final_state(), base)
+        # rtol = atol = 1e-3 fixed_point_tol bounds the endpoint miss here
+        misses = [np.abs(integrate_field(vf, x0, u, grid, ToleranceConfig(
+            fixed_point_tol=tol)).final_state() - expected).max() for tol in (1e-3, 1e-6)]
+        assert misses[0] <= 1e-6 and misses[1] <= 1e-9
+        assert misses[1] < misses[0] / 100.0
+
+    def test_step_budget_ends_a_runaway_flow(self, monkeypatch):
+        # x' = -1e6 x + u needs some 10^5 explicit steps to stay stable on [0, 1]
+        monkeypatch.setattr(nonlinear, "MAX_FLOW_STEPS", 500)
+        stiff = VectorField(1, 1, lambda x, u: np.array([-1e6 * x[0] + u[0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=r"over MAX_FLOW_STEPS = 500 steps by t = 0\.00"):
+                integrate_field(stiff, [1.0], _wavy(1), np.linspace(0.0, 1.0, 11))
+
+    def test_field_with_no_state(self):
+        empty = VectorField(0, 1, lambda x, u: np.zeros(0))
+        traj = integrate_field(empty, [], _wavy(1), FLOW_GRIDS["non-uniform"])
+        assert traj.states.shape == (FLOW_GRIDS["non-uniform"].size, 0)
+
+    def test_wrong_length_initial_state_is_refused(self):
+        with pytest.raises(DimensionError, match="x0 must have length 2, got 3"):
+            integrate_field(pendulum(), [0.1, 0.0, 0.0], _wavy(1), np.linspace(0.0, 1.0, 11))
+
+    def test_control_keeps_no_memory_per_evaluated_time(self):
+        # the hand-built swing reference samples f_u and ubar when the control
+        # is evaluated, and keeps none of them
+        vf, ref, x0, x1 = _varying_gain_swing()
+        res = steer_nonlinear(vf, ref, x0, x1)
+        assert res.converged
+        res.control.at(np.linspace(0.0, 1.0, 101))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(10):
+                res.control.at((np.arange(10**4) + (k + 1) / 11.0) / 10**4)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
 
 def _varying_gain_swing():
@@ -296,11 +338,11 @@ class TestSteering:
         assert res.converged
         assert res.iterations <= 20
         assert res.terminal_error <= 1e-8
-        # independent high-resolution replay of the returned control
-        fine = ToleranceConfig(ode_step=2e-4)
-        replay = integrate_field(pend_field, [PI + 0.05, 0.0], res.control,
-                                 np.linspace(0.0, 1.0, 501), fine)
-        assert np.linalg.norm(replay.final_state() - [PI - 0.05, 0.0]) <= 1e-8
+        assert res.flow_error < ToleranceConfig().fixed_point_tol
+        # independent replay of the returned control
+        replay = _reference_flow(pend_field, [PI + 0.05, 0.0], res.control,
+                                 np.linspace(0.0, 1.0, 501))
+        assert np.linalg.norm(replay[-1] - [PI - 0.05, 0.0]) <= 1e-8
 
     def test_control_samples_match_u_of(self):
         # a pendulum whose input gain grows with the angle, swung along
@@ -399,7 +441,8 @@ class TestSteering:
         assert len(exc.value.history) >= 1
 
     def test_overflowing_flow_is_refused(self):
-        # x2' = 1e300 x1^3 + u: the first RK4 step from x1 = 0.05 overflows
+        # x2' = 1e300 x1^3 + u from x1 = 0.05 blows up near t = 3.7e-149,
+        # where the steps shrink to nothing on stages that overflow
         vf = polynomial_field({
             "state_dim": 2, "control_dim": 1,
             "rhs": [[{"coeff": 1.0, "x": [0, 1], "u": [0]}],
@@ -409,8 +452,36 @@ class TestSteering:
         ref = equilibrium_reference(vf, [0.0, 0.0], [0.0], 0.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="not finite at t = 0.001"):
+            with pytest.raises(NumericalError, match=r"not finite at t = 3\.7\d*e-149"):
                 steer_nonlinear(vf, ref, [0.05, 0.0], [0.0, 0.05])
+
+    def test_flow_certificate_refuses_an_unresolved_flow(self):
+        # x' = 20 x + u amplifies the flow's rounding by e^20 over [0, 1]:
+        # the fixed point converges on its own flow, which a run at 1/100 of
+        # the tolerance does not reproduce
+        vf = VectorField(1, 1, lambda x, u: np.array([20.0 * x[0] + u[0]]))
+        ref = equilibrium_reference(vf, [0.0], [0.0], 0.0, 1.0)
+        with pytest.raises(FlowAccuracyError, match="not below fixed_point_tol") as exc:
+            steer_nonlinear(vf, ref, [0.01], [0.02])
+        assert exc.value.flow_error >= ToleranceConfig().fixed_point_tol
+        assert isinstance(exc.value, NumericalError)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_flow_error_is_the_gap_to_a_finer_flow(self, pend_field, upright_ref, tol):
+        cfg = ToleranceConfig(fixed_point_tol=tol)
+        x0 = [PI + 0.05, 0.0]
+        res = steer_nonlinear(pend_field, upright_ref, x0, [PI - 0.05, 0.0], cfg)
+        assert res.converged and res.flow_error < tol
+        grid = res.trajectory.grid
+        fine = integrate_field(pend_field, x0, res.control, grid,
+                               ToleranceConfig(fixed_point_tol=tol / 100.0))
+        assert res.flow_error == np.linalg.norm(res.trajectory.final_state()
+                                                - fine.final_state())
+
+    def test_unconverged_steer_has_no_flow_error(self, pend_field, upright_ref):
+        res = steer_nonlinear(pend_field, upright_ref, [PI + 0.05, 0.0], [PI - 0.05, 0.0],
+                              ToleranceConfig(max_iter=1))
+        assert not res.converged and res.flow_error is None
 
     def test_nan_iterate_is_divergence(self, pend_field, upright_ref, monkeypatch):
         def nan_flow(vf, x0, u, grid, cfg):
