@@ -181,8 +181,9 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     n = prob.sys.n
     if (2 * m + 1) * n * n > MAX_RICCATI_ENTRIES:
         raise DomainError(
-            f"riccati_finite would store m = {m} steps at n = {n}: (2m + 1) n^2 = "
-            f"{(2 * m + 1) * n * n} entries, over MAX_RICCATI_ENTRIES = {MAX_RICCATI_ENTRIES}; "
+            f"riccati_finite would store m = {kernels.count_text(m)} steps at n = {n}: "
+            f"(2m + 1) n^2 = {kernels.count_text((2 * m + 1) * n * n)} entries, "
+            f"over MAX_RICCATI_ENTRIES = {MAX_RICCATI_ENTRIES}; "
             "shorten the horizon or widen the step")
     P = np.empty((K, n, n))
     D = P[::-1]  # D[k]: deviation from P0 k steps back from T
@@ -245,6 +246,8 @@ def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> Lqr
 
     The transitions of `ric` carry xi through every sample to T, so each
     grid point must be a sample time; the rows returned are the grid's.
+    They are applied one by one, in order, and never composed: a run from
+    a later sample is then the tail of the full run bit for bit.
     The cost, Simpson's rule over the run, must match the value xi^T P(t0) xi.
     """
     xi = kernels.as_vector(xi, "xi")
@@ -260,8 +263,8 @@ def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> Lqr
     states[0] = xi
     # an overflow is a state that is not finite, or a cost off the value
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m - first):
-            states[k + 1] = ric.transitions[first + k] @ states[k]
+        for M, x, y in zip(ric.transitions[first:], states[:-1], states[1:]):
+            np.dot(M, x, y)
         finite = np.isfinite(states).all(axis=1)
         if not finite.all():
             raise NumericalError(

@@ -175,7 +175,9 @@ def _transition_samples(sys: LtvSystem, t0: float, t1: float, cfg: ToleranceConf
     one Magnus step Phi of H = [[-A^T, 0], [B B^T, A]], the linear system
     of the Lyapunov flow W' = A W + W A^T + B B^T: Phi22 is the step
     transition and S = Phi21 Phi22^T the step Gramian, so from E_m = I,
-    E_k = E_{k+1} Phi22 and G = sum_k E_{k+1} S_k E_{k+1}^T. Stacks over
+    E_k = E_{k+1} Phi22 and G = sum_k E_{k+1} S_k E_{k+1}^T. The suffix
+    products E_k are the states of `kernels.affine_states` on the
+    transposed steps, PATH_CHUNK gaps at a time. Stacks over
     MAX_PATH_ENTRIES are refused first (`kernels.check_path_entries`).
     """
     slack = 1e-9 * (1.0 + abs(sys.t1 - sys.t0))
@@ -185,7 +187,7 @@ def _transition_samples(sys: LtvSystem, t0: float, t1: float, cfg: ToleranceConf
     m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
     n = sys.n
     kernels.check_path_entries(
-        (4 * m + 2) * n * n, f"the Magnus stacks of {m} node gaps at n = {n}")
+        (4 * m + 2) * n * n, f"the Magnus stacks of {kernels.count_text(m)} node gaps at n = {n}")
     h = (t1 - t0) / m
     nodes = np.linspace(t0, t1, m + 1)
     times = nodes[:-1, None] + h * kernels.GAUSS
@@ -197,10 +199,13 @@ def _transition_samples(sys: LtvSystem, t0: float, t1: float, cfg: ToleranceConf
         H = np.block([[-A.swapaxes(-1, -2), np.zeros_like(A)], [B @ B.swapaxes(-1, -2), A]])
         Phi, _ = kernels._magnus_step_maps(H, None, np.full(len(H), h))
         Phi22[sl], S[sl] = Phi[:, n:, n:], Phi[:, n:, :n] @ Phi[:, n:, n:].swapaxes(-1, -2)
-    E = np.empty((m + 1, n, n))
-    E[m] = np.eye(n)
-    for k in range(m - 1, -1, -1):
-        E[k] = E[k + 1] @ Phi22[k]
+    # Et[j] = E_{m-j}^T: E_k = E_{k+1} Phi22_k is Et[j + 1] = Phi22_{m-1-j}^T Et[j]
+    Et, Mt = np.empty((m + 1, n, n)), Phi22[::-1].swapaxes(-1, -2)
+    Et[0] = np.eye(n)
+    for lo in range(0, m, kernels.PATH_CHUNK):
+        Et[lo:lo + kernels.PATH_CHUNK + 1] = kernels.affine_states(
+            Mt[lo:lo + kernels.PATH_CHUNK], None, Et[lo])
+    E = Et[::-1].swapaxes(-1, -2)
     G = (E[1:] @ S @ E[1:].swapaxes(-1, -2)).sum(axis=0)
     return nodes, E, A_at, G
 
@@ -261,7 +266,8 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
             R10 = alpha.T
 
             def adjoint(z):
-                kernels.check_path_entries((m + 1) * z.size, f"the adjoint's {m + 1} node rows")
+                kernels.check_path_entries(
+                    (m + 1) * z.size, f"the adjoint's {kernels.count_text(m + 1)} node rows")
                 V, P = z[None], kernels.expm(h * A)   # V[j] = z^T E^j, P = E^len(V)
                 while len(V) <= m:
                     V = np.concatenate([V, V[:m + 1 - len(V)] @ P])

@@ -10,6 +10,9 @@ triple of the constant-coefficient Gramian replaced; summed around
 `van_loan_gramian`, the Gramian of one step, they give the exact
 constant-coefficient Gramian. `_gramian_from_samples` is the composite
 Simpson sum over such samples that the Gramian once was.
+`affine_states_by_loop` and `transition_loop` apply step maps one at a
+time, the order `kernels.affine_states` composes and `lqr_trajectory`
+keeps.
 """
 
 import numpy as np
@@ -306,3 +309,22 @@ def grid(t0, t1, points=401):
 
 
 CFG = DEFAULT_TOLERANCES
+
+
+def affine_states_by_loop(M, c, x0):
+    """x_{s+1} = M_s x_s + c_s (c = 0 if None) one map at a time, x0 first."""
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for s in range(len(M)):
+        x = M[s] @ x if c is None else M[s] @ x + c[s]
+        states.append(x)
+    return np.array(states)
+
+
+def transition_loop(transitions, xi):
+    """states[k + 1] = transitions[k] @ states[k] from states[0] = xi."""
+    states = np.empty((len(transitions) + 1, len(xi)))
+    states[0] = xi
+    for k in range(len(transitions)):
+        states[k + 1] = transitions[k] @ states[k]
+    return states

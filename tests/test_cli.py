@@ -484,6 +484,18 @@ class TestExitCodes:
         assert "entries, over MAX_PATH_ENTRIES = 10000" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--x0", "1", "--t1", "1e300"],
+        ["steer", "--x0", "0", "--x1", "1", "--t1", "1e300"],
+        ["lqr", "--horizon", "1e300"]], ids=lambda argv: argv[0])
+    def test_float_range_budget_refusal_is_short(self, tmp_path, capsys, argv):
+        # counts of 10^303 steps print in e-notation, not as 300 digits
+        command, *rest = argv
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        assert run([command, path, *rest, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "e+303 entries" in err and len(err.encode()) < 200
+
     def test_constant_gramian_past_the_budget_is_0(self, tmp_path, capsys, monkeypatch):
         # the flow-triple Gramian stores nothing per node
         monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 10 ** 4)

@@ -349,6 +349,60 @@ class TestPathBudget:
             kernels.simpson_intervals(2e308, 1e-3)
 
 
+class TestAffineStates:
+    @staticmethod
+    def maps(rng, count, n):
+        # rotations with columns scaled by 1 +- 1%: no state grows or decays
+        # far over 1000 maps
+        Q = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        return Q * (1.0 + 0.01 * rng.standard_normal((count, 1, n)))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 16, 17, 256, 1000])
+    @pytest.mark.parametrize("n", [2, 12, 24])  # n = 24 is past the rule: one by one
+    @pytest.mark.parametrize("offset", [False, True], ids=["no-c", "c"])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
+    def test_matches_the_plain_loop(self, rng, count, n, offset, columns):
+        M = self.maps(rng, count, n)
+        shape = (n,) if columns is None else (n, columns)
+        x0 = rng.standard_normal(shape)
+        c = 0.1 * rng.standard_normal((count,) + shape) if offset else None
+        got = kernels.affine_states(M, c, x0)
+        want = helpers.affine_states_by_loop(M, c, x0)
+        assert got.shape == want.shape == (count + 1,) + shape
+        assert np.array_equal(got[0], x0)
+        axes = tuple(range(1, want.ndim))
+        assert np.all(np.abs(got - want).max(axis=axes) <= 1e-13 * np.abs(want).max(axis=axes))
+
+    @pytest.mark.parametrize("n, k, offset, composes", [
+        (2, 1, True, True), (8, 8, True, True), (16, 1, True, True), (16, 16, False, True),
+        (16, 16, True, False), (20, 1, True, False), (24, 1, False, False),
+        (48, 48, False, False)])
+    def test_block_length_rule(self, n, k, offset, composes):
+        # composing costs n^2 (n + k) flops a map, plus n^2 k with an offset
+        assert kernels._scan_block(256, n, k, offset) == (16 if composes else 1)
+        assert kernels._scan_block(3, n, k, offset) == 1
+
+    def test_a_composite_that_overflows_is_applied_map_by_map(self):
+        # 8 maps e^100 compose to inf, and inf times the zero entry of x is
+        # nan; one by one that entry stays 0
+        M = np.broadcast_to(np.diag([math.exp(100.0), math.exp(-1e-3)]), (256, 2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.affine_states(M, None, [0.0, 1.0])
+        assert np.array_equal(got, helpers.affine_states_by_loop(M, None, [0.0, 1.0]))
+        assert got[-1, 1] > 0.0 and not got[:, 0].any()
+
+
+class TestCountText:
+    def test_exact_below_2_to_53_and_short_above(self):
+        assert kernels.count_text(30) == "30"
+        assert kernels.count_text(30.0) == "30"
+        assert kernels.count_text(2 ** 53 - 1) == "9007199254740991"
+        assert kernels.count_text(2 ** 53) == "9.007e+15"
+        assert kernels.count_text(10 ** 303) == "1.000e+303"
+        assert kernels.count_text(math.inf) == "inf"
+
+
 class TestToleranceConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,13 @@ from lincontrol import kernels, lqr
 from lincontrol.kernels import _compose, _flow_triple, rk4_path
 from lincontrol.lqr import MAX_RICCATI_ENTRIES
 
-from helpers import compose_by_blocks, control_from_samples, flow_triple_by_blocks, riccati_sweep
+from helpers import (
+    compose_by_blocks,
+    control_from_samples,
+    flow_triple_by_blocks,
+    riccati_sweep,
+    transition_loop,
+)
 
 
 @pytest.fixture
@@ -264,6 +270,18 @@ class TestLqrGrid:
         assert np.array_equal(tail.control, full.control[k:])
         x = full.trajectory.states[k]
         assert tail.value == float(x @ ric.P_samples[k] @ x)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_states_are_the_plain_transition_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng([n, 19])
+        A = rng.standard_normal((n, n)) / math.sqrt(n)
+        B = rng.standard_normal((n, max(1, n // 2)))
+        C = rng.standard_normal((n, n))
+        prob = LqrProblem(LtiSystem(A, B, C), None, 1.0)
+        ric = riccati_finite(prob)
+        xi = rng.standard_normal(n)
+        run = lqr_trajectory(prob, ric, xi)
+        assert np.array_equal(run.trajectory.states, transition_loop(ric.transitions, xi))
 
     def test_grid_ending_before_T_keeps_the_cost_to_T(self, setup):
         prob, ric, xi = setup

@@ -132,6 +132,18 @@ class TestSimulate:
             with pytest.raises(NumericalError, match=r"not finite at t = 0\.6$"):
                 simulate(sys, [1e308], None, uniform_grid(0.0, 1.0, 11))
 
+    def test_a_composite_that_overflows_is_not_refused(self):
+        # 14 Magnus steps e^{1e5 h} compose to inf, and inf times the zero
+        # entry of x0 is nan: such a chunk is applied one step at a time,
+        # where x stays (0, e^{-t})
+        sys = LtiSystem(np.diag([1e5, -1.0]), np.zeros((2, 1)))
+        grid = uniform_grid(0.0, 0.2, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = simulate(sys, [0.0, 1.0], None, grid).states
+        assert not states[:, 0].any()
+        assert_allclose(states[:, 1], np.exp(-grid), rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("lam, refused", [
         (-3000.0, True), (-2786.0, True), (-2700.0, False), (-2000.0, False)])
     def test_a_step_that_grows_a_decaying_mode_is_refused(self, lam, refused):
