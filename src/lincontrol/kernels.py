@@ -120,10 +120,12 @@ def eigenvalues(A) -> np.ndarray:
 
 
 def spectra_separation(A: np.ndarray, B: np.ndarray) -> float:
-    """min |lambda_i(A) + mu_j(B)|, the singularity margin of AX + XB = R."""
+    """min |lambda_i(A) + mu_j(B)|, the singularity margin of AX + XB = R;
+    a sum that overflows is an infinite margin, spectra far apart."""
     la = eigenvalues(A)
     lb = eigenvalues(B)
-    return float(np.abs(la[:, None] + lb[None, :]).min())
+    with np.errstate(over="ignore"):
+        return float(np.abs(la[:, None] + lb[None, :]).min())
 
 
 def rank_of_singular_values(s: np.ndarray, shape: tuple,
@@ -297,7 +299,8 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, h: float) -> np.ndarray:
 PATH_CHUNK = 256
 
 # Cap on the float64 entries of the per-substep or per-node arrays of one
-# path: 512 MiB, the budget of lqr.MAX_RICCATI_ENTRIES.
+# path, and of the Riccati samples and transitions of `lqr.riccati_finite`:
+# 512 MiB, and a run peaks at about twice that.
 MAX_PATH_ENTRIES = 2 ** 26
 
 
@@ -315,6 +318,14 @@ def check_path_entries(entries: float, what: str) -> None:
         raise DomainError(
             f"{what}: {count_text(entries)} entries, over MAX_PATH_ENTRIES = "
             f"{MAX_PATH_ENTRIES}; shorten the horizon or widen ode_step")
+
+
+def check_within(a, b, lo, hi, what: str, interval: str = "system") -> None:
+    """Refuse (`DomainError`) times [a, b] that leave [lo, hi] by more than
+    1e-9 (1 + |hi - lo|); a nan bound is refused too."""
+    slack = 1e-9 * (1.0 + abs(hi - lo))
+    if not (a >= lo - slack and b <= hi + slack):
+        raise DomainError(f"{what} [{a}, {b}] leaves the {interval} interval [{lo}, {hi}]")
 
 
 # The two Gauss points of [0, 1], where the Magnus steps sample A(t), b(t).
@@ -562,11 +573,8 @@ def resolvent(sys: "LtvSystem", s: float, t: float,
     fourth-order Magnus steps (`linear_path`, step <= cfg.ode_step), A
     sampled once at each Gauss time. Works in both time directions.
     """
-    lo, hi = sys.t0, sys.t1
-    slack = 1e-9 * (1.0 + abs(hi - lo))
-    for tau, label in ((s, "s"), (t, "t")):
-        if tau < lo - slack or tau > hi + slack:
-            raise DomainError(f"{label}={tau} outside system interval [{lo}, {hi}]")
+    # sorting two times keeps a nan in the pair, where it is refused
+    check_within(*sorted((s, t)), sys.t0, sys.t1, "resolvent times")
     n = sys.n
     if t == s:
         return np.eye(n)

@@ -55,10 +55,6 @@ ARE_RESIDUAL_TOL = 1e-3
 RDE_RESIDUAL_TOL = 1e-10
 # Bound on |cost - value| of a closed-loop run, relative to 1 + value.
 VALUE_IDENTITY_TOL = 1e-6
-# Bound on the (2m + 1) n^2 entries of the m + 1 Riccati samples and the m
-# transitions of `riccati_finite`: 2^26 entries are 512 MiB of float64, and
-# the run peaks at about twice that.
-MAX_RICCATI_ENTRIES = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -94,16 +90,11 @@ class RiccatiSolution:
     transitions: np.ndarray   # (K - 1, n, n): x(t_{k+1}) = transitions[k] x(t_k)
     terminal_matches_P0: bool
     max_residual: float
-    _dense: kernels.SampledMatrixFunction = None
+    P_at: kernels.SampledMatrixFunction  # cubic-Hermite dense output of the samples
 
     @property
     def horizon(self) -> float:
         return float(self.grid[-1])
-
-    def P_at(self, t) -> np.ndarray:
-        """Cubic-Hermite dense output between the stored samples, at a
-        time or at every entry of an array of times."""
-        return self._dense(t)
 
 
 @dataclass(frozen=True)
@@ -163,12 +154,12 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     the first sample back from T whose size reaches BLOWUP_NORM. The
     spacing defaults to min(cfg.ode_step, T/2000) so the Hermite dense
     output resolves the layer near t = T when P0 = 0 and C is large.
-    The triple of one step, applied to each sample in blocks of 256, must
-    give the next one back: max_residual is that miss relative to
+    The triple of one step, applied to each sample in blocks of PATH_CHUNK,
+    must give the next one back: max_residual is that miss relative to
     1 + max |P|, refused above RDE_RESIDUAL_TOL, and the solves are the
-    transitions. Samples are symmetric and checked to be PSD. A grid
-    whose samples and transitions exceed MAX_RICCATI_ENTRIES is refused
-    (`DomainError`) before anything is allocated.
+    transitions. Samples are symmetric and checked to be PSD. A grid whose
+    samples and transitions exceed MAX_PATH_ENTRIES is refused
+    (`kernels.check_path_entries`) before anything is allocated.
     """
     if not math.isfinite(prob.horizon):
         raise DomainError("riccati_finite needs a finite horizon")
@@ -179,12 +170,8 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     h = T / m
     K = m + 1
     n = prob.sys.n
-    if (2 * m + 1) * n * n > MAX_RICCATI_ENTRIES:
-        raise DomainError(
-            f"riccati_finite would store m = {kernels.count_text(m)} steps at n = {n}: "
-            f"(2m + 1) n^2 = {kernels.count_text((2 * m + 1) * n * n)} entries, "
-            f"over MAX_RICCATI_ENTRIES = {MAX_RICCATI_ENTRIES}; "
-            "shorten the horizon or widen the step")
+    kernels.check_path_entries((2 * m + 1) * n * n, "riccati_finite's samples and transitions "
+                               f"of m = {kernels.count_text(m)} steps at n = {n}")
     P = np.empty((K, n, n))
     D = P[::-1]  # D[k]: deviation from P0 k steps back from T
     D[0] = 0.0
@@ -207,9 +194,9 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
             k = min(c, m - c)
             D[c + 1:c + k + 1] = _advance(triple, D[1:k + 1])[0]
             lo, c = c + 1, c + k
-        transitions, misses = np.empty((m, n, n)), []
-        for lo in range(0, m, 256):  # P still holds deviations: P[j + 1] maps to P[j]
-            G, transitions[lo:lo + 256] = _advance(one_step, P[lo + 1:lo + 257])
+        transitions, misses, chunk = np.empty((m, n, n)), [], kernels.PATH_CHUNK
+        for lo in range(0, m, chunk):  # P still holds deviations: P[j + 1] maps to P[j]
+            G, transitions[lo:lo + chunk] = _advance(one_step, P[lo + 1:lo + chunk + 1])
             misses.append(np.abs(G - P[lo:lo + len(G)]).max())
     P += prob.P0
     grid = np.linspace(0.0, T, K)
@@ -236,7 +223,7 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
         transitions=transitions,
         terminal_matches_P0=bool(np.array_equal(P[-1], prob.P0)),
         max_residual=max_residual,
-        _dense=kernels.SampledMatrixFunction(0.0, h, P, dP),
+        P_at=kernels.SampledMatrixFunction(0.0, h, P, dP),
     )
 
 

@@ -14,11 +14,13 @@ linearization. The map contracts on a small ball around x1.
 At an equilibrium reference (`equilibrium_reference`) the linearization
 is the one constant pair A = f_x(x_e, u_e), B = f_u(x_e, u_e): its
 Jacobians are evaluated once and its Gramian is read off the flow
-triple, as for any LtiSystem. Any other reference is
-linearized as a time-varying system, sampled at the Gauss times and nodes
-of the Gramian's Magnus steps. The nonlinear flow is the adaptive DOP853
-pair with dense output (`integrate_field`), and a converged steer carries
-the gap to a flow at 1/100 of its tolerance as its `flow_error`.
+triple, as for any LtiSystem; each pass's control u_e + B^T w(s) is one
+sampled signal, the Hermite dense output of its node values. Any other
+reference is linearized as a time-varying system, sampled at the Gauss
+times and nodes of the Gramian's Magnus steps. The nonlinear flow is the
+adaptive DOP853 pair with dense output (`integrate_field`), and a
+converged steer carries the gap to a flow at 1/100 of its tolerance as
+its `flow_error`.
 """
 
 from __future__ import annotations
@@ -330,12 +332,13 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
 
     A pass's control is ubar(s) + B(s)^T w(s), the reference control plus
     the minimum-energy control of the linearization toward phi - xbar(t1),
-    built as `reachability.min_energy_control` builds it. An equilibrium
-    reference is steered through its constant linearization: f_x and f_u
-    are evaluated once at (x_e, u_e), the Gramian is read off the flow
-    triple (see `reachability._gramian`), and ubar = u_e. Any other
-    reference goes through `linearize_along`, its control evaluating f_u
-    and ubar at each time it is sampled.
+    built by `reachability._steering`. An equilibrium reference is steered
+    through its constant linearization: f_x and f_u are evaluated once at
+    (x_e, u_e), the Gramian is read off the flow triple (see
+    `reachability._gramian`), and the control is the Hermite dense output
+    of its samples u_e + w B. Any other reference goes through
+    `linearize_along`, its control evaluating f_u and ubar at each time
+    it is sampled.
 
     Each pass flows by `integrate_field` at rtol = atol =
     1e-3 fixed_point_tol, floored at FLOW_TOL_FLOOR. On the converged pass
@@ -371,9 +374,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
             return kernels.sample_at(lambda t: np.atleast_1d(ref.ubar(t)), s)
     else:
         lin = LtiSystem(vf.jacobian_x(*equilibrium), vf.jacobian_u(*equilibrium))
-
-        def ubar(s):
-            return equilibrium[1]
+        ubar = equilibrium[1]
     report, R10, adjoint = reachability._gramian(lin, t0, t1, cfg)
     if not report.invertible:
         raise LinearTestInapplicableError(
@@ -388,8 +389,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
 
     def control_for(phi: np.ndarray) -> ControlSignal:
         z = np.linalg.solve(G, (phi - xbar1) - R10 @ dx0)
-        u = reachability._steering(lin, adjoint(z))
-        return ControlSignal.vectorized(t0, t1, vf.control_dim, lambda s: ubar(s) + u(s))
+        return reachability._steering(lin, adjoint(z), t1, ubar)
 
     # the passes' flows at rtol = atol = 1e-3 fixed_point_tol, floored;
     # the certificate's at 1/100 of that

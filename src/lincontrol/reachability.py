@@ -13,7 +13,8 @@ W' = A W + W A^T + B B^T from W(0) = 0, the Riccati flow with no
 quadratic term, so it is read off the doubled flow triple of
 `kernels._flow_triple`, with no quadrature error and in O(n^2) memory,
 and certified by its Lyapunov identity. The steering adjoint
-R(t1, s)^T z is built at Simpson nodes by doubling on the vector. A
+R(t1, s)^T z is built at Simpson nodes by doubling on the vector, and its
+control B^T w is the Hermite dense output of its own samples. A
 time-varying system's Gramian is that flow by one Magnus step a node gap.
 """
 
@@ -180,10 +181,7 @@ def _transition_samples(sys: LtvSystem, t0: float, t1: float, cfg: ToleranceConf
     transposed steps, PATH_CHUNK gaps at a time. Stacks over
     MAX_PATH_ENTRIES are refused first (`kernels.check_path_entries`).
     """
-    slack = 1e-9 * (1.0 + abs(sys.t1 - sys.t0))
-    if t0 < sys.t0 - slack or t1 > sys.t1 + slack:
-        raise DomainError(
-            f"[{t0}, {t1}] leaves the system interval [{sys.t0}, {sys.t1}]")
+    kernels.check_within(t0, t1, sys.t0, sys.t1, "Gramian")
     m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
     n = sys.n
     kernels.check_path_entries(
@@ -326,8 +324,8 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
 
     Returns (u, cost) with u(s) = B(s)^T R(t1, s)^T z for
     z = Gc^{-1} (x1 - R(t1, t0) x0) and cost = <z, Gc z>, the exact
-    minimum of int ||u||^2 over all steering controls. u is `_steering` of
-    the adjoint dense output, as in `nonlinear.steer_nonlinear`.
+    minimum of int ||u||^2 over all steering controls, built by `_steering`
+    as in `nonlinear.steer_nonlinear`.
     """
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")
@@ -342,18 +340,26 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
             min_eigenvalue=report.min_eigenvalue)
     G = report.gramian
     z = np.linalg.solve(G, x1 - R10 @ x0)
-    cost = float(z @ G @ z)
-    return ControlSignal.vectorized(t0, t1, sys.p, _steering(sys, adjoint(z))), cost
+    return _steering(sys, adjoint(z), t1), float(z @ G @ z)
 
 
-def _steering(sys: Union[LtiSystem, LtvSystem], w: Callable) -> Callable:
-    """u(s) = B(s)^T w(s) for an adjoint dense output w, at a time or at
-    every entry of an array of times (B(s) by `kernels.sample_at`)."""
+def _steering(sys: Union[LtiSystem, LtvSystem], w: kernels.SampledMatrixFunction,
+              t1: float, ubar=None) -> ControlSignal:
+    """The control ubar(s) + B(s)^T w(s) on [w.t0, t1] for an adjoint dense
+    output w. On an LtiSystem (ubar a vector or None) it is the Hermite
+    dense output of its own samples ubar + w B, slopes w' B: the Hermite
+    value weights sum to 1, so this is ubar + Hermite(w) B up to rounding.
+    On an LtvSystem (ubar a callable of times or None) it samples B(s)."""
     if isinstance(sys, LtiSystem):
-        B = sys.B
-        return lambda s: w(s) @ B
-    B_of = sys.B_of
-    return lambda s: np.einsum("...np,...n->...p", kernels.sample_at(B_of, s), w(s))
+        values = w.values @ sys.B + (0.0 if ubar is None else ubar)
+        u = kernels.SampledMatrixFunction(w.t0, w.h, values, w.derivs @ sys.B)
+    else:
+        B_of = sys.B_of
+
+        def u(s):
+            du = np.einsum("...np,...n->...p", kernels.sample_at(B_of, s), w(s))
+            return du if ubar is None else ubar(s) + du
+    return ControlSignal.vectorized(w.t0, t1, sys.p, u)
 
 
 def kalman_decomposition(sys: LtiSystem,

@@ -354,10 +354,13 @@ def gramian_stabilizer(A, B, decay_rate: float,
     P = 0.5 * (P + P.T)
     K = -B.T @ P
     norm = kernels._scaled_norm
-    PA, PB = P @ A, P @ B
-    lhs = PA + PA.T + 2.0 * decay_rate * P - PB @ PB.T
-    residual = norm(lhs) / (norm(PA) + 2.0 * decay_rate * norm(P) + norm(PB) ** 2)
-    if residual > 1e-6:
+    # terms that overflow leave a residual that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        PA, PB = P @ A, P @ B
+        lhs = PA + PA.T + 2.0 * decay_rate * P - PB @ PB.T
+        nPB = norm(PB)
+        residual = norm(lhs) / (norm(PA) + 2.0 * decay_rate * norm(P) + nPB * nPB)
+    if not residual <= 1e-6:
         raise ConditioningError(
             f"Riccati identity residual {residual:.3e} is too large")
     closed = spectral_abscissa(A + B @ K)

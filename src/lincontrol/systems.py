@@ -200,13 +200,6 @@ def time_grid(grid) -> np.ndarray:
     return grid
 
 
-def _check_grid(grid: np.ndarray, lo: float, hi: float, what: str) -> None:
-    slack = 1e-9 * (1.0 + abs(hi - lo))
-    if grid[0] < lo - slack or grid[-1] > hi + slack:
-        raise DomainError(
-            f"grid [{grid[0]}, {grid[-1]}] leaves the {what} interval [{lo}, {hi}]")
-
-
 def simulate(sys, x0, u: Optional[ControlSignal], grid,
              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Trajectory:
     """Integrate the system from x0 along the grid, driven by u (or zero).
@@ -227,7 +220,7 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
     if x0.size != sys.n:
         raise DimensionError(f"x0 must have length {sys.n}")
     if isinstance(sys, LtvSystem):
-        _check_grid(grid, sys.t0, sys.t1, "system")
+        kernels.check_within(grid[0], grid[-1], sys.t0, sys.t1, "grid")
     p = sys.p
 
     stages = kernels.rk4_stages(grid, cfg.ode_step)
@@ -236,7 +229,7 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
     if u is not None:
         if u.dim != p:
             raise DimensionError(f"control dimension {u.dim} does not match p={p}")
-        _check_grid(grid, u.t0, u.t1, "control")
+        kernels.check_within(grid[0], grid[-1], u.t0, u.t1, "grid", "control")
         samples = u.at(np.concatenate([times.ravel(), grid]))
         U = samples[:times.size].reshape(times.shape + (p,))
         controls = samples[times.size:]

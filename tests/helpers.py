@@ -328,3 +328,19 @@ def transition_loop(transitions, xi):
     for k in range(len(transitions)):
         states[k + 1] = transitions[k] @ states[k]
     return states
+
+
+def assert_steering_is_sampled(control, w, B, ubar, rng):
+    """A constant system's steering control is one SampledMatrixFunction
+    whose values at the adjoint's nodes and at 200 random times match
+    ubar + Hermite(w) B to 1e-13 relative, through u_of and `at` alike."""
+    assert isinstance(control.u_of, kernels.SampledMatrixFunction)
+    m = w.values.shape[0] - 1
+    nodes = w.t0 + w.h * np.arange(m + 1)
+    times = np.concatenate([nodes, rng.uniform(w.t0, nodes[-1], 200)])
+    expected = w(times) @ B + ubar
+    scale = np.abs(expected).max()
+    assert scale > 0.0
+    for got in (control.u_of(times), control.at(times)):
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * scale

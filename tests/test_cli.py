@@ -460,6 +460,18 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path)]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("lam", ["1e154", "1e200", "1e307", "1e308"])
+    def test_huge_decay_rate_is_0_or_4_without_warning(self, tmp_path, capsys, lam):
+        # P B = 2 lam on A = 0, B = 1 squares past the float range
+        path = write(tmp_path, SCALAR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["gramian-stab", path, "--lambda", lam, "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 4) and "Traceback" not in err
+        if code == 4:
+            assert json.loads(out)["errors"][0]["type"] in ("ConditioningError", "NumericalError")
+
     def test_are_nonconvergence_is_4(self, tmp_path, capsys):
         payload = {"name": "slow", "A": [[0.01]], "B": [[1]], "C": [[1]]}
         path = write(tmp_path, payload)
@@ -737,7 +749,7 @@ class TestExitCodes:
         path = write(tmp_path, {"name": "decay", "A": [[-1]], "B": [[1]]})
         assert run(["lqr", path, "--horizon", "1e11", "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "MAX_RICCATI_ENTRIES" in err and "Traceback" not in err
+        assert "MAX_PATH_ENTRIES" in err and "Traceback" not in err
         assert not (tmp_path / "decay__lqr.json").exists()
 
     def test_steer_nl_huge_power_overflow_is_4(self, tmp_path, capsys):

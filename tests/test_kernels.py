@@ -155,6 +155,13 @@ class TestSylvester:
             with pytest.raises(NumericalError, match="not finite"):
                 solve_sylvester([[1.0, 1e300], [0.0, 1.0]], [[1.0]], [[0.0], [1e300]])
 
+    def test_separation_that_overflows_is_infinite(self):
+        # -1e308 + -1e308 overflows: the spectra are far apart, not near
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = np.array([[-1e308]])
+            assert kernels.spectra_separation(huge, huge) == math.inf
+
     def test_matches_lyapunov_quadrature_oracle(self, rng):
         # A^T X + X A = -R  has  X = int_0^inf e^{tA^T} R e^{tA} dt
         A = helpers.random_stable_matrix(rng, 3)
@@ -347,6 +354,23 @@ class TestPathBudget:
             rk4_stages([0.0, 1e308], 1e-300)
         with pytest.raises(DomainError, match="no finite count"):
             kernels.simpson_intervals(2e308, 1e-3)
+
+
+class TestCheckWithin:
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1e-9, 1.0 + 1e-9), (0.5, 0.5)])
+    def test_inside_up_to_the_slack_passes(self, a, b):
+        kernels.check_within(a, b, 0.0, 1.0, "grid")
+
+    @pytest.mark.parametrize("a, b", [(-3e-9, 1.0), (0.0, 1.0 + 3e-9), (math.nan, 1.0),
+                                      (0.0, math.nan), (-math.inf, 1.0)])
+    def test_outside_or_nan_is_refused_naming_the_interval(self, a, b):
+        with pytest.raises(DomainError, match=r"leaves the control interval \[0.0, 1.0\]"):
+            kernels.check_within(a, b, 0.0, 1.0, "grid", "control")
+
+    @pytest.mark.parametrize("s, t", [(math.nan, 0.5), (0.5, math.nan), (1.5, 0.5), (0.5, -0.5)])
+    def test_resolvent_refuses_either_time(self, s, t):
+        with pytest.raises(DomainError, match="leaves the system interval"):
+            resolvent(constant_ltv([[-1.0]], [[1.0]], 0.0, 1.0), s, t)
 
 
 class TestAffineStates:

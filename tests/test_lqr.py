@@ -26,9 +26,9 @@ from lincontrol import (
     simulate,
     uniform_grid,
 )
-from lincontrol import kernels, lqr
+from lincontrol import kernels
 from lincontrol.kernels import _compose, _flow_triple, rk4_path
-from lincontrol.lqr import MAX_RICCATI_ENTRIES
+from lincontrol.kernels import MAX_PATH_ENTRIES
 
 from helpers import (
     compose_by_blocks,
@@ -63,6 +63,13 @@ class TestRiccatiFinite:
             dP = (ric.P_at(t + h) - ric.P_at(t - h))[0, 0] / (2.0 * h)
             P = ric.P_at(t)[0, 0]
             assert abs(dP - (P ** 2 - 1.0)) < 1e-6
+
+    def test_dense_output_is_the_sampled_function_itself(self, scalar_sys):
+        ric = riccati_finite(LqrProblem(scalar_sys, None, 1.0))
+        assert isinstance(ric.P_at, kernels.SampledMatrixFunction)
+        assert ric.P_at.values is ric.P_samples
+        times = np.linspace(0.0, 1.0, 7)
+        assert_allclose(ric.P_at(times)[:, 0, 0], np.tanh(1.0 - times), rtol=0, atol=1e-8)
 
     def test_zero_cost_stays_zero(self):
         sys = LtiSystem([[0.3]], [[1.0]], [[0.0]])
@@ -562,21 +569,21 @@ class TestRiccatiSampleBudget:
     def test_unallocatable_grid_is_refused_first(self):
         # 10^14 steps: without the check np.empty fails with MemoryError
         prob = LqrProblem(LtiSystem([[-1.0]], [[1.0]]), None, 1e11)
-        with pytest.raises(DomainError, match=r"m = \d+ steps at n = 1: .*MAX_RICCATI_ENTRIES"):
+        with pytest.raises(DomainError, match=r"m = \d+ steps at n = 1: .*MAX_PATH_ENTRIES"):
             riccati_finite(prob)
 
     def test_the_cap_bounds_samples_and_transitions(self, monkeypatch):
         # m = 10 steps at n = 2: 11 samples and 10 transitions of 4 entries
         prob = LqrProblem(_scan_draw(np.random.default_rng([2, 0]), 2, False), None, 1e-2)
-        monkeypatch.setattr(lqr, "MAX_RICCATI_ENTRIES", 84)
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 84)
         assert riccati_finite(prob, step=1e-3).grid.size == 11
-        monkeypatch.setattr(lqr, "MAX_RICCATI_ENTRIES", 83)
-        with pytest.raises(DomainError, match="84 entries, over MAX_RICCATI_ENTRIES = 83"):
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 83)
+        with pytest.raises(DomainError, match="84 entries, over MAX_PATH_ENTRIES = 83"):
             riccati_finite(prob, step=1e-3)
 
     def test_largest_tested_grid_is_well_inside(self):
         # n = 24 at T = 5 on the default spacing of 1e-3
-        assert 10 * (2 * 5000 + 1) * 24 ** 2 <= MAX_RICCATI_ENTRIES
+        assert 10 * (2 * 5000 + 1) * 24 ** 2 <= MAX_PATH_ENTRIES
 
 
 def _scan_draw(rng, n, blind):

@@ -27,9 +27,11 @@ from lincontrol import (
     min_energy_control,
     steer_nonlinear,
 )
-from lincontrol import kernels, nonlinear
+from lincontrol import kernels, nonlinear, reachability
 from lincontrol.fields import double_integrator, pendulum, polynomial_field
 from lincontrol.nonlinear import ReferenceTrajectory, integrate_field
+
+import helpers
 
 PI = math.pi
 
@@ -380,6 +382,19 @@ class TestSteering:
         times = (np.arange(37) + 0.5) / 37.0   # no stage time k/2000
         ubar = np.array([np.atleast_1d(ref.ubar(t)) for t in times])
         assert_allclose(res.control.at(times), ubar + du.at(times), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [PI, 1.0])
+    def test_equilibrium_control_is_the_hermite_output_of_its_samples(self, pend_field, rng,
+                                                                      theta):
+        # at theta = 1 the pendulum rests under u_e = sin(1), a nonzero ubar
+        xe, ue = np.array([theta, 0.0]), np.array([math.sin(theta)])
+        ref = equilibrium_reference(pend_field, xe, ue, 0.0, 1.0)
+        x0, x1 = xe + [0.05, 0.0], xe - [0.05, 0.0]
+        res = steer_nonlinear(pend_field, ref, x0, x1, ToleranceConfig(max_iter=1))
+        lin = LtiSystem(pend_field.jacobian_x(xe, ue), pend_field.jacobian_u(xe, ue))
+        quad = reachability._gramian(lin, 0.0, 1.0, ToleranceConfig())
+        z = np.linalg.solve(quad.report.gramian, (x1 - xe) - quad.transition @ (x0 - xe))
+        helpers.assert_steering_is_sampled(res.control, quad.adjoint(z), lin.B, ue, rng)
 
     def test_leaves_no_cyclic_garbage(self, pend_field, upright_ref):
         steer = lambda: steer_nonlinear(pend_field, upright_ref,

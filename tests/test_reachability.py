@@ -501,6 +501,26 @@ class TestMinEnergy:
             assert np.linalg.norm(leak) <= 1e-8 * (1.0 + np.linalg.norm(defect))
 
 
+class TestSampledSteering:
+    def test_min_energy_control_is_the_hermite_output_of_its_samples(self, rng):
+        sys = helpers.random_controllable(rng, 5, 2)
+        t0, t1 = -0.2, 1.3
+        x0, x1 = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)
+        u, _ = min_energy_control(sys, t0, t1, x0, x1)
+        quad = _gramian(sys, t0, t1, helpers.CFG)
+        z = np.linalg.solve(quad.report.gramian, x1 - quad.transition @ x0)
+        helpers.assert_steering_is_sampled(u, quad.adjoint(z), sys.B, 0.0, rng)
+
+    def test_time_varying_control_stays_a_closure(self, rng):
+        sys = helpers.random_controllable(rng, 3, 1)
+        ltv = constant_ltv(sys.A, sys.B, 0.0, 1.0)
+        u, _ = min_energy_control(ltv, 0.0, 1.0, np.zeros(3), np.ones(3))
+        assert not isinstance(u.u_of, kernels.SampledMatrixFunction)
+        lti, _ = min_energy_control(sys, 0.0, 1.0, np.zeros(3), np.ones(3))
+        times = rng.uniform(0.0, 1.0, 50)
+        assert_allclose(u.at(times), lti.at(times), rtol=1e-9, atol=1e-9)
+
+
 class TestEnergyHelpers:
     def test_control_energy_constant(self):
         u = ControlSignal(0.0, 2.0, 2, lambda t: np.array([1.0, -1.0]))

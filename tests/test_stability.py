@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lincontrol import (
     NoCertificateError,
+    NumericalError,
     PreconditionError,
     expm,
     lyapunov_certificate,
@@ -45,6 +48,16 @@ class TestLyapunovCertificate:
     def test_asymmetric_weight_rejected(self):
         with pytest.raises(ValueError):
             lyapunov_certificate(-np.eye(2), [[1.0, 1.0], [0.0, 1.0]])
+
+    def test_spectra_near_the_float_range_raise_no_warning(self):
+        # -1e308 - 1e308 overflows in the separation test, and 2 a Q in the
+        # solve: the solve is refused, but nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                lyapunov_certificate([[-1e308]], [[1.0]])
+            rep = lyapunov_certificate([[-1e300]], [[1.0]])
+        assert rep.lyapunov_Q[0, 0] == pytest.approx(5e-301, rel=1e-12)
 
     def test_matches_integral_oracle_and_is_pd(self, rng):
         for _ in range(5):

@@ -10,6 +10,7 @@ from lincontrol import (
     DecayRateTooSmallError,
     LtiSystem,
     MonicPolynomial,
+    NumericalError,
     UncontrollableError,
     UnobservableError,
     characteristic_polynomial,
@@ -276,6 +277,17 @@ class TestGramianStabilizer:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConditioningError, match="overflows"):
                 gramian_stabilizer([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1e155]], 1.0)
+
+    @pytest.mark.parametrize("lam", [1e154, 1e200, 1e307, 1e308])
+    def test_huge_decay_rate_is_solved_or_refused_without_warning(self, lam):
+        # P = 2 lam on A = 0, B = 1: (P B)^2 overflows from lam near 7e153
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                stab = gramian_stabilizer([[0.0]], [[1.0]], lam)
+            except NumericalError:
+                return
+        assert stab.riccati_residual <= 1e-6
 
     def test_riccati_residual_is_relative_at_any_input_scale(self):
         # B -> s B maps P to P / s^2 and every term of the identity alike;
