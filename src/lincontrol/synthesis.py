@@ -354,12 +354,16 @@ def gramian_stabilizer(A, B, decay_rate: float,
     P = 0.5 * (P + P.T)
     K = -B.T @ P
     norm = kernels._scaled_norm
-    # terms that overflow leave a residual that is not finite, refused below
+    # the identity divided through by p = ||P||, so that ||PB||^2 = p^2 ||PB / p||^2
+    # stays finite while P does; terms that overflow leave a residual that
+    # is not finite, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        PA, PB = P @ A, P @ B
-        lhs = PA + PA.T + 2.0 * decay_rate * P - PB @ PB.T
+        p = norm(P)
+        Pp = P / p
+        PA, PB = Pp @ A, Pp @ B
+        lhs = PA + PA.T + 2.0 * decay_rate * Pp - p * (PB @ PB.T)
         nPB = norm(PB)
-        residual = norm(lhs) / (norm(PA) + 2.0 * decay_rate * norm(P) + nPB * nPB)
+        residual = norm(lhs) / (norm(PA) + 2.0 * decay_rate * norm(Pp) + p * nPB * nPB)
     if not residual <= 1e-6:
         raise ConditioningError(
             f"Riccati identity residual {residual:.3e} is too large")

@@ -472,6 +472,17 @@ class TestExitCodes:
         if code == 4:
             assert json.loads(out)["errors"][0]["type"] in ("ConditioningError", "NumericalError")
 
+    @pytest.mark.parametrize("lam", ["1e200", "1e300"])
+    def test_huge_decay_rate_is_0_with_the_exact_gain(self, tmp_path, capsys, lam):
+        path = write(tmp_path, SCALAR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["gramian-stab", path, "--lambda", lam, "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        gain = json.loads((tmp_path / "scalar__gramian-stab.json").read_text())["results"]["K"]
+        assert abs(gain[0][0] + 2.0 * float(lam)) <= 1e-12 * 2.0 * float(lam)
+
     def test_are_nonconvergence_is_4(self, tmp_path, capsys):
         payload = {"name": "slow", "A": [[0.01]], "B": [[1]], "C": [[1]]}
         path = write(tmp_path, payload)

@@ -29,6 +29,7 @@ from lincontrol import (
 from lincontrol import kernels
 from lincontrol.kernels import _compose, _flow_triple, rk4_path
 from lincontrol.kernels import MAX_PATH_ENTRIES
+from lincontrol.lqr import _riccati_block
 
 from helpers import (
     compose_by_blocks,
@@ -701,3 +702,57 @@ class TestRiccatiScan:
         finally:
             tracemalloc.stop()
         assert peak <= 4.9 * 2 ** 20
+
+
+def _grid_problem(n, m, rng):
+    """A draw of `_scan_draw` on m steps of the exact spacing 2^-10."""
+    return LqrProblem(_scan_draw(rng, n, False), 0.5 * np.eye(n), m / 1024), 1 / 1024
+
+
+class TestRiccatiBlocks:
+    @pytest.mark.parametrize("m", [2000, 2003])
+    def test_a_doubling_off_the_one_step_flow_is_refused(self, monkeypatch, m):
+        # every composed gamma scaled by 1 + 1e-8: the block starts of the
+        # doubling leave the one-step images of the rounds
+        prob, h = _grid_problem(4, m, np.random.default_rng([4, m]))
+        s = _riccati_block(m, 4)
+        assert s > 1 and (m % s == 0) == (m == 2000)
+        assert riccati_finite(prob, step=h).max_residual <= 1e-12
+        compose = kernels._compose
+
+        def off(first, second):
+            alpha, beta, gamma = compose(first, second)
+            return alpha, beta, gamma * (1.0 + 1e-8)
+
+        monkeypatch.setattr(kernels, "_compose", off)
+        with pytest.raises(NumericalInconsistencyError, match="miss the one-step flow"):
+            riccati_finite(prob, step=h)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 24])
+    @pytest.mark.parametrize("m", [2, 3, 17, 2000, 5000])
+    def test_transitions_are_the_one_step_solves_of_the_samples(self, n, m):
+        prob, h = _grid_problem(n, m, np.random.default_rng([n, m, 1]))
+        ric = riccati_finite(prob, step=h)
+        assert ric.grid.size == m + 1
+        sys = prob.sys
+        alpha, beta, _ = _flow_triple(sys.A, sys.B @ sys.B.T, sys.C.T @ sys.C, h, prob.P0)
+        D = ric.P_samples[1:] - prob.P0
+        want = np.linalg.solve(np.eye(n) + beta @ D, np.broadcast_to(alpha, D.shape))
+        assert np.abs(ric.transitions - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, m", [(1, 2000), (1, 5000), (8, 17), (8, 2000), (8, 5000),
+                                      (24, 5000)])
+    def test_solves_one_matrix_per_step_and_one_per_block(self, monkeypatch, n, m):
+        prob, h = _grid_problem(n, m, np.random.default_rng([n, m, 2]))
+        s = _riccati_block(m, n)
+        assert s > 1
+        solved, solve = [], np.linalg.solve
+
+        def counting(a, b):
+            solved.append(math.prod(np.shape(a)[:-2]))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        riccati_finite(prob, step=h)
+        # a scan over every sample and a one-step pass solved 2m - 1
+        assert sum(solved) <= m + math.ceil(m / s) + 2 * math.ceil(math.log2(m))

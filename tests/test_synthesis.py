@@ -302,6 +302,37 @@ class TestGramianStabilizer:
         assert 0.0 < residuals[0] <= 1e-14
         assert all(0.1 * residuals[0] <= r <= 10.0 * residuals[0] for r in residuals)
 
+    @pytest.mark.parametrize("lam", [1e200, 1e300])
+    def test_huge_decay_rate_is_solved_exactly(self, lam):
+        # A = 0, B = 1: P = 2 lam and K = -2 lam stay finite although
+        # ||P B||^2 overflows; the identity divided by ||P|| does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stab = gramian_stabilizer([[0.0]], [[1.0]], lam)
+        assert abs(stab.K[0, 0] + 2.0 * lam) <= 1e-12 * 2.0 * lam
+        assert stab.riccati_residual <= 1e-6
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 1e3, 1e10, 1e50, 1e100, 1e150])
+    @pytest.mark.parametrize("A, B", [
+        ([[0.0]], [[1.0]]),
+        ([[-1.272, 0.614], [-1.197, -0.322]], [[-0.00676], [1.0]]),
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]),
+    ], ids=["scalar", "two", "double-integrator"])
+    def test_divided_identity_keeps_the_verdicts(self, A, B, lam):
+        # the undivided ratio of the returned P gives the same verdict
+        try:
+            stab = gramian_stabilizer(A, B, lam)
+        except ConditioningError as exc:
+            assert "Riccati identity" not in str(exc)
+            return
+        A, B, P = np.array(A), np.array(B), stab.P
+        PA, PB = P @ A, P @ B
+        lhs = PA + PA.T + 2.0 * lam * P - PB @ PB.T
+        undivided = np.linalg.norm(lhs) / (
+            np.linalg.norm(PA) + 2.0 * lam * np.linalg.norm(P) + np.linalg.norm(PB) ** 2)
+        assert stab.riccati_residual <= 1e-6 and undivided <= 1e-6
+        assert abs(stab.riccati_residual - undivided) <= 1e-12
+
     def test_closed_loop_meets_rate_random(self, rng):
         for lam in (0.5, 1.0, 2.0):
             for _ in range(5):
