@@ -1,9 +1,13 @@
 """Dense numerical kernels: matrix exponential, eigenvalues, rank with
-tolerance, Sylvester/Lyapunov solves (Bartels-Stewart on real Schur
-forms), the doubling of Riccati flow triples, fixed-step RK4, the
-fourth-order Magnus steps of every linear path (exact for constant A)
-and the blocked scan that applies them, composite Simpson quadrature,
-and Hermite dense output.
+tolerance, real Schur forms and the Sylvester/Lyapunov solves on them
+(Bartels-Stewart on LAPACK gees and trsyl), the doubling of Riccati flow
+triples, fixed-step RK4, the fourth-order Magnus steps of every linear
+path (exact for constant A) and the blocked scan that applies them,
+composite Simpson quadrature, and Hermite dense output.
+
+A `Schur` form carries its eigenvalues, so a caller that factors a
+matrix once has its spectrum verdict and its Lyapunov solve
+(`solve_lyapunov`) from the one factorization.
 
 `_flow_triple` and `_compose` are the one doubling kernel: `lqr` runs its
 Riccati flows on them, and `reachability` the constant-coefficient
@@ -22,7 +26,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgesv as _gesv
+from scipy.linalg.lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
 
 from .errors import (
     DimensionError,
@@ -119,13 +123,52 @@ def eigenvalues(A) -> np.ndarray:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def spectra_separation(A: np.ndarray, B: np.ndarray) -> float:
-    """min |lambda_i(A) + mu_j(B)|, the singularity margin of AX + XB = R;
-    a sum that overflows is an infinite margin, spectra far apart."""
-    la = eigenvalues(A)
-    lb = eigenvalues(B)
+def _separation(la: np.ndarray, lb: np.ndarray) -> float:
+    """min |la_i + lb_j| over two eigenvalue lists; a sum that overflows is
+    an infinite margin, spectra far apart."""
     with np.errstate(over="ignore"):
         return float(np.abs(la[:, None] + lb[None, :]).min())
+
+
+def spectra_separation(A: np.ndarray, B: np.ndarray) -> float:
+    """min |lambda_i(A) + mu_j(B)|, the singularity margin of AX + XB = R."""
+    return _separation(eigenvalues(A), eigenvalues(B))
+
+
+def _no_sort(wr, wi):  # gees needs a selector even when it does not sort
+    return 0
+
+
+@dataclass(frozen=True)
+class Schur:
+    """Real Schur form matrix = U T U^T: U orthogonal, T quasi upper
+    triangular with 1 x 1 and 2 x 2 (complex pair) diagonal blocks, and
+    the eigenvalues in the order of T's diagonal."""
+
+    matrix: np.ndarray
+    T: np.ndarray
+    U: np.ndarray
+    eigenvalues: np.ndarray
+
+    def shifted(self, lam: float) -> "Schur":
+        """The Schur form of matrix + lam I, with no new factorization:
+        U is shared and lam is added to T's diagonal and to the spectrum.
+        An entry that overflows is refused later as a residual that is
+        not finite."""
+        shift = lam * np.eye(self.T.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Schur(self.matrix + shift, self.T + shift, self.U, self.eigenvalues + lam)
+
+
+def real_schur(M) -> Schur:
+    """One real Schur factorization of a square matrix (LAPACK gees, no
+    sorting). The input is checked for finiteness first, which LAPACK
+    does not do; a QR iteration that fails raises NumericalError."""
+    M = require_square(M, "M")
+    T, _, wr, wi, U, _, info = _gees(_no_sort, M)
+    if info != 0:
+        raise NumericalError(f"Schur factorization failed (LAPACK gees info {info})")
+    return Schur(M, T, U, wr + 1j * wi)
 
 
 def rank_of_singular_values(s: np.ndarray, shape: tuple,
@@ -146,39 +189,61 @@ def numerical_rank(A, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
 
 
 def solve_sylvester(A, Bm, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Solve A X + X Bm = R by Bartels-Stewart: real Schur forms of A and
-    Bm, then triangular back substitution (LAPACK trsyl, through scipy).
+    """Solve A X + X Bm = R for A (n, n), Bm (k, k) and R (n, k) by
+    Bartels-Stewart on one real Schur form of A and one of Bm^T.
 
-    Parameters
-    ----------
-    A : (n, n) array
-    Bm : (k, k) array
-    R : (n, k) array
-
-    The Lyapunov equation A^T Q + Q A = -R is the (A^T, A, -R) special
-    case. A unique solution exists iff the spectra of A and -Bm are
-    disjoint; the separation is checked before solving and the residual
-    after, so every successful return satisfies
-    ||A X + X Bm - R||_F <= residual_tol * (1 + ||R||_F). Both norms are
-    scaled by the largest entry, so neither overflows, and a residual that
-    is not finite is refused with NumericalError.
+    A unique solution exists iff the spectra of A and -Bm are disjoint;
+    the checks of `_bartels_stewart` hold for every return. A Lyapunov
+    equation is cheaper through `solve_lyapunov`, which factors once.
     """
     A = require_square(A, "A")
     Bm = require_square(Bm, "Bm")
+    return _bartels_stewart(real_schur(A), real_schur(Bm.T), R, cfg)
+
+
+def solve_lyapunov(schur: Schur, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Solve M X + X M^T = R from the real Schur form `schur` of M, which
+    serves both sides of the equation, so a solve costs no factorization.
+
+    The equation A^T Q + Q A = -R of a Lyapunov certificate is M = A^T;
+    the weighted Gramian's (A + lam I) Q + Q (A + lam I)^T = B B^T is
+    `real_schur(A).shifted(lam)`. The checks are those of
+    `_bartels_stewart`.
+    """
+    return _bartels_stewart(schur, schur, R, cfg)
+
+
+def _bartels_stewart(first: Schur, second: Schur, R, cfg: ToleranceConfig) -> np.ndarray:
+    """Solve M1 X + X M2^T = R, with first = M1 = U1 T1 U1^T and
+    second = M2 = U2 T2 U2^T: LAPACK trsyl back-substitutes
+    T1 Y + Y T2^T = U1^T R U2 and X = U1 Y U2^T.
+
+    trsyl returns the solution of the equation with right-hand side
+    scale * C (scale <= 1 keeps Y finite); the scale is divided out here.
+    The separation min |lambda_i(M1) + mu_j(M2)| is read off the two
+    spectra and refused at or below residual_tol (SingularEquationError)
+    before solving. After it, every return satisfies
+    ||M1 X + X M2^T - R||_F <= residual_tol * (1 + ||R||_F), both norms
+    scaled by the largest entry so that neither overflows; a residual
+    that is not finite is refused with NumericalError.
+    """
     R = as_matrix(R, "R")
-    n, k = A.shape[0], Bm.shape[0]
-    if R.shape != (n, k):
-        raise DimensionError(f"R must have shape {(n, k)}, got {R.shape}")
-    sep = spectra_separation(A, Bm)
+    shape = (first.T.shape[0], second.T.shape[0])
+    if R.shape != shape:
+        raise DimensionError(f"R must have shape {shape}, got {R.shape}")
+    sep = _separation(first.eigenvalues, second.eigenvalues)
     if sep <= cfg.residual_tol:
         raise SingularEquationError(
-            f"spectra of A and -Bm are not disjoint (separation {sep:.3e}); "
+            f"spectra of the two coefficients are not disjoint (separation {sep:.3e}); "
             "the equation has no unique solution"
         )
     # an overflow shows as a residual that is not finite and is refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = scipy.linalg.solve_sylvester(A, Bm, R)
-        residual = _scaled_norm(A @ X + X @ Bm - R)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Y, scale, info = _trsyl(first.T, second.T, first.U.T @ R @ second.U, tranb="T")
+        if info < 0:
+            raise NumericalError(f"triangular Sylvester solve failed (LAPACK trsyl info {info})")
+        X = first.U @ (Y / scale) @ second.U.T
+        residual = _scaled_norm(first.matrix @ X + X @ second.matrix.T - R)
     if not np.isfinite(residual):
         raise NumericalError(f"Sylvester residual is not finite ({residual})")
     bound = cfg.residual_tol * (1.0 + _scaled_norm(R))
@@ -300,7 +365,7 @@ PATH_CHUNK = 256
 
 # Cap on the float64 entries of the per-substep or per-node arrays of one
 # path, and of the Riccati samples and transitions of `lqr.riccati_finite`:
-# 512 MiB, and a run peaks at about twice that.
+# 512 MiB. The Riccati slopes add half of that again.
 MAX_PATH_ENTRIES = 2 ** 26
 
 

@@ -196,7 +196,7 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     refused above RDE_RESIDUAL_TOL. Samples are symmetric and checked to
     be PSD. A grid whose samples and transitions exceed MAX_PATH_ENTRIES
     is refused (`kernels.check_path_entries`) before anything is
-    allocated.
+    allocated; the slopes of P_at add (m + 1) n^2 entries to that.
     """
     if not math.isfinite(prob.horizon):
         raise DomainError("riccati_finite needs a finite horizon")
@@ -271,13 +271,16 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
         raise NumericalInconsistencyError(
             f"Riccati samples miss the one-step flow by {max_residual:.3e} of 1 + max |P|")
 
-    # dP = -(P A + A^T P - P B B^T P + C^T C), the slopes of the dense output
-    dP = P @ BBt @ P
-    PA = P @ A
-    dP -= CtC
-    dP -= PA
-    dP -= np.swapaxes(PA, 1, 2)
-    del PA
+    # dP = -(P A + A^T P - P B B^T P + C^T C), the slopes of the dense output,
+    # formed PATH_CHUNK samples at a time so that no temporary is the size of P
+    dP = np.empty_like(P)
+    for lo in range(0, K, kernels.PATH_CHUNK):
+        Pc, slopes = P[lo:lo + kernels.PATH_CHUNK], dP[lo:lo + kernels.PATH_CHUNK]
+        np.matmul(Pc @ BBt, Pc, out=slopes)
+        PA = Pc @ A
+        slopes -= CtC
+        slopes -= PA
+        slopes -= np.swapaxes(PA, 1, 2)
     return RiccatiSolution(
         grid=grid,
         P_samples=P,

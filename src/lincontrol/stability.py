@@ -45,22 +45,25 @@ def lyapunov_certificate(A, R, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Sta
 
     Q equals int_0^inf e^{tA^T} R e^{tA} dt, so it inherits (semi)
     definiteness from R; here it is produced by the Bartels-Stewart
-    solve, with the integral kept as an independent test oracle.
+    solve, with the integral kept as an independent test oracle. One
+    real Schur form of A^T gives both the stability verdict (its
+    eigenvalues) and the solve (`kernels.solve_lyapunov`).
     """
     A = kernels.require_square(A, "A")
     R = kernels.require_square(R, "R")
     if not kernels.is_symmetric(R, 1e-10):
         raise ValueError("R must be symmetric")
-    base = stability_report(A)
-    if not base.stable:
+    schur = kernels.real_schur(A.T)
+    omega = float(np.max(schur.eigenvalues.real))
+    if not omega < -STABILITY_MARGIN:
         raise NoCertificateError(
-            f"A is not stable (spectral abscissa {base.omega:.6g}); "
+            f"A is not stable (spectral abscissa {omega:.6g}); "
             "the Lyapunov integral diverges")
-    Q = kernels.solve_sylvester(A.T, A, -R, cfg)
+    Q = kernels.solve_lyapunov(schur, -R, cfg)
     Q = 0.5 * (Q + Q.T)
     residual = kernels._scaled_norm(A.T @ Q + Q @ A + R)
     return StabilityReport(
-        omega=base.omega,
+        omega=omega,
         stable=True,
         marginal=False,
         lyapunov_Q=Q,

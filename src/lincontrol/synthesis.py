@@ -315,7 +315,13 @@ def closed_loop_observer_system(A, B, C, K, L) -> ObserverLoop:
 
 def minimal_decay_rate(A) -> float:
     """Smallest admissible rate for the weighted Gramian, plus margin."""
-    return max(0.0, spectral_abscissa(-np.asarray(A, dtype=float))) + 1e-6
+    return _decay_floor(kernels.eigenvalues(A))
+
+
+def _decay_floor(eigs: np.ndarray) -> float:
+    """max(0, -min Re lambda) + 1e-6 over the eigenvalues lambda of A: the
+    spectral abscissa of -A, floored at 0, plus margin."""
+    return max(0.0, -float(np.min(eigs.real))) + 1e-6
 
 
 def gramian_stabilizer(A, B, decay_rate: float,
@@ -326,7 +332,10 @@ def gramian_stabilizer(A, B, decay_rate: float,
     int_0^inf e^{-2 lam t} e^{-tA} B B^T e^{-tA^T} dt, obtained here from
     its exact algebraic identity (A + lam I) Q + Q (A + lam I)^T = B B^T
     rather than by improper integration; the integral stays available as
-    a test oracle. P = Q^{-1} satisfies
+    a test oracle. One real Schur form of A gives the minimal admissible
+    rate (its eigenvalues) and, shifted by lam, the solve
+    (`kernels.solve_lyapunov`); the closed-loop abscissa is an
+    independent eigenvalue computation. P = Q^{-1} satisfies
     P A + A^T P + 2 lam P - P B B^T P = 0.
     """
     A = kernels.require_square(A, "A")
@@ -334,7 +343,8 @@ def gramian_stabilizer(A, B, decay_rate: float,
     n = A.shape[0]
     if not reachability.is_controllable(A, B, cfg):
         raise UncontrollableError("(A, B) is not controllable")
-    minimal = minimal_decay_rate(A)
+    schur = kernels.real_schur(A)
+    minimal = _decay_floor(schur.eigenvalues)
     if not decay_rate > 0.0 or decay_rate < minimal:
         raise DecayRateTooSmallError(
             f"decay rate {decay_rate} does not make the weighted Gramian "
@@ -344,8 +354,7 @@ def gramian_stabilizer(A, B, decay_rate: float,
         BBt = B @ B.T
     if not np.isfinite(BBt).all():
         raise ConditioningError("B B^T overflows")
-    shifted = A + decay_rate * np.eye(n)
-    Q = kernels.solve_sylvester(shifted, shifted.T, BBt, cfg)
+    Q = kernels.solve_lyapunov(schur.shifted(decay_rate), BBt, cfg)
     Q = 0.5 * (Q + Q.T)
     cond = np.linalg.cond(Q)
     if not np.isfinite(cond) or cond > 1e14:

@@ -344,3 +344,19 @@ def assert_steering_is_sampled(control, w, B, ubar, rng):
     for got in (control.u_of(times), control.at(times)):
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-13 * scale
+
+
+def count_factorizations(monkeypatch):
+    """Count the calls of `kernels.real_schur` and `np.linalg.eigvals` from
+    here on: a dict {"schur": ..., "eigvals": ...} that the calls update."""
+    counts = {"schur": 0, "eigvals": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "real_schur", counted("schur", kernels.real_schur))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    return counts

@@ -205,6 +205,92 @@ class TestSylvester:
         assert peak < 2 * 2**20
 
 
+def _complex_pairs(M):
+    return int(np.count_nonzero(np.linalg.eigvals(M).imag))
+
+
+class TestRealSchur:
+    def test_factors_and_spectrum(self, rng):
+        for n in (1, 2, 5, 12):
+            M = rng.standard_normal((n, n))
+            S = kernels.real_schur(M)
+            assert np.abs(S.U @ S.T @ S.U.T - M).max() <= 1e-13 * (1.0 + np.abs(M).max())
+            assert np.abs(S.U.T @ S.U - np.eye(n)).max() <= 1e-14
+            assert np.all(np.tril(S.T, -2) == 0.0)
+            want = np.sort_complex(np.linalg.eigvals(M))
+            assert np.abs(np.sort_complex(S.eigenvalues) - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+    def test_shifted_shares_the_factorization(self, rng):
+        M = rng.standard_normal((4, 4))
+        S = kernels.real_schur(M)
+        lam = 2.5
+        shifted = S.shifted(lam)
+        assert shifted.U is S.U
+        assert_allclose(shifted.matrix, M + lam * np.eye(4), rtol=0, atol=0)
+        assert np.abs(shifted.U @ shifted.T @ shifted.U.T - shifted.matrix).max() <= 1e-13 * 4
+        assert_allclose(shifted.eigenvalues, S.eigenvalues + lam, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_never_reaches_lapack(self, monkeypatch, bad):
+        def gees(*args, **kwargs):
+            raise AssertionError("LAPACK was called")
+
+        monkeypatch.setattr(kernels, "_gees", gees)
+        M = np.eye(3)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            kernels.real_schur(M)
+
+
+class TestSchurSolvesMatchScipy:
+    # most draws carry complex pairs, the 2 x 2 blocks of the real Schur form
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 48])
+    def test_lyapunov(self, rng, n):
+        M = rng.standard_normal((n, n)) - np.sqrt(n) * np.eye(n)
+        R = rng.standard_normal((n, n))
+        R = R + R.T
+        X = kernels.solve_lyapunov(kernels.real_schur(M), R)
+        reference = scipy.linalg.solve_continuous_lyapunov(M, R)
+        assert np.abs(X - reference).max() <= 1e-9 * np.abs(reference).max()
+        assert n < 8 or _complex_pairs(M) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 48])
+    def test_shifted_lyapunov(self, rng, n):
+        A = rng.standard_normal((n, n))
+        lam = float(np.max(-np.linalg.eigvals(A).real)) + 0.5
+        B = rng.standard_normal((n, 2))
+        X = kernels.solve_lyapunov(kernels.real_schur(A).shifted(lam), B @ B.T)
+        reference = scipy.linalg.solve_continuous_lyapunov(A + lam * np.eye(n), B @ B.T)
+        assert np.abs(X - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 48])
+    def test_sylvester(self, rng, n):
+        k = max(1, n // 2 + 1)
+        A = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
+        Bm = rng.standard_normal((k, k)) + np.sqrt(k) * np.eye(k)
+        R = rng.standard_normal((n, k))
+        X = solve_sylvester(A, Bm, R)
+        reference = scipy.linalg.solve_sylvester(A, Bm, R)
+        assert np.abs(X - reference).max() <= 1e-9 * np.abs(reference).max()
+        assert n < 8 or (_complex_pairs(A) > 0 and _complex_pairs(Bm) > 0)
+
+    def test_the_trsyl_scale_is_divided_out(self, monkeypatch):
+        # LAPACK solves T1 Y + Y T2^T = scale C; with scale = 1/2 the
+        # solution of the equation asked for is 2 Y, not Y / 2
+        def trsyl(a, b, c, tranb):
+            Y, scale, info = scipy.linalg.lapack.dtrsyl(a, b, c, tranb=tranb)
+            return 0.5 * Y, 0.5 * scale, info
+
+        monkeypatch.setattr(kernels, "_trsyl", trsyl)
+        X = solve_sylvester([[1.0]], [[2.0]], [[6.0]])
+        assert_allclose(X, [[2.0]])
+
+    def test_a_failed_triangular_solve_is_refused(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_trsyl", lambda a, b, c, tranb: (c, 1.0, -3))
+        with pytest.raises(NumericalError, match="trsyl info -3"):
+            solve_sylvester([[1.0]], [[2.0]], [[6.0]])
+
+
 class TestResolvent:
     def test_zero_generator(self):
         sys = constant_ltv(np.zeros((2, 2)), np.zeros((2, 1)), 0.0, 2.0)

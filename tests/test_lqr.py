@@ -582,6 +582,22 @@ class TestRiccatiSampleBudget:
         with pytest.raises(DomainError, match="84 entries, over MAX_PATH_ENTRIES = 83"):
             riccati_finite(prob, step=1e-3)
 
+    @pytest.mark.parametrize("n, m", [(2, 10 ** 5), (8, 2 * 10 ** 4)])
+    def test_no_temporary_is_the_size_of_the_samples(self, n, m):
+        # the budget counts the (2m + 1) n^2 samples and transitions; the
+        # slopes of P_at add (m + 1) n^2 and the grid m + 1 entries. Formed
+        # all at once, P B B^T P took one more (m + 1) n^2 temporary and
+        # the run peaked at 2.15 (n = 2) and 2.03 (n = 8) times the budget
+        prob = LqrProblem(_scan_draw(np.random.default_rng([n, 3]), n, False), None, 1.0)
+        riccati_finite(prob, step=1e-2)  # warm up lazily loaded LAPACK wrappers
+        tracemalloc.start()
+        try:
+            riccati_finite(prob, step=1.0 / m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 8 * (2 * m + 1) * n * n + 8 * (m + 1)
+
     def test_largest_tested_grid_is_well_inside(self):
         # n = 24 at T = 5 on the default spacing of 1e-3
         assert 10 * (2 * 5000 + 1) * 24 ** 2 <= MAX_PATH_ENTRIES

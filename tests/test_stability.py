@@ -59,6 +59,12 @@ class TestLyapunovCertificate:
             rep = lyapunov_certificate([[-1e300]], [[1.0]])
         assert rep.lyapunov_Q[0, 0] == pytest.approx(5e-301, rel=1e-12)
 
+    def test_one_schur_form_gives_the_verdict_and_the_solve(self, rng, monkeypatch):
+        A = helpers.random_stable_matrix(rng, 6)
+        counts = helpers.count_factorizations(monkeypatch)
+        lyapunov_certificate(A, np.eye(6))
+        assert counts == {"schur": 1, "eigvals": 0}
+
     def test_matches_integral_oracle_and_is_pd(self, rng):
         for _ in range(5):
             n = int(rng.integers(2, 5))

@@ -252,6 +252,14 @@ class TestGramianStabilizer:
         assert stab.P[0, 0] == pytest.approx(2.0, abs=1e-10)
         assert stab.closed_loop_abscissa == pytest.approx(-2.0, abs=1e-9)
 
+    def test_one_schur_form_gives_the_rate_and_the_solve(self, rng, monkeypatch):
+        # the closed-loop abscissa is the one eigenvalue computation left
+        sys = helpers.random_controllable(rng, 4, 1)
+        lam = minimal_decay_rate(sys.A) + 1.0
+        counts = helpers.count_factorizations(monkeypatch)
+        gramian_stabilizer(sys.A, sys.B, lam)
+        assert counts == {"schur": 1, "eigvals": 1}
+
     def test_pendulum_matches_integral_oracle(self, pendulum):
         # the integral needs lam > omega(-A) = 1, so 1.0 itself diverges
         with pytest.raises(DecayRateTooSmallError):
