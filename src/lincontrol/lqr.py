@@ -29,8 +29,9 @@ samples. Neither path integrates, so cfg.ode_step sets no error there.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -79,7 +80,8 @@ class LqrProblem:
             raise DimensionError(f"P0 must be {n} x {n}, got {P0.shape}")
         if not kernels.is_symmetric(P0, 1e-10):
             raise DimensionError("P0 must be symmetric")
-        if np.linalg.eigvalsh(P0)[0] < -1e-10 * (1.0 + np.linalg.norm(P0, 2)):
+        eigs = np.linalg.eigvalsh(P0)  # ||P0||_2 is the largest |eigenvalue|
+        if eigs[0] < -1e-10 * (1.0 + max(-eigs[0], eigs[-1])):
             raise DimensionError("P0 must be positive semidefinite")
         object.__setattr__(self, "P0", 0.5 * (P0 + P0.T))
         if not self.horizon > 0.0:
@@ -88,16 +90,41 @@ class LqrProblem:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
+    """The samples of `riccati_finite`, their closed-loop transitions and
+    certificate. The dense output `P_at` is formed on its first read, from
+    the samples and the coefficients A, B B^T and C^T C kept for it, and
+    kept: a caller that reads only the samples and transitions, as
+    `lqr_trajectory` does, never pays for its slopes."""
+
     grid: np.ndarray          # increasing samples on [0, T]
     P_samples: np.ndarray     # (K, n, n), symmetric PSD
     transitions: np.ndarray   # (K - 1, n, n): x(t_{k+1}) = transitions[k] x(t_k)
     terminal_matches_P0: bool
     max_residual: float
-    P_at: kernels.SampledMatrixFunction  # cubic-Hermite dense output of the samples
+    _coefficients: tuple = field(repr=False, compare=False)  # (A, B B^T, C^T C)
 
     @property
     def horizon(self) -> float:
         return float(self.grid[-1])
+
+    @functools.cached_property
+    def P_at(self) -> kernels.SampledMatrixFunction:
+        """Cubic-Hermite dense output of the samples at the spacing
+        h = T / m, formed on the first read and kept: its slopes
+        dP = -(P A + A^T P - P B B^T P + C^T C) add (m + 1) n^2 entries,
+        formed PATH_CHUNK samples at a time so that no temporary is the
+        size of P."""
+        A, BBt, CtC = self._coefficients
+        P = self.P_samples
+        dP = np.empty_like(P)
+        for lo in range(0, len(P), kernels.PATH_CHUNK):
+            Pc, slopes = P[lo:lo + kernels.PATH_CHUNK], dP[lo:lo + kernels.PATH_CHUNK]
+            np.matmul(Pc @ BBt, Pc, out=slopes)
+            PA = Pc @ A
+            slopes -= CtC
+            slopes -= PA
+            slopes -= np.swapaxes(PA, 1, 2)
+        return kernels.SampledMatrixFunction(0.0, self.horizon / (len(P) - 1), P, dP)
 
 
 @dataclass(frozen=True)
@@ -135,12 +162,41 @@ def _advance(triple, D: np.ndarray):
     W = beta @ D
     W += np.eye(alpha.shape[0])
     try:
-        X = np.linalg.solve(W, np.broadcast_to(alpha, W.shape))
+        X = np.linalg.solve(W, alpha[None])
     except np.linalg.LinAlgError as exc:
         raise EscapeTimeError("Riccati flow lost invertibility") from exc
     G = alpha.T @ (D @ X)
     G += gamma
-    return 0.5 * (G + G.swapaxes(1, 2)), X
+    S = G + G.swapaxes(1, 2)
+    S *= 0.5
+    return S, X
+
+
+def _check_psd(S: np.ndarray) -> None:
+    """Refuse (`NumericalInconsistencyError`) a stack S of symmetric
+    samples with an eigenvalue below -1e-9.
+
+    One batched Cholesky of S + (1e-9 - delta) I accepts the stack when
+    it succeeds. delta = n (n + 1) eps (1 + max |S|) covers the backward
+    error of the factorization: the computed factor is exact for a
+    matrix within gamma_{n+1} max_i m_ii of it entrywise (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 10.3),
+    so within n (n + 1) u (1 + max |S|) = delta / 2 in the 2-norm, and
+    an accepted S has no eigenvalue below -1e-9. When the factorization
+    fails, the smallest eigenvalue of the stack decides; the two rules
+    part only for an eigenvalue within about delta above -1e-9.
+    """
+    n = S.shape[-1]
+    delta = n * (n + 1) * np.finfo(float).eps * (1.0 + float(np.abs(S).max()))
+    try:
+        np.linalg.cholesky(S + (1e-9 - delta) * np.eye(n))
+        return
+    except np.linalg.LinAlgError:
+        pass
+    min_eig = float(np.linalg.eigvalsh(S)[:, 0].min())
+    if min_eig < -1e-9:
+        raise NumericalInconsistencyError(
+            f"Riccati sample lost positive semidefiniteness (min eig {min_eig:.3e})")
 
 
 def _riccati_block(m: int, n: int) -> int:
@@ -193,10 +249,14 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     Within a block each sample is the one-step image of the one before
     by construction; the s-th round must land on the next block start of
     the doubling: max_residual is that miss relative to 1 + max |P|,
-    refused above RDE_RESIDUAL_TOL. Samples are symmetric and checked to
-    be PSD. A grid whose samples and transitions exceed MAX_PATH_ENTRIES
-    is refused (`kernels.check_path_entries`) before anything is
-    allocated; the slopes of P_at add (m + 1) n^2 entries to that.
+    refused above RDE_RESIDUAL_TOL. Samples are symmetric, and about 256
+    of them, evenly spaced, are checked to be PSD by one batched Cholesky
+    (`_check_psd`). What is stored is the (m + 1) n^2 samples, the m n^2
+    transitions and the m + 1 grid times; a grid whose samples and
+    transitions exceed MAX_PATH_ENTRIES is refused
+    (`kernels.check_path_entries`) before anything is allocated. The
+    slopes of the dense output are not formed here: `P_at` adds their
+    (m + 1) n^2 entries on its first read.
     """
     if not math.isfinite(prob.horizon):
         raise DomainError("riccati_finite needs a finite horizon")
@@ -217,8 +277,15 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     E = D[::s]  # E[b] = D[b s]: the block starts
     first = m + 1  # the first sample back from T found blown up, if at most m
 
-    def small(G):  # which deviations of G give a sample below BLOWUP_NORM (nan does not)
-        return np.abs(prob.P0 + G).max(axis=(-2, -1)) < BLOWUP_NORM
+    # deviations within `limit` give samples below BLOWUP_NORM even with the
+    # rounding of P0 + G; only a stack that leaves it is checked sample by sample
+    limit = BLOWUP_NORM * (1.0 - 1e-15) - np.abs(prob.P0).max()
+
+    def blown(G):  # the first deviation of G whose sample reaches BLOWUP_NORM or is nan, or -1
+        if G.max() < limit and -G.min() < limit:
+            return -1
+        ok = np.abs(prob.P0 + G).max(axis=(-2, -1)) < BLOWUP_NORM
+        return -1 if ok.all() else int(np.argmin(ok))
 
     # an overflow shows as an inf or nan sample and is reported as blow-up
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,10 +293,10 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
         CtC = C.T @ C
         triple = one_step = kernels._flow_triple(A, BBt, CtC, h, prob.P0)
         c = 1  # triple is the flow over c steps, its gamma the deviation D[c]
-        while c < s and small(triple[2]):
+        while c < s and blown(triple[2]) < 0:
             triple = kernels._compose(triple, triple)
             c *= 2
-        if not small(triple[2]):
+        if blown(triple[2]) >= 0:
             first = c  # the rounds look for an earlier one
         else:
             E[1] = triple[2]
@@ -239,9 +306,9 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                     triple = kernels._compose(triple, triple)  # the flow over c blocks
                 k = min(c, len(E) - 1 - c)
                 E[c + 1:c + k + 1] = _advance(triple, E[1:k + 1])[0]
-                ok = small(E[c + 1:c + k + 1])
-                if not ok.all():
-                    first = (c + 1 + int(np.argmin(ok))) * s
+                b = blown(E[c + 1:c + k + 1])
+                if b >= 0:
+                    first = (c + 1 + b) * s
                     break
                 c += k
         for j in range(1, s + 1):  # round j: D[b s + j - 1] to D[b s + j] in every block b
@@ -252,9 +319,9 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
             G, X[j - 1::s][:count] = _advance(one_step, D[j - 1::s][:count])
             if j < s:
                 D[j::s][:count] = G
-                ok = small(G)
-                if not ok.all():
-                    first = int(np.argmin(ok)) * s + j
+                b = blown(G)
+                if b >= 0:
+                    first = b * s + j
             else:
                 miss = np.abs(G - E[1:count + 1]).max()
     if first <= m:
@@ -262,32 +329,18 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     P += prob.P0
     grid = np.linspace(0.0, T, K)
 
-    min_eig = float(np.linalg.eigvalsh(P[:: max(1, K // 256)])[:, 0].min())
-    if min_eig < -1e-9:
-        raise NumericalInconsistencyError(
-            f"Riccati sample lost positive semidefiniteness (min eig {min_eig:.3e})")
-    max_residual = float(miss / (1.0 + np.abs(P).max()))
+    _check_psd(P[:: max(1, K // 256)])
+    max_residual = float(miss / (1.0 + max(P.max(), -P.min())))  # no |P| temporary
     if not max_residual <= RDE_RESIDUAL_TOL:
         raise NumericalInconsistencyError(
             f"Riccati samples miss the one-step flow by {max_residual:.3e} of 1 + max |P|")
-
-    # dP = -(P A + A^T P - P B B^T P + C^T C), the slopes of the dense output,
-    # formed PATH_CHUNK samples at a time so that no temporary is the size of P
-    dP = np.empty_like(P)
-    for lo in range(0, K, kernels.PATH_CHUNK):
-        Pc, slopes = P[lo:lo + kernels.PATH_CHUNK], dP[lo:lo + kernels.PATH_CHUNK]
-        np.matmul(Pc @ BBt, Pc, out=slopes)
-        PA = Pc @ A
-        slopes -= CtC
-        slopes -= PA
-        slopes -= np.swapaxes(PA, 1, 2)
     return RiccatiSolution(
         grid=grid,
         P_samples=P,
         transitions=transitions,
         terminal_matches_P0=bool(np.array_equal(P[-1], prob.P0)),
         max_residual=max_residual,
-        P_at=kernels.SampledMatrixFunction(0.0, h, P, dP),
+        _coefficients=(A, BBt, CtC),
     )
 
 

@@ -94,7 +94,8 @@ def detectability_test(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Detec
     coordinates, with zero gain on the remaining (stable) modes; an
     observable pair is the case where that block is the whole state.
     The block gain is the decay-rate stabilizer of `gramian_stabilizer`
-    at one unit past the block's minimal decay rate.
+    at one unit past the block's minimal decay rate, read off the one
+    Schur form of the block that the stabilizer solves with.
     """
     A = kernels.require_square(A, "A")
     C = kernels.as_matrix(C, "C")
@@ -107,8 +108,8 @@ def detectability_test(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Detec
     r = dual.r
     L = np.zeros((n, m))
     if r > 0:
-        rate = synthesis.minimal_decay_rate(dual.A1) + 1.0
-        F1 = synthesis.gramian_stabilizer(dual.A1, dual.B1, rate, cfg).K
+        F1 = synthesis._gramian_stabilizer(dual.A1, dual.B1, lambda minimal: minimal + 1.0,
+                                           cfg).K
         L = (np.hstack([F1, np.zeros((m, n - r))]) @ dual.T.T).T
     closed = spectral_abscissa(A + L @ C)
     if closed >= -STABILITY_MARGIN:

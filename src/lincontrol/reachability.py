@@ -217,8 +217,13 @@ def gramian_invertibility_cutoff(G: np.ndarray,
     with a floor of a few machine epsilons; anything smaller cannot be
     distinguished from quadrature rounding either way.
     """
-    floor = max((cfg.rank_rtol * max(G.shape)) ** 2, 4.0 * np.finfo(float).eps)
-    return floor * (1.0 + float(np.linalg.norm(G, 2)))
+    return _cutoff(float(np.linalg.norm(G, 2)), max(G.shape), cfg)
+
+
+def _cutoff(norm: float, dim: int, cfg: ToleranceConfig) -> float:
+    """`gramian_invertibility_cutoff` of a Gramian of size dim and 2-norm norm."""
+    floor = max((cfg.rank_rtol * dim) ** 2, 4.0 * np.finfo(float).eps)
+    return floor * (1.0 + norm)
 
 
 class _Quadrature(NamedTuple):
@@ -289,12 +294,15 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
             f"controllability Gramian on [{t0}, {t1}] misses the Lyapunov identity "
             f"A G + G A^T + B B^T = R B B^T R^T by {residual:.3e} of its terms "
             f"(bound {LYAPUNOV_RESIDUAL_TOL:.0e})")
-    min_eig = float(np.linalg.eigvalsh(G)[0])
+    eigs = np.linalg.eigvalsh(G)
+    min_eig = float(eigs[0])
+    # ||G||_2 is the largest |eigenvalue|, with no SVD of its own
+    cutoff = _cutoff(float(max(-eigs[0], eigs[-1])), G.shape[0], cfg)
     report = GramianReport(
         gramian=G,
         interval=(t0, t1),
         min_eigenvalue=min_eig,
-        invertible=min_eig > gramian_invertibility_cutoff(G, cfg),
+        invertible=min_eig > cutoff,
         residual=residual,
     )
     return _Quadrature(report, R10, adjoint)

@@ -89,7 +89,8 @@ def lyapunov_stability_test(A, C, Q_candidate,
     Q = kernels.require_square(Q_candidate, "Q_candidate")
     if not kernels.is_symmetric(Q, 1e-10):
         raise PreconditionError("Q_candidate must be symmetric")
-    if np.linalg.eigvalsh(Q)[0] < -1e-10 * (1.0 + np.linalg.norm(Q, 2)):
+    eigs = np.linalg.eigvalsh(Q)  # ||Q||_2 is the largest |eigenvalue|
+    if eigs[0] < -1e-10 * (1.0 + max(-eigs[0], eigs[-1])):
         raise PreconditionError("Q_candidate must be positive semidefinite")
     if not observability_test(A, C, 1.0, cfg).observable:
         raise PreconditionError("(A, C) must be observable")

@@ -15,7 +15,7 @@ so the stored coefficients (a_1, ..., a_n) enter with a minus sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -338,6 +338,14 @@ def gramian_stabilizer(A, B, decay_rate: float,
     independent eigenvalue computation. P = Q^{-1} satisfies
     P A + A^T P + 2 lam P - P B B^T P = 0.
     """
+    return _gramian_stabilizer(A, B, lambda minimal: decay_rate, cfg)
+
+
+def _gramian_stabilizer(A, B, rate_for: Callable[[float], float],
+                        cfg: ToleranceConfig) -> GramianStabilizer:
+    """`gramian_stabilizer` at the decay rate rate_for(minimal), where
+    minimal is the minimal admissible rate read off the Schur form of A
+    that the solve uses, so that a rate set relative to it factors A once."""
     A = kernels.require_square(A, "A")
     B = kernels.as_matrix(B, "B")
     n = A.shape[0]
@@ -345,6 +353,7 @@ def gramian_stabilizer(A, B, decay_rate: float,
         raise UncontrollableError("(A, B) is not controllable")
     schur = kernels.real_schur(A)
     minimal = _decay_floor(schur.eigenvalues)
+    decay_rate = rate_for(minimal)
     if not decay_rate > 0.0 or decay_rate < minimal:
         raise DecayRateTooSmallError(
             f"decay rate {decay_rate} does not make the weighted Gramian "

@@ -29,7 +29,7 @@ from lincontrol import (
 from lincontrol import kernels
 from lincontrol.kernels import _compose, _flow_triple, rk4_path
 from lincontrol.kernels import MAX_PATH_ENTRIES
-from lincontrol.lqr import _riccati_block
+from lincontrol.lqr import _check_psd, _riccati_block
 
 from helpers import (
     compose_by_blocks,
@@ -564,6 +564,99 @@ class TestLapackKernels:
                       lambda s: riccati_finite(LqrProblem(s, None, 1.0)).P_samples):
             want = solve(base)
             assert np.abs(solve(scaled) / c ** 2 - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestDenseOutputOnFirstRead:
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_first_read_is_the_slope_formula_and_is_kept(self, n):
+        sys = _scan_draw(np.random.default_rng([n, 5]), n, False)
+        prob = LqrProblem(sys, 0.5 * np.eye(n), 1.0)
+        ric = riccati_finite(prob)
+        assert "P_at" not in vars(ric)  # nothing formed before the first read
+        P, A, BBt, CtC = ric.P_samples, sys.A, sys.B @ sys.B.T, sys.C.T @ sys.C
+        eager = -(P @ A + A.T @ P - P @ BBt @ P + CtC)
+        dense = ric.P_at
+        assert dense.values is P
+        assert np.abs(dense.derivs - eager).max() <= 1e-15 * np.abs(eager).max()
+        assert dense.h == 1.0 / (ric.grid.size - 1)
+        assert ric.P_at is dense
+
+    @pytest.mark.parametrize("n, m", [(2, 10 ** 5), (8, 2 * 10 ** 4)])
+    def test_the_slopes_are_allocated_by_the_first_read_only(self, n, m):
+        # the samples, the transitions and the grid, plus the rounds' stacks
+        # of m / s samples (1.02 and 1.07 times the budget here); forming the
+        # slopes in riccati_finite added (m + 1) n^2 entries, half the budget
+        prob = LqrProblem(_scan_draw(np.random.default_rng([n, 3]), n, False), None, 1.0)
+        riccati_finite(prob, step=1e-2).P_at  # warm up lazily loaded LAPACK wrappers
+        slopes = 8 * (m + 1) * n * n
+        tracemalloc.start()
+        try:
+            ric = riccati_finite(prob, step=1.0 / m)
+            solved, peak = tracemalloc.get_traced_memory()
+            ric.P_at
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * (2 * m + 1) * n * n + 8 * (m + 1)
+        assert read - solved >= slopes
+
+
+def _planted(lam_min, n=4, seed=0):
+    """Three symmetric samples whose smallest eigenvalue is lam_min, in the
+    second sample, the others with spectra in [0.1, 2]."""
+    rng = np.random.default_rng(seed)
+    spectra = rng.uniform(0.1, 2.0, (3, n))
+    spectra[1, 0] = lam_min
+    Q = np.linalg.qr(rng.standard_normal((3, n, n)))[0]
+    S = Q @ (spectra[:, :, None] * Q.swapaxes(1, 2))
+    return 0.5 * (S + S.swapaxes(1, 2))
+
+
+class TestPsdVerdict:
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_an_eigenvalue_below_the_bound_is_refused(self, eigvalsh_calls):
+        with pytest.raises(NumericalInconsistencyError, match=r"min eig -2\.000e-09"):
+            _check_psd(_planted(-2e-9))
+        assert len(eigvalsh_calls) == 1
+
+    def test_one_cholesky_accepts_an_eigenvalue_above_it(self, eigvalsh_calls):
+        _check_psd(_planted(-5e-10))
+        assert eigvalsh_calls == []
+
+    def test_inside_the_rounding_band_the_eigenvalues_decide(self, eigvalsh_calls):
+        # S + (1e-9 - delta) I has the eigenvalue -delta / 2: the Cholesky
+        # fails, and the smallest eigenvalue, above -1e-9, accepts
+        S = np.stack([np.diag([1.0, 0.5, 0.25, 2.0])] * 3)
+        delta = 4 * 5 * np.finfo(float).eps * (1.0 + 2.0)
+        S[1, 0, 0] = -1e-9 + 0.5 * delta
+        _check_psd(S)
+        assert len(eigvalsh_calls) == 1
+        S[1, 0, 0] = -1e-9 - 0.5 * delta
+        with pytest.raises(NumericalInconsistencyError, match="min eig -1.000e-09"):
+            _check_psd(S)
+
+    def test_a_non_psd_sample_is_refused_with_its_min_eig(self, monkeypatch):
+        # a propagator whose every step adds -1e-8 I: the 100 samples back
+        # from T fall to -1e-6 I, consistent with the doubling, so only the
+        # PSD verdict refuses them
+        def shrinking(A, BBt, CtC, duration, P0):
+            n = A.shape[0]
+            return np.eye(n), np.zeros((n, n)), -1e-8 * np.eye(n)
+
+        monkeypatch.setattr(kernels, "_flow_triple", shrinking)
+        prob = LqrProblem(LtiSystem(np.zeros((2, 2)), np.eye(2), np.eye(2)), None, 1.0)
+        with pytest.raises(NumericalInconsistencyError, match=r"min eig -1\.000e-06"):
+            riccati_finite(prob, step=0.01)
 
 
 class TestRiccatiSampleBudget:

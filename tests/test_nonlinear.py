@@ -557,6 +557,61 @@ def _both_references(vf, xe, ue):
             ReferenceTrajectory(vf, 0.0, 1.0, lambda t: xe, lambda t: ue))
 
 
+ENDPOINT_FIELDS = {
+    "pendulum": (pendulum, [PI + 0.05, 0.0]),
+    "duffing": (lambda: polynomial_field(DUFFING), [0.02, 0.0]),
+    "x' = 20 x + u": (lambda: VectorField(1, 1, lambda x, u: np.array([20.0 * x[0] + u[0]])),
+                      [0.01]),
+}
+
+
+class TestEndpointFlow:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-11])  # a pass's flow and its certificate's
+    @pytest.mark.parametrize("case", sorted(ENDPOINT_FIELDS))
+    def test_endpoint_grid_gives_the_full_grid_endpoint_bit_for_bit(self, case, tol):
+        # the steps do not depend on the grid; dense output only fills it in
+        build, x0 = ENDPOINT_FIELDS[case]
+        vf, u = build(), _wavy(1)
+        grid = np.linspace(0.0, 1.0, 1001)
+        cfg = ToleranceConfig(fixed_point_tol=tol)
+        full = integrate_field(vf, x0, u, grid, cfg)
+        ends = integrate_field(vf, x0, u, grid[[0, -1]], cfg)
+        assert np.array_equal(ends.states, full.states[[0, -1]])
+        assert np.array_equal(ends.controls, full.controls[[0, -1]])
+
+    @pytest.mark.parametrize("case", sorted(ENDPOINT_FIELDS))
+    def test_the_certificate_flow_forms_no_dense_output(self, case, monkeypatch):
+        build, x0 = ENDPOINT_FIELDS[case]
+        vf = build()
+        x0 = np.array(x0)
+        x_e = np.array([PI, 0.0]) if case == "pendulum" else np.zeros(x0.size)
+        ref = equilibrium_reference(vf, x_e, [0.0], 0.0, 1.0)
+        dense, flow = nonlinear._dense, nonlinear.integrate_field
+        dense_calls, flows = [0], []
+
+        def counted_dense(*args):
+            dense_calls[0] += 1
+            return dense(*args)
+
+        def recorded(vf, x0, u, grid, cfg):
+            before = dense_calls[0]
+            traj = flow(vf, x0, u, grid, cfg)
+            flows.append((grid.size, dense_calls[0] - before))
+            return traj
+
+        monkeypatch.setattr(nonlinear, "_dense", counted_dense)
+        monkeypatch.setattr(nonlinear, "integrate_field", recorded)
+        x1 = x_e + 0.5 * (x_e - x0)
+        if case == "x' = 20 x + u":  # converges, and its certificate refuses the flow
+            with pytest.raises(FlowAccuracyError):
+                steer_nonlinear(vf, ref, x0, x1)
+        else:
+            assert steer_nonlinear(vf, ref, x0, x1).converged
+        *passes, certificate = flows
+        assert passes and all(size == 1001 and calls > 0 for size, calls in passes)
+        assert certificate == (2, 0)
+
+
 class TestEquilibriumPath:
     @pytest.mark.parametrize("case", sorted(EQUILIBRIUM_CASES))
     def test_constant_and_time_varying_paths_agree(self, case):

@@ -137,6 +137,16 @@ class TestDetectability:
         assert rep.detectable
         assert spectral_abscissa(A + rep.witness_L @ C) < 0
 
+    @pytest.mark.parametrize("hidden", [None, -0.5])
+    def test_the_block_is_factored_once_for_its_rate_and_gain(self, hidden, monkeypatch):
+        # the minimal decay rate of the block comes from the stabilizer's own
+        # Schur form; a separate minimal_decay_rate took one more eigvals
+        A, C = helpers.planted_detection_pair(np.random.default_rng([5, 1]), 5, hidden)
+        counts = helpers.count_factorizations(monkeypatch)
+        rep = detectability_test(A, C)
+        assert rep.detectable
+        assert counts == {"schur": 1, "eigvals": 3}
+
     @pytest.mark.parametrize("n", [8, 12, 16])
     @pytest.mark.parametrize("hidden", [None, -1.5])
     def test_witness_past_small_n(self, n, hidden):

@@ -29,6 +29,7 @@ from lincontrol import (
 )
 from lincontrol.reachability import (
     _gramian,
+    gramian_invertibility_cutoff,
     is_controllable,
     kalman_matrix,
     unstabilizable_mode,
@@ -174,6 +175,25 @@ class TestGramian:
             rep = controllability_gramian(sys, 0.0, 1.0)
             assert np.abs(rep.gramian - rep.gramian.T).max() <= 1e-10
             assert rep.min_eigenvalue >= -1e-10
+
+    def test_verdict_takes_the_norm_from_the_spectrum(self, rng, monkeypatch):
+        # ||G||_2 is the largest |eigenvalue| of the eigvalsh the verdict
+        # already takes; the public cutoff, from the SVD, gives the same verdict
+        spectral, norm = [], np.linalg.norm
+
+        def counted(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                spectral.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        for _ in range(10):
+            sys = helpers.random_system(rng, int(rng.integers(1, 7)), 1)
+            monkeypatch.setattr(np.linalg, "norm", counted)
+            rep = controllability_gramian(sys, 0.0, 1.0)
+            monkeypatch.setattr(np.linalg, "norm", norm)
+            assert spectral == []
+            cutoff = gramian_invertibility_cutoff(rep.gramian)
+            assert rep.invertible == (rep.min_eigenvalue > cutoff)
 
     def test_bad_interval_rejected(self, pendulum):
         with pytest.raises(DomainError):
