@@ -57,13 +57,16 @@ class ParseFailure(Exception):
 
 def _encode(value):
     """`json.dumps` hook: an array as nested lists, a numpy scalar as its
-    Python value, a complex number as [re, im]."""
+    Python value, a complex number as [re, im], a dataclass (a library
+    report) as its fields in declaration order."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, complex):
         return [value.real, value.imag]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -92,7 +95,7 @@ def _load_json(path: Path):
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ParseFailure(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -157,8 +160,9 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (name, results, csvs), csvs a list
-# of (suffix, write) pairs that `main` writes with write(path) to
+# command implementations; each returns (name, results, csvs): results the
+# verdict's dict, or the library's report where the verdict is its fields;
+# csvs a list of (suffix, write) pairs that `main` writes with write(path) to
 # <name>__<command><suffix>.csv once the verdict has serialized
 
 
@@ -258,21 +262,13 @@ def _parse_target(args, n: int) -> synthesis.MonicPolynomial:
 def cmd_place(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     target = _parse_target(args, sys_obj.n)
-    gain = synthesis.pole_place(sys_obj.A, sys_obj.B, target, cfg)
-    results = {
-        "F": gain.F,
-        "achieved_spectrum": [[v.real, v.imag] for v in gain.achieved_spectrum],
-        "residual": gain.residual,
-    }
-    return name, results, []
+    return name, synthesis.pole_place(sys_obj.A, sys_obj.B, target, cfg), []
 
 
 def cmd_observer(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     target = _parse_target(args, sys_obj.n)
-    gain = synthesis.design_observer(sys_obj.A, sys_obj.C, target, cfg)
-    results = {"L": gain.L, "closed_loop_abscissa": gain.closed_loop_abscissa}
-    return name, results, []
+    return name, synthesis.design_observer(sys_obj.A, sys_obj.C, target, cfg), []
 
 
 def cmd_lqr(args, cfg, extra_fields):
@@ -303,28 +299,13 @@ def cmd_are(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
     sol = lqr_mod.are_solve(sys_obj, cfg, initial_horizon=args.initial_horizon,
                             max_doublings=args.max_doublings)
-    results = {
-        "finite_cost_condition": True,  # are_solve raises otherwise
-        "P": sol.P,
-        "residual": sol.residual,
-        "closed_loop_abscissa": sol.closed_loop_abscissa,
-        "horizon_used": sol.horizon_used,
-    }
-    return name, results, []
+    return name, {"finite_cost_condition": True, **_encode(sol)}, []  # are_solve raises otherwise
 
 
 def cmd_gramian_stab(args, cfg, extra_fields):
     sys_obj, name = load_system(Path(args.system))
-    stab = synthesis.gramian_stabilizer(sys_obj.A, sys_obj.B, getattr(args, "lambda"), cfg)
-    results = {
-        "decay_rate": stab.decay_rate,
-        "Q": stab.Q,
-        "P": stab.P,
-        "K": stab.K,
-        "riccati_residual": stab.riccati_residual,
-        "closed_loop_abscissa": stab.closed_loop_abscissa,
-    }
-    return name, results, []
+    lam = getattr(args, "lambda")
+    return name, synthesis.gramian_stabilizer(sys_obj.A, sys_obj.B, lam, cfg), []
 
 
 def cmd_simulate(args, cfg, extra_fields):

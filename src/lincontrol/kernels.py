@@ -21,7 +21,7 @@ in conjugate pairs when produced from a real matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
@@ -51,7 +51,7 @@ class ToleranceConfig:
                      accuracy
     fixed_point_tol  terminal-error target of the nonlinear steering iteration;
                      the nonlinear flow runs at rtol = atol = 1e-3 of it
-    max_iter         cap on fixed-point iterations
+    max_iter         cap on fixed-point iterations, an integer; no field is a bool
     """
 
     rank_rtol: float = 1e-10
@@ -61,11 +61,14 @@ class ToleranceConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        for name in ("rank_rtol", "residual_tol", "ode_step", "fixed_point_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be a number, not a bool")
+            if not value > 0:
+                raise ValueError(f"{f.name} must be strictly positive")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -307,7 +310,7 @@ def _flow_triple(A, BBt, CtC, duration, P0):
         raise EscapeTimeError("Riccati Hamiltonian overflows: its entries are not finite")
     scale = np.abs(H).sum(axis=0).max()
     s = max(0, math.ceil(math.log2(duration) + math.log2(scale))) if scale > 0 else 0
-    Phi = expm((duration / 2.0 ** s) * H)
+    Phi = expm(math.ldexp(duration, -s) * H)  # duration / 2^s, exact, with no 2^s to overflow
     rhs = np.zeros((n, 2 * n))
     rhs.reshape(-1)[::2 * n + 1] = 1.0  # the identity in the left half
     rhs[:, n:] = Phi[:n, n:]
@@ -382,7 +385,7 @@ def check_path_entries(entries: float, what: str) -> None:
     if not entries <= MAX_PATH_ENTRIES:
         raise DomainError(
             f"{what}: {count_text(entries)} entries, over MAX_PATH_ENTRIES = "
-            f"{MAX_PATH_ENTRIES}; shorten the horizon or widen ode_step")
+            f"{MAX_PATH_ENTRIES}; shorten the horizon, widen ode_step or take fewer points")
 
 
 def check_within(a, b, lo, hi, what: str, interval: str = "system") -> None:
@@ -648,12 +651,17 @@ def resolvent(sys: "LtvSystem", s: float, t: float,
     return linear_path(lambda sl: (sample_at(sys.A_of, times[sl]), None), np.eye(n), stages)[-1]
 
 
-def simpson_intervals(span: float, max_step: float) -> int:
-    """Even interval count with spacing at most max_step; an interval of
-    no finite count is refused (`DomainError`)."""
-    if not math.isfinite(span / max_step):
+def step_count(span: float, max_step: float) -> int:
+    """ceil(span / max_step), the count of steps at most max_step long; a
+    step of 0 and a span of no finite count are refused (`DomainError`)."""
+    if not (max_step > 0.0 and math.isfinite(span / max_step)):
         raise DomainError(f"a span of {span} has no finite count of steps of {max_step}")
-    m = max(2, math.ceil(span / max_step))
+    return math.ceil(span / max_step)
+
+
+def simpson_intervals(span: float, max_step: float) -> int:
+    """Even interval count with spacing at most max_step (`step_count`)."""
+    m = max(2, step_count(span, max_step))
     return m + (m % 2)
 
 

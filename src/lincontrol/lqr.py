@@ -245,7 +245,9 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     go no further than the first sample found, so an EscapeTimeError
     names the first sample back from T whose size reaches BLOWUP_NORM.
     The spacing defaults to min(cfg.ode_step, T/2000) so the Hermite dense
-    output resolves the layer near t = T when P0 = 0 and C is large.
+    output resolves the layer near t = T when P0 = 0 and C is large; a
+    spacing of 0 or a step count that is not finite is refused
+    (`kernels.step_count`).
     Within a block each sample is the one-step image of the one before
     by construction; the s-th round must land on the next block start of
     the doubling: max_residual is that miss relative to 1 + max |P|,
@@ -263,7 +265,7 @@ def riccati_finite(prob: LqrProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     T = prob.horizon
     A, B, C = prob.sys.A, prob.sys.B, prob.sys.C
     h_target = step if step is not None else min(cfg.ode_step, T / 2000.0)
-    m = math.ceil(T / h_target)
+    m = kernels.step_count(T, h_target)
     h = T / m
     K = m + 1
     n = prob.sys.n

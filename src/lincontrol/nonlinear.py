@@ -98,7 +98,8 @@ class ReferenceTrajectory:
     Construction checks the lengths of xbar(t0) and ubar(t0)
     (`DimensionError`) and verifies xbar' = f(xbar, ubar) on an interior
     grid, the derivative taken by central differences of the callable. A
-    reference built by `equilibrium_reference` also keeps its (x_e, u_e).
+    reference built by `equilibrium_reference` also keeps its (x_e, u_e),
+    which that function has checked, and skips both checks.
     """
 
     vf: VectorField
@@ -111,17 +112,21 @@ class ReferenceTrajectory:
     def __post_init__(self):
         if not self.t0 < self.t1:
             raise ValueError("need t0 < t1")
+        if self._equilibrium is not None:  # checked by equilibrium_reference
+            return
         _check_lengths(self.vf, self.xbar(self.t0), self.ubar(self.t0),
                        "xbar(t0) and ubar(t0)")
         span = self.t1 - self.t0
         hd = 1e-5 * span
-        worst = 0.0
-        for t in np.linspace(self.t0 + 2 * hd, self.t1 - 2 * hd, 17):
-            xdot = (np.asarray(self.xbar(t + hd), float)
-                    - np.asarray(self.xbar(t - hd), float)) / (2.0 * hd)
-            worst = max(worst, float(np.linalg.norm(
-                xdot - self.vf(self.xbar(t), self.ubar(t)))))
-        if worst > 1e-6:
+        residuals = []
+        # an hd that underflows gives a nan residual, which np.max keeps
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for t in np.linspace(self.t0 + 2 * hd, self.t1 - 2 * hd, 17):
+                xdot = (np.asarray(self.xbar(t + hd), float)
+                        - np.asarray(self.xbar(t - hd), float)) / (2.0 * hd)
+                residuals.append(np.linalg.norm(xdot - self.vf(self.xbar(t), self.ubar(t))))
+        worst = float(np.max(residuals))
+        if not worst <= 1e-6:
             raise ValueError(
                 f"reference does not solve the dynamics (residual {worst:.3e})")
 

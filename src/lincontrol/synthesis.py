@@ -238,7 +238,7 @@ def pole_place(A, B, target: MonicPolynomial,
         closed = A + B @ F
     if not np.all(np.isfinite(closed)):
         raise ConditioningError("placed closed loop A + B F overflows")
-    achieved = kernels.eigenvalues(closed)
+    achieved = kernels.eigenvalues(closed).astype(complex)  # eigvals is real on a real spectrum
     ach_alphas = characteristic_polynomial(closed).alphas
     residual = float(np.max(np.abs(ach_alphas - target.alphas)
                             / (1.0 + np.abs(target.alphas))))

@@ -188,6 +188,7 @@ def write_csv(path, header, rows) -> None:
 def uniform_grid(t0: float, t1: float, points: int) -> np.ndarray:
     if points < 2:
         raise DomainError("a grid needs at least two points")
+    kernels.check_path_entries(points, "a uniform grid")
     return np.linspace(t0, t1, points)
 
 

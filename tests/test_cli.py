@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -380,6 +381,39 @@ class TestCommands:
         capsys.readouterr()
         data = json.loads((tmp_path / "cubic__steer-nl.json").read_text())
         assert data["results"]["converged"] is True
+
+
+class TestVerdictIsTheReport:
+    """The results of are, place, observer and gramian-stab are the fields
+    of the library's report, in declaration order."""
+
+    @pytest.mark.parametrize("argv, report, lead", [
+        (["are"], lincontrol.AreSolution, ["finite_cost_condition"]),
+        (["place", "--roots=-1,-2"], lincontrol.FeedbackGain, []),
+        (["observer", "--roots=-1,-2"], lincontrol.ObserverGain, []),
+        (["gramian-stab", "--lambda", "2"], lincontrol.GramianStabilizer, []),
+    ], ids=["are", "place", "observer", "gramian-stab"])
+    def test_results_keys_are_the_report_fields(self, tmp_path, capsys, argv, report, lead):
+        path = write(tmp_path, PEND)
+        assert run([argv[0], path, *argv[1:], "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        data = json.loads((tmp_path / f"pendulum-upright__{argv[0]}.json").read_text())
+        fields = [f.name for f in dataclasses.fields(report)]
+        assert list(data["results"]) == lead + fields
+
+    def test_real_spectrum_is_written_as_pairs(self, tmp_path, capsys):
+        path = write(tmp_path, DI)
+        assert run(["place", path, "--roots=-1,-2", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        data = json.loads((tmp_path / "di__place.json").read_text())
+        spectrum = sorted(data["results"]["achieved_spectrum"])
+        assert [len(v) for v in spectrum] == [2, 2]
+        assert np.abs(np.array(spectrum) - [[-2.0, 0.0], [-1.0, 0.0]]).max() < 1e-9
+
+    def test_library_spectrum_is_complex(self):
+        gain = lincontrol.pole_place(np.array(DI["A"], float), np.array(DI["B"], float),
+                                     lincontrol.MonicPolynomial.from_roots([-1.0, -2.0]))
+        assert gain.achieved_spectrum.dtype == complex
 
 
 class TestFloatTypes:
@@ -912,6 +946,73 @@ class TestExitCodes:
         capsys.readouterr()
         rows = (tmp_path / "scalar__lqr_value.csv").read_text().strip().split("\n")
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("config", [{"max_iter": 2.5}, {"max_iter": 1e9},
+                                        {"ode_step": True}])
+    def test_non_integer_or_bool_tolerance_is_2(self, tmp_path, capsys, config):
+        # max_iter = 2.5 reached range() as a float, a TypeError
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run(["steer-nl", "--field", "pendulum", "--t1", "1",
+                    "--x0", "3.191592653589793,0", "--x1", "3.091592653589793,0",
+                    "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad tolerance values" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["system", "config"])
+    def test_integer_past_the_digit_limit_is_2(self, tmp_path, capsys, where):
+        digits = "1" + "0" * 5000
+        system = tmp_path / "sys.json"
+        config = tmp_path / "config.json"
+        if where == "system":
+            system.write_text('{"name": "big", "A": [[' + digits + ']], "B": [[1]]}')
+            argv = ["analyze", str(system)]
+        else:
+            config.write_text('{"max_iter": ' + digits + '}')
+            argv = ["analyze", write(tmp_path, SCALAR), "--config", str(config)]
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon, config", [
+        ("1e306", None), ("1e-321", None), ("1", {"ode_step": 1e-320})],
+        ids=["count-overflows", "spacing-underflows", "step-underflows"])
+    def test_lqr_step_count_of_no_finite_value_is_2(self, tmp_path, capsys, horizon, config):
+        argv = ["lqr", write(tmp_path, SCALAR), "--horizon", horizon]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "no finite count of steps" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--x0", "1"], ["steer", "--x0", "1", "--x1", "0"]],
+        ids=lambda argv: argv[0])
+    def test_grid_past_the_budget_is_2(self, tmp_path, capsys, argv):
+        # 10^15 points asked numpy for 7 PiB before any budget check
+        assert run([argv[0], write(tmp_path, SCALAR), "--t1", "1", *argv[1:],
+                    "--points", "1000000000000000", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "a uniform grid: 1000000000000000 entries, over MAX_PATH_ENTRIES" in err
+
+    def test_flow_triple_step_past_2_to_1023_halvings(self, tmp_path, capsys):
+        # the doubling count s passes 1023 and 2.0 ** s overflowed
+        path = write(tmp_path, {"name": "fast", "A": [[-1e6]], "B": [[1]]})
+        assert run(["gramian", path, "--t1", "1e304", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        data = json.loads((tmp_path / "fast__gramian.json").read_text())
+        assert data["results"]["gramian"][0][0] == pytest.approx(5e-7, rel=1e-9)
+        path = write(tmp_path, SCALAR)
+        assert run(["are", path, "--initial-horizon", "1e308", "--out-dir", str(tmp_path)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t1", ["1e-300", "1e-321", "5e-324"])
+    def test_steer_nl_on_a_vanishing_interval_is_3(self, tmp_path, capsys, t1):
+        # the reference's difference step 1e-5 t1 underflowed and warned
+        assert run(["steer-nl", "--field", "pendulum", "--t1", t1, "--x0", "3.15,0",
+                    "--x1", "3.14,0", "--out-dir", str(tmp_path)]) == 3
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["errors"][0]["type"] == "LinearTestInapplicableError"
 
 
 VECTOR_TEXT = st.one_of(st.text(max_size=12),

@@ -442,6 +442,18 @@ class TestPathBudget:
             kernels.simpson_intervals(2e308, 1e-3)
 
 
+class TestStepCount:
+    @pytest.mark.parametrize("span, step", [(1.0, 0.0), (1e306, 1e-3), (1.0, 1e-320),
+                                            (math.nan, 1e-3)])
+    def test_no_finite_count_is_refused(self, span, step):
+        with pytest.raises(DomainError, match="no finite count of steps"):
+            kernels.step_count(span, step)
+
+    def test_rounds_up(self):
+        assert kernels.step_count(1.0, 0.3) == 4
+        assert kernels.simpson_intervals(1.0, 0.3) == 4
+
+
 class TestCheckWithin:
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1e-9, 1.0 + 1e-9), (0.5, 0.5)])
     def test_inside_up_to_the_slack_passes(self, a, b):
@@ -521,6 +533,16 @@ class TestToleranceConfig:
             ToleranceConfig(ode_step=-1e-3)
         with pytest.raises(ValueError):
             ToleranceConfig(max_iter=0)
+
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 2.5}, {"max_iter": 1e9},
+                                        {"ode_step": True}, {"max_iter": True},
+                                        {"rank_rtol": np.bool_(True)}])
+    def test_rejects_a_bool_or_a_fractional_count(self, kwargs):
+        with pytest.raises(ValueError):
+            ToleranceConfig(**kwargs)
+
+    def test_accepts_a_numpy_integer_count(self):
+        assert ToleranceConfig(max_iter=np.int64(3)).max_iter == 3
 
     def test_eigenvalue_error_wrapped(self):
         with pytest.raises((NumericalError, DimensionError)):

@@ -179,6 +179,19 @@ class TestReferences:
                                 lambda t: np.array([t, 0.0]),
                                 lambda t: np.array([0.0]))
 
+    def test_underflowing_check_step_refused_without_warning(self, pend_field):
+        # at t1 = 1e-321 the difference step 1e-5 t1 is 0 and the residual 0/0
+        with pytest.raises(ValueError, match=r"residual nan"):
+            ReferenceTrajectory(pend_field, 0.0, 1e-321, lambda t: np.array([PI, 0.0]),
+                                lambda t: np.array([0.0]))
+
+    def test_equilibrium_reference_is_not_checked_again(self, pend_field, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nonlinear, "_check_lengths",
+                            lambda *args: calls.append(args[-1]))
+        ref = equilibrium_reference(pend_field, [PI, 0.0], [0.0], 0.0, 1e-321)
+        assert calls == ["x_eq and u_eq"] and ref._equilibrium is not None
+
     def test_swing_reference_accepted(self, pend_field):
         # x(t) = (t, 1) with u = sin(t) + 0 solves the dynamics... check:
         # x1' = 1 = x2, x2' = 0 = -sin(t) + u  =>  u = sin(t)
