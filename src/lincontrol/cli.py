@@ -170,7 +170,7 @@ def _analyze_one(sys_obj: LtiSystem, cfg: ToleranceConfig) -> dict:
     ctrl = reachability.kalman_test(sys_obj, cfg)
     hautus = reachability.hautus_test(sys_obj, cfg)
     obs = observability.observability_test(sys_obj.A, sys_obj.C, 1.0, cfg)
-    omega = stability.spectral_abscissa(sys_obj.A)
+    omega = max(r.eigenvalue.real for r in hautus.records)  # the spectral abscissa
     return {
         "dimensions": {"n": sys_obj.n, "p": sys_obj.p, "m": sys_obj.m},
         "controllable": ctrl.controllable,

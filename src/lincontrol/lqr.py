@@ -379,6 +379,9 @@ def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> Lqr
         controls = -np.einsum("ij,kj->ki", prob.sys.B.T, adjoint)
         cost = evaluate_cost(prob, Trajectory(ric.grid[first:], states, controls))
         value = float(xi @ ric.P_samples[first] @ xi)
+    if not (math.isfinite(cost) and math.isfinite(value)):
+        raise NumericalError(f"the run's cost {cost:.6g} or value xi^T P(t0) xi = "
+                             f"{value:.6g} overflows the float range")
     if not abs(cost - value) <= VALUE_IDENTITY_TOL * (1.0 + value):
         raise NumericalInconsistencyError(
             f"cost {cost:.6g} misses the value identity xi^T P(t0) xi = {value:.6g}: "
@@ -451,6 +454,9 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
         converged = False
         diff = math.inf
         for _ in range(max_doublings):
+            if not math.isfinite(2.0 * T):
+                raise ConvergenceError(f"value matrix did not settle within horizon {T:.6g}, "
+                                       "the last that doubles within the float range")
             triple = kernels._compose(triple, triple)
             P_next = eye + triple[2]
             T *= 2.0

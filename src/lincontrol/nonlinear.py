@@ -35,6 +35,7 @@ from . import dop853, kernels, reachability
 from .errors import (
     DimensionError,
     DivergenceError,
+    DomainError,
     FlowAccuracyError,
     LinearTestInapplicableError,
     NumericalError,
@@ -355,7 +356,10 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     endpoints of the grid: its steps do not depend on the grid, so its
     endpoint is the full-grid one bit for bit, and no step forms the
     dense output (stages 13-15 and `_dense`) that only fills in the grid.
+    A trust radius that is not positive is refused (`DomainError`).
     """
+    if not delta > 0.0:
+        raise DomainError(f"trust radius must be positive, got {delta}")
     x0 = kernels.as_vector(x0, "x0")
     x1 = kernels.as_vector(x1, "x1")
     if x0.size != vf.state_dim or x1.size != vf.state_dim:

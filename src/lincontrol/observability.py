@@ -95,7 +95,8 @@ def detectability_test(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Detec
     observable pair is the case where that block is the whole state.
     The block gain is the decay-rate stabilizer of `gramian_stabilizer`
     at one unit past the block's minimal decay rate, read off the one
-    Schur form of the block that the stabilizer solves with.
+    Schur form of the block that the stabilizer solves with; the block is
+    controllable by the rank that sized it, and is not decided again.
     """
     A = kernels.require_square(A, "A")
     C = kernels.as_matrix(C, "C")

@@ -101,6 +101,7 @@ class ControllerForm:
     A_sharp: np.ndarray
     b_sharp: np.ndarray
     T: np.ndarray
+    T_inv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,13 @@ class GramianStabilizer:
 
 def characteristic_polynomial(A) -> MonicPolynomial:
     """chi_A recovered by expanding the eigenvalues of A."""
-    A = kernels.require_square(A, "A")
+    return _expand(kernels.eigenvalues(kernels.require_square(A, "A")))
+
+
+def _expand(eigs: np.ndarray) -> MonicPolynomial:
+    """The monic polynomial with the roots eigs, a spectrum of a real matrix."""
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.poly(kernels.eigenvalues(A))
+        coeffs = np.poly(eigs)
     if not np.all(np.isfinite(coeffs)):
         raise ConditioningError("characteristic polynomial coefficients overflow")
     scale = 1.0 + np.max(np.abs(coeffs.real))
@@ -126,22 +131,12 @@ def characteristic_polynomial(A) -> MonicPolynomial:
     return MonicPolynomial.from_monic_coefficients(coeffs.real)
 
 
-def _companion_last_row(alphas: np.ndarray) -> np.ndarray:
-    """Companion matrix with superdiagonal ones and last row (a_1 ... a_n)."""
-    n = alphas.size
-    A = np.zeros((n, n))
-    if n > 1:
-        A[np.arange(n - 1), np.arange(1, n)] = 1.0
-    A[-1, :] = alphas
-    return A
-
-
 def controller_form(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ControllerForm:
     """Similarity onto the companion realization (A#, e_n).
 
     T = K(A, b) K(A#, b#)^{-1} built from the two Krylov matrices, so
     T^{-1} A T = A# and T^{-1} b = b#. Both identities are verified to
-    1e-8 before returning.
+    1e-8 before returning. A single-input pair is decided controllable here.
     """
     A = kernels.require_square(A, "A")
     b = kernels.as_vector(b, "b")
@@ -149,11 +144,11 @@ def controller_form(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Controll
     if b.size != n:
         raise DimensionError(f"b must have length {n}")
     if not reachability.is_controllable(A, b[:, None], cfg):
-        raise UncontrollableError("(A, b) is not controllable")
-    alphas = characteristic_polynomial(A).alphas
-    A_sharp = _companion_last_row(alphas)
-    b_sharp = np.zeros(n)
-    b_sharp[-1] = 1.0
+        raise UncontrollableError("(A, B) is not controllable")
+    # the companion matrix: superdiagonal ones and last row (a_1 ... a_n)
+    A_sharp = np.eye(n, k=1)
+    A_sharp[-1] = characteristic_polynomial(A).alphas
+    b_sharp = np.eye(n)[-1]
     T = reachability.kalman_matrix(A, b[:, None]) @ np.linalg.inv(
         reachability.kalman_matrix(A_sharp, b_sharp[:, None]))
     T_inv = np.linalg.inv(T)
@@ -165,16 +160,7 @@ def controller_form(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Controll
     if err > 1e-8 * scale:
         raise ConditioningError(
             f"controller-form similarity verified only to {err:.3e}")
-    return ControllerForm(A_sharp=A_sharp, b_sharp=b_sharp, T=T)
-
-
-def _place_single_input(A: np.ndarray, b: np.ndarray, target: MonicPolynomial,
-                        cfg: ToleranceConfig) -> np.ndarray:
-    """Row f with chi_{A + b f} = target, via the controller form."""
-    form = controller_form(A, b, cfg)
-    f_sharp = target.alphas - form.A_sharp[-1]
-    # A# + b# f# replaces the last row (a_k) by the target row exactly.
-    return f_sharp @ np.linalg.inv(form.T)
+    return ControllerForm(A_sharp=A_sharp, b_sharp=b_sharp, T=T, T_inv=T_inv)
 
 
 def _heymann_chain(A: np.ndarray, B: np.ndarray, v: np.ndarray,
@@ -210,42 +196,43 @@ def pole_place(A, B, target: MonicPolynomial,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FeedbackGain:
     """Gain F with chi_{A + B F} equal to the target polynomial.
 
-    Single input goes through the controller form. For several inputs, a
-    preliminary gain F1 built on an independence chain reduces to the
-    single-input problem for (A + B F1, Bv); the result is
-    F = F1 + v f. Coefficients of the achieved polynomial are verified
-    against the target to PLACEMENT_TOL relative accuracy.
+    Single input goes through the controller form, which decides the
+    pair. Several inputs are decided here, and a preliminary gain F1 built
+    on an independence chain reduces to the single-input problem for
+    (A + B F1, Bv); the result is F = F1 + v f. Coefficients expanded from
+    the achieved spectrum are verified against the target to
+    PLACEMENT_TOL relative accuracy.
     """
     A = kernels.require_square(A, "A")
     B = kernels.as_matrix(B, "B")
     n, p = B.shape
     if target.degree != n:
         raise DimensionError(f"target degree {target.degree} must equal n={n}")
-    if not reachability.is_controllable(A, B, cfg):
-        raise UncontrollableError("(A, B) is not controllable")
     # an overflow shows as a non-finite closed loop and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        if p == 1:
-            F = _place_single_input(A, B[:, 0], target, cfg).reshape(1, n)
-        else:
+        F1, v, A1 = np.zeros((1, n)), np.ones(1), A  # one input: the pair itself
+        if p > 1:
+            if not reachability.is_controllable(A, B, cfg):
+                raise UncontrollableError("(A, B) is not controllable")
             norms = np.linalg.norm(B, axis=0)
             good = np.nonzero(norms > 1e-12 * (1.0 + norms.max()))[0]
             v = np.eye(p)[:, good[0]]
             X, U = _heymann_chain(A, B, v, cfg)
             F1 = U @ np.linalg.inv(X)
-            f = _place_single_input(A + B @ F1, B @ v, target, cfg)
-            F = F1 + np.outer(v, f)
+            A1 = A + B @ F1
+        form = controller_form(A1, B @ v, cfg)
+        # A# + b# f# replaces the last row (a_k) by the target row exactly.
+        F = F1 + np.outer(v, (target.alphas - form.A_sharp[-1]) @ form.T_inv)
         closed = A + B @ F
     if not np.all(np.isfinite(closed)):
         raise ConditioningError("placed closed loop A + B F overflows")
-    achieved = kernels.eigenvalues(closed).astype(complex)  # eigvals is real on a real spectrum
-    ach_alphas = characteristic_polynomial(closed).alphas
-    residual = float(np.max(np.abs(ach_alphas - target.alphas)
+    eigs = kernels.eigenvalues(closed)  # real on a real spectrum, stored as complex
+    residual = float(np.max(np.abs(_expand(eigs).alphas - target.alphas)
                             / (1.0 + np.abs(target.alphas))))
     if residual > PLACEMENT_TOL:
         raise ConditioningError(
             f"placement residual {residual:.3e} exceeds {PLACEMENT_TOL:.0e}")
-    return FeedbackGain(F=F, achieved_spectrum=achieved, residual=residual)
+    return FeedbackGain(F=F, achieved_spectrum=eigs.astype(complex), residual=residual)
 
 
 def design_observer(A, C, target: MonicPolynomial,
@@ -338,19 +325,19 @@ def gramian_stabilizer(A, B, decay_rate: float,
     independent eigenvalue computation. P = Q^{-1} satisfies
     P A + A^T P + 2 lam P - P B B^T P = 0.
     """
+    A = kernels.require_square(A, "A")
+    B = kernels.as_matrix(B, "B")
+    if not reachability.is_controllable(A, B, cfg):
+        raise UncontrollableError("(A, B) is not controllable")
     return _gramian_stabilizer(A, B, lambda minimal: decay_rate, cfg)
 
 
-def _gramian_stabilizer(A, B, rate_for: Callable[[float], float],
+def _gramian_stabilizer(A: np.ndarray, B: np.ndarray, rate_for: Callable[[float], float],
                         cfg: ToleranceConfig) -> GramianStabilizer:
-    """`gramian_stabilizer` at the decay rate rate_for(minimal), where
-    minimal is the minimal admissible rate read off the Schur form of A
-    that the solve uses, so that a rate set relative to it factors A once."""
-    A = kernels.require_square(A, "A")
-    B = kernels.as_matrix(B, "B")
+    """`gramian_stabilizer` on a pair already decided controllable, at the
+    rate rate_for(minimal), where minimal is the minimal admissible rate
+    read off the Schur form of A that the solve uses (A is factored once)."""
     n = A.shape[0]
-    if not reachability.is_controllable(A, B, cfg):
-        raise UncontrollableError("(A, B) is not controllable")
     schur = kernels.real_schur(A)
     minimal = _decay_floor(schur.eigenvalues)
     decay_rate = rate_for(minimal)

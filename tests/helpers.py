@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from lincontrol import ControlSignal, DimensionError, LtiSystem, LtvSystem, kalman_test
-from lincontrol import kernels
+from lincontrol import kernels, reachability
 from lincontrol.kernels import DEFAULT_TOLERANCES, _flow_triple
 from lincontrol.lqr import BLOWUP_NORM
 from lincontrol.reachability import _transition_samples
@@ -346,10 +346,10 @@ def assert_steering_is_sampled(control, w, B, ubar, rng):
         assert np.abs(got - expected).max() <= 1e-13 * scale
 
 
-def count_factorizations(monkeypatch):
-    """Count the calls of `kernels.real_schur` and `np.linalg.eigvals` from
-    here on: a dict {"schur": ..., "eigvals": ...} that the calls update."""
-    counts = {"schur": 0, "eigvals": 0}
+def count_calls(monkeypatch, **targets):
+    """Count the calls of each target, key=(owner, attribute name), from
+    here on: a dict {key: calls} that the calls update."""
+    counts = dict.fromkeys(targets, 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -357,6 +357,24 @@ def count_factorizations(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kernels, "real_schur", counted("schur", kernels.real_schur))
-    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    for key, (owner, name) in targets.items():
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
     return counts
+
+
+def count_factorizations(monkeypatch):
+    """Count the calls of `kernels.real_schur` and `np.linalg.eigvals` from
+    here on: a dict {"schur": ..., "eigvals": ...} that the calls update."""
+    return count_calls(monkeypatch, schur=(kernels, "real_schur"),
+                       eigvals=(np.linalg, "eigvals"))
+
+
+def count_decisions(monkeypatch):
+    """Count the controllability gate, the Kalman stacks and numpy's SVD,
+    eigvals and inverse from here on, keyed is_controllable, kalman_matrix,
+    svd, eigvals and inv."""
+    return count_calls(
+        monkeypatch,
+        is_controllable=(reachability, "is_controllable"),
+        kalman_matrix=(reachability, "kalman_matrix"),
+        svd=(np.linalg, "svd"), eigvals=(np.linalg, "eigvals"), inv=(np.linalg, "inv"))

@@ -18,6 +18,9 @@ import lincontrol
 from lincontrol import cli, kernels
 from lincontrol.cli import main
 from lincontrol.errors import DecayRateTooSmallError, DivergenceError
+from lincontrol.fields import pendulum
+
+import helpers
 
 PEND = {
     "name": "pendulum-upright",
@@ -49,6 +52,37 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_leaves_the_heavy_scipy_subpackages_unloaded():
+    # each of these adds to the start of every CLI run; a function that
+    # needs one imports it where it runs
+    src = str(Path(lincontrol.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    heavy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.signal"]
+    probe = f"import sys, lincontrol; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["place", "double_integrator.json", "--roots=-1,-2"], (1, 3, 1, 2, 2)),
+    (["observer", "pendulum.json", "--roots=-2,-3"], (2, 4, 2, 3, 2)),
+    (["analyze", "pendulum.json"], (0, 2, 4, 1, 0)),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_a_run_decides_once(tmp_path, capsys, monkeypatch, argv, expected):
+    # counts of (is_controllable, kalman_matrix, svd, eigvals, inv): the
+    # single-input gate is the controller form's, its inverse is reused,
+    # the placed spectrum is taken once, and analyze reads the spectral
+    # abscissa off the Hautus eigenvalues
+    command, system, *rest = argv
+    path = str(Path(__file__).parents[1] / "scripts" / "data" / system)
+    counts = helpers.count_decisions(monkeypatch)
+    assert run([command, path, *rest, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert tuple(counts.values()) == expected
 
 
 class TestAnalyze:
@@ -525,6 +559,47 @@ class TestExitCodes:
         assert code == 4
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["errors"][0]["type"] == "ConvergenceError"
+
+    def test_are_horizon_past_the_float_range_is_4(self, tmp_path, capsys):
+        # P = 1 had converged, and horizon_used = 2e308 overflowed the verdict
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        assert run(["are", path, "--initial-horizon", "1e308",
+                    "--out-dir", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        error = json.loads(out)["errors"][0]
+        assert error["type"] == "ConvergenceError"
+        assert "horizon 1e+308" in error["message"] and "float range" in error["message"]
+        assert "Traceback" not in err
+
+    def test_are_horizon_that_doubles_once_is_0(self, tmp_path, capsys):
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        assert run(["are", path, "--initial-horizon", "1e307",
+                    "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        results = json.loads((tmp_path / "scalar__are.json").read_text())["results"]
+        assert results["horizon_used"] == 2e307
+
+    @pytest.mark.parametrize("delta", ["-1", "0"])
+    def test_trust_radius_not_positive_is_2(self, tmp_path, capsys, delta):
+        # these ran the steering setup and exited 3 with TrustRegionError
+        assert run(["steer-nl", "--field", "pendulum", "--x0", "3.15,0", "--x1", "3.14,0",
+                    f"--delta={delta}", "--out-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and "trust radius must be positive" in err and "Traceback" not in err
+        vf = pendulum()
+        ref = lincontrol.equilibrium_reference(vf, [math.pi, 0.0], [0.0], 0.0, 1.0)
+        with pytest.raises(lincontrol.DomainError):
+            lincontrol.steer_nonlinear(vf, ref, [0.0, 0.0], [math.pi, 0.0], delta=float(delta))
+
+    def test_overflowed_lqr_value_is_4(self, tmp_path, capsys):
+        # this blamed the Riccati spacing for a cost and value of inf
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        assert run(["lqr", path, "--horizon", "1", "--xi", "1e200",
+                    "--out-dir", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        error = json.loads(out)["errors"][0]
+        assert error["type"] == "NumericalError" and "overflows" in error["message"]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "pendulum.json", "--x0", "1,0"],

@@ -147,6 +147,17 @@ class TestDetectability:
         assert rep.detectable
         assert counts == {"schur": 1, "eigvals": 3}
 
+    def test_the_decomposed_block_is_not_decided_again(self, monkeypatch):
+        # the Kalman decomposition's rank sizes a controllable block; one more
+        # gate on it took a Kalman stack and an SVD
+        rng = np.random.default_rng([0, 6, 2])
+        A = rng.standard_normal((6, 6)) / np.sqrt(6)
+        C = rng.standard_normal((2, 6)) / np.sqrt(6)
+        counts = helpers.count_decisions(monkeypatch)
+        assert detectability_test(A, C).detectable
+        assert counts == {"is_controllable": 0, "kalman_matrix": 1, "svd": 5,
+                          "eigvals": 3, "inv": 0}
+
     @pytest.mark.parametrize("n", [8, 12, 16])
     @pytest.mark.parametrize("hidden", [None, -1.5])
     def test_witness_past_small_n(self, n, hidden):

@@ -107,6 +107,12 @@ class TestControllerForm:
         with pytest.raises(UncontrollableError):
             controller_form(np.diag([1.0, 2.0]), np.array([1.0, 0.0]))
 
+    def test_carries_the_inverse_it_verified(self, rng):
+        sys = helpers.random_controllable(rng, 4, 1)
+        form = controller_form(sys.A, sys.B[:, 0])
+        assert np.abs(form.T_inv @ form.T - np.eye(4)).max() < 1e-10
+        assert np.abs(form.T_inv @ sys.B[:, 0] - form.b_sharp).max() < 1e-8
+
 
 class TestPolePlacement:
     def test_double_integrator_fixture(self, double_integrator):
@@ -155,6 +161,24 @@ class TestPolePlacement:
             for lam in locked:
                 assert np.min(np.abs(spectrum - lam)) < 1e-6
 
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_uncontrollable_refusal_names_the_pair(self, p):
+        # one input is refused by the controller form's gate, several by
+        # pole_place's own; the place manifest carries the message either way
+        A = np.diag([1.0, 2.0, -1.0])
+        B = np.hstack([[[1.0], [0.0], [1.0]]] * p)
+        with pytest.raises(UncontrollableError, match=r"^\(A, B\) is not controllable$"):
+            pole_place(A, B, MonicPolynomial.from_roots([-1.0, -2.0, -3.0]))
+
+    @pytest.mark.parametrize("p, gates", [(1, 1), (2, 2)])
+    def test_one_gate_and_one_closed_loop_spectrum(self, rng, monkeypatch, p, gates):
+        # several inputs gate the pair and then its single-input reduction;
+        # the eigvals are chi_A of the companion form and the closed loop
+        sys = helpers.random_controllable(rng, 4, p)
+        counts = helpers.count_decisions(monkeypatch)
+        pole_place(sys.A, sys.B, MonicPolynomial.from_roots([-1.0, -2.0, -3.0, -4.0]))
+        assert (counts["is_controllable"], counts["eigvals"]) == (gates, 2)
 
     def test_overflowed_closed_loop_refused(self):
         # the gain row is -1.7e308 - 1e308 = -inf, so A + B F overflows
