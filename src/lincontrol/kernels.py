@@ -16,17 +16,20 @@ Gramian, the flow with no quadratic term.
 Everything here is a pure function of its inputs. Matrices are plain
 float64 numpy arrays; eigenvalue lists are complex numpy arrays that come
 in conjugate pairs when produced from a real matrix.
+
+Importing this module loads numpy only. scipy.linalg, which costs more
+to import than the rest of lincontrol, is loaded by the first call that
+needs one of its routines: `expm` and the LAPACK gees, gesv and trsyl.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
 
 from .errors import (
     DimensionError,
@@ -102,15 +105,34 @@ def is_symmetric(M: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.all(np.abs(M - M.T) <= tol * (1.0 + np.abs(M).max(initial=0.0))))
 
 
+def _fetched_on_first_call(name: str, module: str, routine: str):
+    """A stand-in for the module global `name` that imports `routine` from
+    `module` on its first call and puts it in its own place, so later
+    calls reach the routine directly. A stand-in that no longer holds that
+    place (a monkeypatched global) leaves it alone and forwards."""
+    def fetch(*args, **kwargs):
+        found = getattr(importlib.import_module(module), routine)
+        if globals()[name] is fetch:
+            globals()[name] = found
+        return found(*args, **kwargs)
+    return fetch
+
+
+_gees = _fetched_on_first_call("_gees", "scipy.linalg.lapack", "dgees")
+_gesv = _fetched_on_first_call("_gesv", "scipy.linalg.lapack", "dgesv")
+_trsyl = _fetched_on_first_call("_trsyl", "scipy.linalg.lapack", "dtrsyl")
+_scipy_expm = _fetched_on_first_call("_scipy_expm", "scipy.linalg", "expm")
+
+
 def expm(A) -> np.ndarray:
     """Matrix exponential e@A by scaling-and-squaring with a Pade approximant.
 
     Delegates to the vetted scipy implementation (order-13 rational
     approximant), which meets the 1e-12 relative-accuracy contract for
-    norms up to ~10.
+    norms up to ~10. scipy.linalg is imported on the first call.
     """
     A = require_square(A, "A")
-    return scipy.linalg.expm(A)
+    return _scipy_expm(A)
 
 
 def eigenvalues(A) -> np.ndarray:
@@ -471,9 +493,9 @@ def _exp_phi(Omega: np.ndarray, phi: bool):
     """e^Omega for a stack of Omega, and phi1(Omega) = int_0^1 e^{s Omega} ds
     if `phi`, as blocks of one expm([[Omega, I], [0, 0]])."""
     if not phi:
-        return scipy.linalg.expm(Omega), None
+        return _scipy_expm(Omega), None
     n, zero = Omega.shape[-1], np.zeros_like(Omega)
-    E = scipy.linalg.expm(np.block([[Omega, zero + np.eye(n)], [zero, zero]]))
+    E = _scipy_expm(np.block([[Omega, zero + np.eye(n)], [zero, zero]]))
     return E[..., :n, :n], E[..., :n, n:]
 
 

@@ -199,7 +199,9 @@ def pole_place(A, B, target: MonicPolynomial,
     Single input goes through the controller form, which decides the
     pair. Several inputs are decided here, and a preliminary gain F1 built
     on an independence chain reduces to the single-input problem for
-    (A + B F1, Bv); the result is F = F1 + v f. Coefficients expanded from
+    (A + B F1, Bv); the result is F = F1 + v f. A reduced pair that fails
+    the controller form's gate is refused with ConditioningError: that
+    pair was built here, not given. Coefficients expanded from
     the achieved spectrum are verified against the target to
     PLACEMENT_TOL relative accuracy.
     """
@@ -220,7 +222,14 @@ def pole_place(A, B, target: MonicPolynomial,
             X, U = _heymann_chain(A, B, v, cfg)
             F1 = U @ np.linalg.inv(X)
             A1 = A + B @ F1
-        form = controller_form(A1, B @ v, cfg)
+        try:
+            form = controller_form(A1, B @ v, cfg)
+        except UncontrollableError:
+            if p == 1:
+                raise
+            raise ConditioningError(
+                "the single-input reduction (A + B F1, B v) lost controllability "
+                "to rounding") from None
         # A# + b# f# replaces the last row (a_k) by the target row exactly.
         F = F1 + np.outer(v, (target.alphas - form.A_sharp[-1]) @ form.T_inv)
         closed = A + B @ F

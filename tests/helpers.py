@@ -54,6 +54,19 @@ def random_observable(rng, n, m):
             return A, C
 
 
+def reduction_losing_draw(n, s):
+    """A, B, C ~ N(0, 1/n) with p = m = n // 4, from rng [n, s, 77], and
+    the target roots linspace(-2, -1, n). At n = 32 with s in {0, 1} and
+    at n = 48 with s = 0 the pair passes the Kalman gate while the
+    single-input reduction of pole placement fails it to rounding."""
+    rng = np.random.default_rng([n, s, 77])
+    p = n // 4
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    B = rng.standard_normal((n, p)) / np.sqrt(n)
+    C = rng.standard_normal((p, n)) / np.sqrt(n)
+    return LtiSystem(A, B, C), np.linspace(-2.0, -1.0, n)
+
+
 def planted_detection_pair(rng, n, hidden=None):
     """(A, C) with A ~ N(0, 1/n) and m = max(1, n // 4) outputs.
 

@@ -67,6 +67,52 @@ def test_import_leaves_the_heavy_scipy_subpackages_unloaded():
     assert out.strip() == "[]"
 
 
+def _in_a_fresh_interpreter(probe):
+    """The stdout of `python -c probe` with this checkout's lincontrol first on the path."""
+    src = str(Path(lincontrol.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def test_import_loads_no_scipy():
+    # scipy.linalg is fetched by the first call that needs it
+    probe = f"import sys, lincontrol, lincontrol.cli; print({SCIPY_LOADED})"
+    assert _in_a_fresh_interpreter(probe) == "[]"
+
+
+def test_place_and_observer_run_without_scipy(tmp_path):
+    data = Path(__file__).parents[1] / "scripts" / "data"
+    runs = [["place", str(data / "double_integrator.json"), "--roots=-1,-2"],
+            ["observer", str(data / "pendulum.json"), "--roots=-2,-3"]]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from lincontrol import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv + ['--out-dir', {str(tmp_path)!r}]) for argv in {runs!r}]\n"
+        f"print(codes, {SCIPY_LOADED})"
+    )
+    assert _in_a_fresh_interpreter(probe) == "[0, 0] []"
+
+
+@pytest.mark.parametrize("command", ["place", "observer"])
+def test_a_reduction_lost_to_rounding_exits_4(tmp_path, capsys, command):
+    # the pair is controllable (observable); the refusal is numerical
+    sys_obj, roots = helpers.reduction_losing_draw(32, 0)
+    path = write(tmp_path, {"name": "draw", "A": sys_obj.A.tolist(),
+                            "B": sys_obj.B.tolist(), "C": sys_obj.C.tolist()})
+    argv = [command, path, "--roots=" + ",".join(map(repr, roots.tolist())),
+            "--out-dir", str(tmp_path)]
+    assert run(argv) == 4
+    error, = json.loads(capsys.readouterr().out)["errors"]
+    assert error["type"] == "ConditioningError"
+    assert error["message"].startswith("the single-input reduction (A + B F1, B v)")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["place", "double_integrator.json", "--roots=-1,-2"], (1, 3, 1, 2, 2)),
     (["observer", "pendulum.json", "--roots=-2,-3"], (2, 4, 2, 3, 2)),

@@ -71,6 +71,50 @@ class TestExpm:
         fd = (expm((t + h) * A) - expm((t - h) * A)) / (2.0 * h)
         assert np.abs(fd - A @ expm(t * A)).max() < 1e-6
 
+    @pytest.mark.parametrize("M", [
+        [[-0.7]],
+        np.diag([1.0, -2.5, 0.1]),
+        [[-1.0, 0.3, 2.0], [0.0, 0.5, -4.0], [0.0, 0.0, 3.0]],
+        np.random.default_rng(11).standard_normal((5, 5)) * 2.0,
+    ], ids=["1x1", "diagonal", "triangular", "general"])
+    def test_bits_equal_scipy(self, M):
+        # scipy.linalg is fetched on the first call; the routine is scipy's
+        assert np.array_equal(expm(M), scipy.linalg.expm(np.asarray(M, dtype=float)))
+
+
+class TestLapackFetchedOnFirstCall:
+    def test_a_patch_intercepts_after_the_fetch(self, monkeypatch):
+        kernels.real_schur(np.eye(2))
+        solve_sylvester([[1.0]], [[2.0]], [[6.0]])
+        assert kernels._gees is scipy.linalg.lapack.dgees
+        assert kernels._trsyl is scipy.linalg.lapack.dtrsyl
+
+        monkeypatch.setattr(kernels, "_trsyl", lambda a, b, c, tranb: (c, 1.0, -3))
+        with pytest.raises(NumericalError, match="trsyl info -3"):
+            solve_sylvester([[1.0]], [[2.0]], [[6.0]])
+
+        def gees(*args, **kwargs):
+            raise AssertionError("patched gees")
+
+        monkeypatch.setattr(kernels, "_gees", gees)
+        with pytest.raises(AssertionError, match="patched gees"):
+            kernels.real_schur(np.eye(2))
+
+    def test_a_patch_around_the_stand_in_keeps_its_place(self, monkeypatch):
+        # the stand-in's first call fetches gesv but does not overwrite
+        # the patch that wraps it
+        stand_in = kernels._fetched_on_first_call("_gesv", "scipy.linalg.lapack", "dgesv")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stand_in(*args)
+
+        monkeypatch.setattr(kernels, "_gesv", counted)
+        for _ in range(2):
+            assert_allclose(kernels._solve(2.0 * np.eye(2), np.ones((2, 1))), 0.5)
+        assert kernels._gesv is counted and len(calls) == 2
+
 
 class TestEigenvalues:
     def test_diagonal(self):

@@ -20,6 +20,7 @@ from lincontrol import (
     eigenvalues,
     gramian_stabilizer,
     kalman_decomposition,
+    kalman_test,
     pole_place,
     simulate,
     spectral_abscissa,
@@ -179,6 +180,17 @@ class TestPolePlacement:
         counts = helpers.count_decisions(monkeypatch)
         pole_place(sys.A, sys.B, MonicPolynomial.from_roots([-1.0, -2.0, -3.0, -4.0]))
         assert (counts["is_controllable"], counts["eigvals"]) == (gates, 2)
+
+    def test_a_reduction_lost_to_rounding_is_a_numerical_failure(self):
+        # the pair passes its gate; the reduced pair (A + B F1, B v) built
+        # here fails it, which is no fault of the input
+        sys, roots = helpers.reduction_losing_draw(32, 0)
+        assert kalman_test(sys).controllable
+        target = MonicPolynomial.from_roots(roots)
+        with pytest.raises(ConditioningError, match=r"^the single-input reduction \(A \+ B F1, B v\)"):
+            pole_place(sys.A, sys.B, target)
+        with pytest.raises(ConditioningError, match=r"^the single-input reduction \(A \+ B F1, B v\)"):
+            design_observer(sys.A, sys.C, target)
 
     def test_overflowed_closed_loop_refused(self):
         # the gain row is -1.7e308 - 1e308 = -inf, so A + B F overflows
