@@ -78,8 +78,9 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
-    A = np.atleast_2d(np.asarray(M, dtype=float))
+    """Coerce to a C-ordered 2-D float64 array and reject non-finite entries,
+    so results depend on the values alone: a transposed view and its copy agree."""
+    A = np.atleast_2d(np.ascontiguousarray(M, dtype=float))
     if A.ndim != 2:
         raise DimensionError(f"{name} must be two-dimensional, got ndim={A.ndim}")
     if A.size and not np.all(np.isfinite(A)):
@@ -432,18 +433,13 @@ class Rk4Stages:
     `linspace` grid spaced max_step do, takes one substep, not two.
     Substep s starts at t[s] and has length h[s] (negative
     on a decreasing grid); stop[i] is the number of substeps taken on
-    reaching grid[i + 1]. `times[s]` holds the three stage times of
-    substep s, computed as `rk4_step` computes them: t, t + h/2, t + h;
-    `gauss[s]` holds its two Gauss times t + h (1/2 -+ sqrt(3)/6).
+    reaching grid[i + 1]. `gauss[s]` holds the two Gauss times
+    t + h (1/2 -+ sqrt(3)/6) of substep s.
     """
 
     t: np.ndarray
     h: np.ndarray
     stop: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.stack([self.t, self.t + 0.5 * self.h, self.t + self.h], axis=1)
 
     @property
     def gauss(self) -> np.ndarray:

@@ -163,8 +163,7 @@ def controller_form(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Controll
     return ControllerForm(A_sharp=A_sharp, b_sharp=b_sharp, T=T, T_inv=T_inv)
 
 
-def _heymann_chain(A: np.ndarray, B: np.ndarray, v: np.ndarray,
-                   cfg: ToleranceConfig):
+def _heymann_chain(A: np.ndarray, B: np.ndarray, v: np.ndarray):
     """Chain x_1 = Bv, x_{i+1} = A x_i + B u_i spanning R^n, greedy over
     the columns of B (then u = 0), accepting the first candidate that
     extends the span."""
@@ -219,7 +218,7 @@ def pole_place(A, B, target: MonicPolynomial,
             norms = np.linalg.norm(B, axis=0)
             good = np.nonzero(norms > 1e-12 * (1.0 + norms.max()))[0]
             v = np.eye(p)[:, good[0]]
-            X, U = _heymann_chain(A, B, v, cfg)
+            X, U = _heymann_chain(A, B, v)
             F1 = U @ np.linalg.inv(X)
             A1 = A + B @ F1
         try:
@@ -246,15 +245,16 @@ def pole_place(A, B, target: MonicPolynomial,
 
 def design_observer(A, C, target: MonicPolynomial,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ObserverGain:
-    """Output-injection gain L with chi_{A + L C} = target, by duality:
-    place poles for (A^T, C^T) and transpose the gain."""
+    """Output-injection gain L with chi_{A + L C} = target, by duality: the
+    transposed gain of `pole_place` on (A^T, C^T), whose gate and placed
+    spectrum, that of (A + L C)^T, are the observer's."""
     A = kernels.require_square(A, "A")
     C = kernels.as_matrix(C, "C")
-    if not reachability.is_controllable(A.T, C.T, cfg):
-        raise UnobservableError("(A, C) is not observable")
-    dual = pole_place(A.T, C.T, target, cfg)
-    L = dual.F.T
-    return ObserverGain(L=L, closed_loop_abscissa=spectral_abscissa(A + L @ C))
+    try:
+        dual = pole_place(A.T, C.T, target, cfg)
+    except UncontrollableError:
+        raise UnobservableError("(A, C) is not observable") from None
+    return ObserverGain(L=dual.F.T, closed_loop_abscissa=float(max(dual.achieved_spectrum.real)))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ time, the order `kernels.affine_states` composes and `lqr_trajectory`
 keeps.
 """
 
+import dataclasses
+
 import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
@@ -391,3 +393,14 @@ def count_decisions(monkeypatch):
         is_controllable=(reachability, "is_controllable"),
         kalman_matrix=(reachability, "kalman_matrix"),
         svd=(np.linalg, "svd"), eigvals=(np.linalg, "eigvals"), inv=(np.linalg, "inv"))
+
+
+def same_bits(first, second):
+    """Whether two result records hold the same fields byte for byte: each
+    array or number has the same bytes in C order, a None field is None in both."""
+    for x, y in zip(dataclasses.astuple(first), dataclasses.astuple(second), strict=True):
+        if (x is None) != (y is None):
+            return False
+        if x is not None and np.asarray(x).tobytes() != np.asarray(y).tobytes():
+            return False
+    return True

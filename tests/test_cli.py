@@ -43,30 +43,6 @@ def run(args):
     return main(args)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # the CLI's one-shot start pays for no integrator it does not run
-    src = str(Path(lincontrol.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, lincontrol, lincontrol.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
-
-
-def test_import_leaves_the_heavy_scipy_subpackages_unloaded():
-    # each of these adds to the start of every CLI run; a function that
-    # needs one imports it where it runs
-    src = str(Path(lincontrol.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    heavy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.signal"]
-    probe = f"import sys, lincontrol; print([m for m in {heavy!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
-
-
 def _in_a_fresh_interpreter(probe):
     """The stdout of `python -c probe` with this checkout's lincontrol first on the path."""
     src = str(Path(lincontrol.__file__).parents[1])
@@ -80,8 +56,23 @@ SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'
 
 
 def test_import_loads_no_scipy():
-    # scipy.linalg is fetched by the first call that needs it
+    # a one-shot CLI run starts with no scipy module at all: scipy.linalg
+    # is fetched by the first call that needs it
     probe = f"import sys, lincontrol, lincontrol.cli; print({SCIPY_LOADED})"
+    assert _in_a_fresh_interpreter(probe) == "[]"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the CLI's one-shot start pays for no integrator it does not run
+    probe = "import sys, lincontrol, lincontrol.cli; print('scipy.integrate' in sys.modules)"
+    assert _in_a_fresh_interpreter(probe) == "False"
+
+
+def test_import_leaves_the_heavy_scipy_subpackages_unloaded():
+    # each of these adds to the start of every CLI run; a function that
+    # needs one imports it where it runs
+    heavy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.signal"]
+    probe = f"import sys, lincontrol; print([m for m in {heavy!r} if m in sys.modules])"
     assert _in_a_fresh_interpreter(probe) == "[]"
 
 
@@ -115,14 +106,14 @@ def test_a_reduction_lost_to_rounding_exits_4(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv, expected", [
     (["place", "double_integrator.json", "--roots=-1,-2"], (1, 3, 1, 2, 2)),
-    (["observer", "pendulum.json", "--roots=-2,-3"], (2, 4, 2, 3, 2)),
+    (["observer", "pendulum.json", "--roots=-2,-3"], (1, 3, 1, 2, 2)),
     (["analyze", "pendulum.json"], (0, 2, 4, 1, 0)),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_a_run_decides_once(tmp_path, capsys, monkeypatch, argv, expected):
     # counts of (is_controllable, kalman_matrix, svd, eigvals, inv): the
     # single-input gate is the controller form's, its inverse is reused,
-    # the placed spectrum is taken once, and analyze reads the spectral
-    # abscissa off the Hautus eigenvalues
+    # the placed spectrum is taken once, observer is place on the dual
+    # pair, and analyze reads the spectral abscissa off the Hautus eigenvalues
     command, system, *rest = argv
     path = str(Path(__file__).parents[1] / "scripts" / "data" / system)
     counts = helpers.count_decisions(monkeypatch)
@@ -379,6 +370,25 @@ class TestCommands:
         data = json.loads((tmp_path / "pendulum-upright__observer.json").read_text())
         assert data["results"]["closed_loop_abscissa"] == pytest.approx(-2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_observer_is_place_on_the_dual_file(self, tmp_path, capsys, rng, m):
+        # L = F^T and the abscissa read off the placed spectrum, exactly
+        for i in range(15):
+            n = int(rng.integers(1, 6))
+            A, C = helpers.random_observable(rng, n, m)
+            roots = "--roots=" + ",".join(map(repr, (-rng.uniform(0.5, 3.0, n)).tolist()))
+            primal = write(tmp_path, {"name": f"obs{i}", "A": A.tolist(),
+                                      "B": np.zeros((n, 1)).tolist(), "C": C.tolist()})
+            dual = write(tmp_path, {"name": f"dual{i}", "A": A.T.tolist(), "B": C.T.tolist()},
+                         "dual.json")
+            assert run(["observer", primal, roots, "--out-dir", str(tmp_path)]) == 0
+            assert run(["place", dual, roots, "--out-dir", str(tmp_path)]) == 0
+            capsys.readouterr()
+            obs = json.loads((tmp_path / f"obs{i}__observer.json").read_text())["results"]
+            placed = json.loads((tmp_path / f"dual{i}__place.json").read_text())["results"]
+            assert np.array(obs["L"]).tolist() == np.array(placed["F"]).T.tolist()
+            assert obs["closed_loop_abscissa"] == max(re for re, _ in placed["achieved_spectrum"])
+
     def test_lqr_emits_value_and_trajectory(self, tmp_path, capsys):
         path = write(tmp_path, SCALAR)
         assert run(["lqr", path, "--horizon", "1", "--xi", "1",
@@ -557,6 +567,15 @@ class TestExitCodes:
         assert run(["place", path, "--roots=-1,-2",
                     "--out-dir", str(tmp_path)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("C", [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0]]], ids=["m=1", "m=2"])
+    def test_observer_unobservable_is_3(self, tmp_path, capsys, C):
+        path = write(tmp_path, {"name": "hidden", "A": np.diag([1, 2, 3]).tolist(),
+                                "B": [[1], [1], [1]], "C": C})
+        assert run(["observer", path, "--roots=-1,-2,-3", "--out-dir", str(tmp_path)]) == 3
+        error, = json.loads(capsys.readouterr().out)["errors"]
+        assert (error["type"], error["message"]) == ("UnobservableError",
+                                                     "(A, C) is not observable")
 
     def test_place_overflow_is_4(self, tmp_path, capsys):
         payload = {"name": "huge", "A": [[0, 1], [1e308, 0]], "B": [[0], [1]]}

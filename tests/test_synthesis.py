@@ -219,10 +219,25 @@ class TestObserverDesign:
             got = sorted_real(eigenvalues(A + gain.L @ C))
             assert np.abs(got - np.sort(roots)).max() < 1e-6
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_observer_is_the_transposed_placement(self, rng, m):
+        # bit for bit: no gate, spectrum or input layout of its own
+        for _ in range(30):
+            n = int(rng.integers(1, 6))
+            A, C = helpers.random_observable(rng, n, m)
+            target = MonicPolynomial.from_roots(-rng.uniform(0.5, 3.0, n))
+            gain = design_observer(A, C, target)
+            dual = pole_place(A.T.copy(), C.T.copy(), target)
+            assert gain.L.tobytes() == dual.F.T.tobytes()
+            assert gain.closed_loop_abscissa == np.max(dual.achieved_spectrum.real)
+
     def test_unobservable_rejected(self):
-        with pytest.raises(UnobservableError):
-            design_observer(np.diag([1.0, 2.0]), [[1.0, 0.0]],
-                            MonicPolynomial.from_roots([-1.0, -2.0]))
+        # one output and two: the dual placement's gate, refused as unobservable
+        for A, C in [(np.diag([1.0, 2.0]), [[1.0, 0.0]]),
+                     (np.diag([1.0, 2.0, 3.0]), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])]:
+            target = MonicPolynomial.from_roots(-1.0 - np.arange(A.shape[0]))
+            with pytest.raises(UnobservableError, match=r"^\(A, C\) is not observable$"):
+                design_observer(A, C, target)
 
 
 class TestObserverLoop:
