@@ -176,36 +176,32 @@ def _transition_samples(sys: LtvSystem, t0: float, t1: float, cfg: ToleranceConf
     one Magnus step Phi of H = [[-A^T, 0], [B B^T, A]], the linear system
     of the Lyapunov flow W' = A W + W A^T + B B^T: Phi22 is the step
     transition and S = Phi21 Phi22^T the step Gramian, so from E_m = I,
-    E_k = E_{k+1} Phi22 and G = sum_k E_{k+1} S_k E_{k+1}^T. The suffix
-    products E_k are the states of `kernels.affine_states` on the
-    transposed steps, PATH_CHUNK gaps at a time. Stacks over
-    MAX_PATH_ENTRIES are refused first (`kernels.check_path_entries`).
+    E_k = E_{k+1} Phi22 and G = sum_k E_{k+1} S_k E_{k+1}^T grow from t1
+    in one backward pass, PATH_CHUNK gaps at a time (E_k by
+    `kernels.affine_states`). Only E and A_at, (2m + 2) n^2 entries, are
+    kept, and over MAX_PATH_ENTRIES refused first (`check_path_entries`).
     """
     kernels.check_within(t0, t1, sys.t0, sys.t1, "Gramian")
     m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
     n = sys.n
     kernels.check_path_entries(
-        (4 * m + 2) * n * n, f"the Magnus stacks of {kernels.count_text(m)} node gaps at n = {n}")
+        (2 * m + 2) * n * n, f"the node samples of {kernels.count_text(m)} node gaps at n = {n}")
     h = (t1 - t0) / m
     nodes = np.linspace(t0, t1, m + 1)
-    times = nodes[:-1, None] + h * kernels.GAUSS
+    times = (nodes[:-1, None] + h * kernels.GAUSS)[::-1]   # gap m - 1 first
     A_at = kernels.sample_at(sys.A_of, nodes)
-    Phi22, S = np.empty((m, n, n)), np.empty((m, n, n))
+    # Et[j] = E_{m-j}^T: E_k = E_{k+1} Phi22_k is Et[j + 1] = Phi22_{m-1-j}^T Et[j]
+    Et, G = np.empty((m + 1, n, n)), np.zeros((n, n))
+    Et[0] = np.eye(n)
     for lo in range(0, m, kernels.PATH_CHUNK):  # (2n, 2n) steps of a few hundred gaps at a time
-        sl = slice(lo, lo + kernels.PATH_CHUNK)
-        A, B = kernels.sample_at(sys.A_of, times[sl]), kernels.sample_at(sys.B_of, times[sl])
+        hi = min(lo + kernels.PATH_CHUNK, m)
+        A, B = kernels.sample_at(sys.A_of, times[lo:hi]), kernels.sample_at(sys.B_of, times[lo:hi])
         H = np.block([[-A.swapaxes(-1, -2), np.zeros_like(A)], [B @ B.swapaxes(-1, -2), A]])
         Phi, _ = kernels._magnus_step_maps(H, None, np.full(len(H), h))
-        Phi22[sl], S[sl] = Phi[:, n:, n:], Phi[:, n:, :n] @ Phi[:, n:, n:].swapaxes(-1, -2)
-    # Et[j] = E_{m-j}^T: E_k = E_{k+1} Phi22_k is Et[j + 1] = Phi22_{m-1-j}^T Et[j]
-    Et, Mt = np.empty((m + 1, n, n)), Phi22[::-1].swapaxes(-1, -2)
-    Et[0] = np.eye(n)
-    for lo in range(0, m, kernels.PATH_CHUNK):
-        Et[lo:lo + kernels.PATH_CHUNK + 1] = kernels.affine_states(
-            Mt[lo:lo + kernels.PATH_CHUNK], None, Et[lo])
-    E = Et[::-1].swapaxes(-1, -2)
-    G = (E[1:] @ S @ E[1:].swapaxes(-1, -2)).sum(axis=0)
-    return nodes, E, A_at, G
+        Mt = Phi[:, n:, n:].swapaxes(-1, -2)
+        Et[lo:hi + 1] = kernels.affine_states(Mt, None, Et[lo])
+        G += (Et[lo:hi].swapaxes(-1, -2) @ (Phi[:, n:, :n] @ Mt) @ Et[lo:hi]).sum(axis=0)
+    return nodes, Et[::-1].swapaxes(-1, -2), A_at, G
 
 
 def gramian_invertibility_cutoff(G: np.ndarray,

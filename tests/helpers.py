@@ -10,6 +10,8 @@ triple of the constant-coefficient Gramian replaced; summed around
 `van_loan_gramian`, the Gramian of one step, they give the exact
 constant-coefficient Gramian. `_gramian_from_samples` is the composite
 Simpson sum over such samples that the Gramian once was.
+`transition_samples_two_pass` is the stacked two-pass construction of
+the time-varying samples that the one backward pass replaced.
 `affine_states_by_loop` and `transition_loop` apply step maps one at a
 time, the order `kernels.affine_states` composes and `lqr_trajectory`
 keeps.
@@ -254,6 +256,38 @@ def transition_samples(sys, t0, t1, cfg=DEFAULT_TOLERANCES):
         P = np.concatenate([P, (P.reshape(-1, n) @ (P[-1] @ Eh)).reshape(P.shape)])
     B_at = np.broadcast_to(sys.B, (m + 1,) + sys.B.shape)
     return nodes, P[m::-1], sys.A, B_at
+
+
+def transition_samples_two_pass(sys, t0, t1, cfg=DEFAULT_TOLERANCES):
+    """(nodes, E, A_at, G) of `reachability._transition_samples`, built in
+    two forward passes: every gap's step transition Phi22 and step Gramian
+    S = Phi21 Phi22^T stacked first, the suffix products E_k = E_{k+1}
+    Phi22_k next, and G = sum_k E_{k+1} S_k E_{k+1}^T as one stacked
+    product. The single backward pass that replaced it matches it bit for
+    bit in nodes, E and A_at, and in G up to the order of the sum.
+    """
+    m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
+    n = sys.n
+    h = (t1 - t0) / m
+    nodes = np.linspace(t0, t1, m + 1)
+    times = nodes[:-1, None] + h * kernels.GAUSS
+    A_at = kernels.sample_at(sys.A_of, nodes)
+    Phi22, S = np.empty((m, n, n)), np.empty((m, n, n))
+    for lo in range(0, m, kernels.PATH_CHUNK):
+        sl = slice(lo, lo + kernels.PATH_CHUNK)
+        A, B = kernels.sample_at(sys.A_of, times[sl]), kernels.sample_at(sys.B_of, times[sl])
+        H = np.block([[-A.swapaxes(-1, -2), np.zeros_like(A)], [B @ B.swapaxes(-1, -2), A]])
+        Phi, _ = kernels._magnus_step_maps(H, None, np.full(len(H), h))
+        Phi22[sl], S[sl] = Phi[:, n:, n:], Phi[:, n:, :n] @ Phi[:, n:, n:].swapaxes(-1, -2)
+    # Et[j] = E_{m-j}^T, chunks cut from the t1 end
+    Et, Mt = np.empty((m + 1, n, n)), Phi22[::-1].swapaxes(-1, -2)
+    Et[0] = np.eye(n)
+    for lo in range(0, m, kernels.PATH_CHUNK):
+        Et[lo:lo + kernels.PATH_CHUNK + 1] = kernels.affine_states(
+            Mt[lo:lo + kernels.PATH_CHUNK], None, Et[lo])
+    E = Et[::-1].swapaxes(-1, -2)
+    G = (E[1:] @ S @ E[1:].swapaxes(-1, -2)).sum(axis=0)
+    return nodes, E, A_at, G
 
 
 def _gramian_from_samples(nodes: np.ndarray, E: np.ndarray, B_at: np.ndarray) -> np.ndarray:

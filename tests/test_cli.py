@@ -55,25 +55,30 @@ def _in_a_fresh_interpreter(probe):
 SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
 
 
-def test_import_loads_no_scipy():
+@pytest.fixture(scope="module")
+def scipy_at_import():
+    """The `scipy*` modules that `import lincontrol, lincontrol.cli` loads,
+    probed once in a fresh interpreter for the import tests below."""
+    return _in_a_fresh_interpreter(
+        f"import sys, lincontrol, lincontrol.cli; print(*{SCIPY_LOADED})").split()
+
+
+def test_import_loads_no_scipy(scipy_at_import):
     # a one-shot CLI run starts with no scipy module at all: scipy.linalg
     # is fetched by the first call that needs it
-    probe = f"import sys, lincontrol, lincontrol.cli; print({SCIPY_LOADED})"
-    assert _in_a_fresh_interpreter(probe) == "[]"
+    assert scipy_at_import == []
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_unloaded(scipy_at_import):
     # the CLI's one-shot start pays for no integrator it does not run
-    probe = "import sys, lincontrol, lincontrol.cli; print('scipy.integrate' in sys.modules)"
-    assert _in_a_fresh_interpreter(probe) == "False"
+    assert "scipy.integrate" not in scipy_at_import
 
 
-def test_import_leaves_the_heavy_scipy_subpackages_unloaded():
+def test_import_leaves_the_heavy_scipy_subpackages_unloaded(scipy_at_import):
     # each of these adds to the start of every CLI run; a function that
     # needs one imports it where it runs
     heavy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.signal"]
-    probe = f"import sys, lincontrol; print([m for m in {heavy!r} if m in sys.modules])"
-    assert _in_a_fresh_interpreter(probe) == "[]"
+    assert [m for m in heavy if m in scipy_at_import] == []
 
 
 def test_place_and_observer_run_without_scipy(tmp_path):

@@ -29,6 +29,7 @@ from lincontrol import (
 )
 from lincontrol.reachability import (
     _gramian,
+    _transition_samples,
     gramian_invertibility_cutoff,
     is_controllable,
     kalman_matrix,
@@ -165,6 +166,15 @@ class TestGramian:
     def test_time_varying_matches_constant_nontrivial(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
         B = rng.uniform(-1, 1, (3, 2))
+        const = controllability_gramian(LtiSystem(A, B), 0.0, 1.5).gramian
+        ltv = controllability_gramian(constant_ltv(A, B, 0.0, 1.5), 0.0, 1.5).gramian
+        assert np.abs(const - ltv).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [12, 24, 48])
+    def test_time_varying_matches_constant_at_scale(self, rng, n):
+        # the Magnus pass against the flow triple across the advertised range of n
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        B = rng.standard_normal((n, n // 4)) / np.sqrt(n)
         const = controllability_gramian(LtiSystem(A, B), 0.0, 1.5).gramian
         ltv = controllability_gramian(constant_ltv(A, B, 0.0, 1.5), 0.0, 1.5).gramian
         assert np.abs(const - ltv).max() < 1e-9
@@ -403,6 +413,41 @@ class TestMagnusGramian:
         G = controllability_gramian(sys, 0.0, 1.0).gramian
         assert np.abs(G - ref).max() <= bound * np.abs(ref).max()
 
+    @pytest.mark.parametrize("m", [2, 256, 1000, 1002])
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_one_backward_pass_is_the_two_pass_construction(self, n, m):
+        # nodes, E and A_at bit for bit; G moves only by the order of its sum
+        *samples, G = _transition_samples(*_ltv_draw(n, m), helpers.CFG)
+        *oracle, ref = helpers.transition_samples_two_pass(*_ltv_draw(n, m), helpers.CFG)
+        assert len(samples[0]) == m + 1
+        for x, y in zip(samples, oracle, strict=True):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_peak_memory_at_n8(self):
+        # m = 5,000 gaps: the stacked step transitions and step Gramians of
+        # the two-pass construction peaked at 15.7 MiB here
+        sys, t0, t1 = _ltv_draw(8, 5000)
+        controllability_gramian(sys, t0, t1)
+        tracemalloc.start()
+        try:
+            controllability_gramian(sys, t0, t1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
+
+
+def _ltv_draw(n, m):
+    """(sys, 0, t1): A(t) = A0 + sin(3t) A1, B(t) = (1 + t) B0 with entries
+    of N(0, 1/n), on the span of m Simpson gaps at the default step."""
+    rng = np.random.default_rng([n, m])
+    A0, A1 = rng.standard_normal((2, n, n)) / np.sqrt(n)
+    B0 = rng.standard_normal((n, 2)) / np.sqrt(n)
+    t1 = m * helpers.CFG.ode_step
+    sys = LtvSystem(0.0, t1, lambda t: A0 + math.sin(3.0 * t) * A1, lambda t: (1.0 + t) * B0)
+    return sys, 0.0, t1
+
 
 class TestPathBudget:
     def test_constant_gramian_allocates_nothing_per_node(self, monkeypatch):
@@ -418,13 +463,13 @@ class TestPathBudget:
         min_energy_control(sys, 0.0, 1.0, [0.0], [1.0])
 
     def test_time_varying_stacks_are_refused_first(self, monkeypatch):
-        # (4m + 2) n^2 = 4002 entries for m = 1000 gaps at n = 1
+        # (2m + 2) n^2 = 2002 entries of E and A_at for m = 1000 gaps at n = 1
         sys = constant_ltv([[-1.0]], [[1.0]], 0.0, 1.0)
-        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 4001)
-        with pytest.raises(DomainError, match="the Magnus stacks of 1000 node gaps at n = 1: "
-                                              "4002 entries"):
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 2001)
+        with pytest.raises(DomainError, match="the node samples of 1000 node gaps at n = 1: "
+                                              "2002 entries"):
             controllability_gramian(sys, 0.0, 1.0)
-        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 4002)
+        monkeypatch.setattr(kernels, "MAX_PATH_ENTRIES", 2002)
         assert controllability_gramian(sys, 0.0, 1.0).invertible
 
 

@@ -252,6 +252,13 @@ class TestTrajectory:
         assert_allclose(sub.controls[:, 0], -grid[::2])
         assert Trajectory(grid=grid, states=grid[:, None]).subsample(50).grid.size == 11
 
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_subsample_to_fewer_than_two_points_is_refused(self, points):
+        # 1 divided by zero and 0 or fewer kept every sample
+        traj = Trajectory(grid=np.linspace(0.0, 1.0, 11), states=np.zeros((11, 1)))
+        with pytest.raises(DomainError, match="at least two points"):
+            traj.subsample(points)
+
     def test_csv_format(self, tmp_path):
         traj = Trajectory(grid=[0.0, 0.5],
                           states=np.array([[1.0, 2.0], [3.0, 1.0 / 3.0]]),
