@@ -2,11 +2,23 @@
 
 Three families matter for the CLI exit-code contract: malformed input,
 violated mathematical preconditions, and numerical failures.
+
+A refusal's numeric witness is a keyword field: ``raise
+FlowAccuracyError(message, flow_error=e)`` sets ``exc.flow_error``. The base
+class holds the only constructor, so every error pickles and copies, and a
+refusal raised in a worker process reaches the caller with its witness.
 """
 
 
 class LinControlError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Each keyword argument becomes an attribute, in the order given.
+    """
+
+    def __init__(self, message, **witnesses):
+        super().__init__(message)
+        vars(self).update(witnesses)
 
 
 class DimensionError(LinControlError, ValueError):
@@ -30,11 +42,7 @@ class UnobservableError(PreconditionError):
 
 
 class UncontrollableIntervalError(PreconditionError):
-    """The controllability Gramian on the requested interval is singular."""
-
-    def __init__(self, message, min_eigenvalue):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
+    """The controllability Gramian on the interval is singular; witness ``min_eigenvalue``."""
 
 
 class NoCertificateError(PreconditionError):
@@ -42,27 +50,16 @@ class NoCertificateError(PreconditionError):
 
 
 class FiniteCostViolationError(PreconditionError):
-    """The finite cost condition fails: an unstable mode escapes the input."""
-
-    def __init__(self, message, bad_eigenvalue=None):
-        super().__init__(message)
-        self.bad_eigenvalue = bad_eigenvalue
+    """The finite cost condition fails: an unstable mode escapes the input;
+    witness ``bad_eigenvalue``."""
 
 
 class DecayRateTooSmallError(PreconditionError):
-    """The requested decay rate does not make the weighted Gramian converge."""
-
-    def __init__(self, message, minimal_rate):
-        super().__init__(message)
-        self.minimal_rate = minimal_rate
+    """The decay rate does not make the weighted Gramian converge; witness ``minimal_rate``."""
 
 
 class LinearTestInapplicableError(PreconditionError):
-    """The linearized system is not controllable on the interval."""
-
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
+    """The linearized system is not controllable on the interval; witness ``min_eigenvalue``."""
 
 
 class TrustRegionError(PreconditionError):
@@ -86,11 +83,8 @@ class ConditioningError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An iteration hit its cap before reaching the requested tolerance."""
-
-    def __init__(self, message, history=()):
-        super().__init__(message)
-        self.history = tuple(history)
+    """An iteration hit its cap before reaching the requested tolerance;
+    witness ``history``, the errors per pass (empty when none are kept)."""
 
 
 class EscapeTimeError(NumericalError):
@@ -98,16 +92,9 @@ class EscapeTimeError(NumericalError):
 
 
 class FlowAccuracyError(NumericalError):
-    """A nonlinear flow's error estimate is not below the steering tolerance."""
-
-    def __init__(self, message, flow_error):
-        super().__init__(message)
-        self.flow_error = flow_error
+    """A nonlinear flow's error estimate is not below the steering tolerance;
+    witness ``flow_error``."""
 
 
 class DivergenceError(NumericalError):
-    """The fixed-point iterate left the trust ball."""
-
-    def __init__(self, message, history=()):
-        super().__init__(message)
-        self.history = tuple(history)
+    """The fixed-point iterate left the trust ball; witness ``history``, the errors per pass."""

@@ -68,8 +68,8 @@ class ToleranceConfig:
             value = getattr(self, f.name)
             if isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{f.name} must be a number, not a bool")
-            if not value > 0:
-                raise ValueError(f"{f.name} must be strictly positive")
+            if not (value > 0 and value < math.inf):  # a JSON 1e999 parses as inf
+                raise ValueError(f"{f.name} must be strictly positive and finite")
         if not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
 

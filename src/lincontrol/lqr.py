@@ -456,7 +456,7 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
         for _ in range(max_doublings):
             if not math.isfinite(2.0 * T):
                 raise ConvergenceError(f"value matrix did not settle within horizon {T:.6g}, "
-                                       "the last that doubles within the float range")
+                                       "the last that doubles within the float range", history=())
             triple = kernels._compose(triple, triple)
             P_next = eye + triple[2]
             T *= 2.0
@@ -469,7 +469,7 @@ def are_solve(sys: LtiSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     if not converged:
         raise ConvergenceError(
             f"value matrix did not settle within horizon {T:.6g} "
-            f"(last doubling moved {diff:.3e}, tolerance {tol:.1e})")
+            f"(last doubling moved {diff:.3e}, tolerance {tol:.1e})", history=())
     P = P_prev
     residual = float(np.linalg.norm(A.T @ P + P @ A - P @ BBt @ P + CtC))
     scale = 1.0 + 2.0 * np.linalg.norm(P @ A) + np.linalg.norm(P @ B) ** 2 + np.linalg.norm(CtC)

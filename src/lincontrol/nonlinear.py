@@ -433,7 +433,7 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
         if not np.linalg.norm(phi - x1) <= 10.0 * delta:  # a nan iterate diverged too
             raise DivergenceError(
                 f"iterate left the trust ball after {iteration} passes",
-                history=errors)
+                history=tuple(errors))
     return SteeringResult(
         trajectory=traj, control=control, iterations=cfg.max_iter,
         terminal_error=errors[-1], converged=False, error_history=tuple(errors))

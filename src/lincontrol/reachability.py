@@ -239,8 +239,9 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     t1 - t0, 0)` returns (R(t1, t0)^T, 0, G), with no quadrature error
     and no dependence on cfg.ode_step; `report.residual` is its Lyapunov
     identity (LYAPUNOV_RESIDUAL_TOL). `adjoint(z)` takes E = e^{hA} on the
-    Simpson nodes of step h = (t1 - t0) / m and builds the rows z^T E^j
-    there by doubling, v_{K+j} = v_j E^K, refused first (`DomainError`)
+    Simpson nodes of step h = (t1 - t0) / m, with its repeated squarings
+    formed on the first call and kept, and builds the rows z^T E^j there
+    by doubling, v_{K+j} = v_j E^K, refused first (`DomainError`)
     over MAX_PATH_ENTRIES entries. For an LtvSystem, G and the
     adjoint samples come from the Magnus steps of `_transition_samples`,
     and the residual is None. Both adjoints are cubic-Hermite dense output
@@ -264,14 +265,18 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
             alpha, _, G = kernels._flow_triple(A.T, zero, BBt, t1 - t0, zero)
             R10 = alpha.T
 
+            powers = []   # E^(2^k) while 2^k <= m, formed on the first adjoint call
+
             def adjoint(z):
                 kernels.check_path_entries(
                     (m + 1) * z.size, f"the adjoint's {kernels.count_text(m + 1)} node rows")
-                V, P = z[None], kernels.expm(h * A)   # V[j] = z^T E^j, P = E^len(V)
-                while len(V) <= m:
+                if not powers:
+                    powers.append(kernels.expm(h * A))
+                    while 2 ** len(powers) <= m:
+                        powers.append(powers[-1] @ powers[-1])
+                V = z[None]   # V[j] = z^T E^j
+                for P in powers:   # P = E^len(V)
                     V = np.concatenate([V, V[:m + 1 - len(V)] @ P])
-                    if len(V) <= m:
-                        P = P @ P
                 w = np.ascontiguousarray(V[::-1])   # contiguous rows interpolate faster
                 return kernels.SampledMatrixFunction(t0, h, w, -(w @ A))
         else:

@@ -114,6 +114,8 @@ class ControlSignal:
     def at(self, times) -> np.ndarray:
         """u at every entry of an array of times, shape times.shape + (dim,)."""
         times = np.asarray(times, dtype=float)
+        if not times.size:   # sample_at learns the value's shape from a first call
+            return np.empty(times.shape + (self.dim,))
         if self._u_at is not None:
             return self._u_at(times)
         return kernels.sample_at(self.u_of, times).reshape(times.shape + (self.dim,))

@@ -298,6 +298,25 @@ class TestWitnesses:
         assert len(error["history"]) >= 1
         assert all(isinstance(e, float) and e > 0 for e in error["history"])
 
+    @pytest.mark.parametrize("payload, argv", [
+        (SCALAR, ["are", "--initial-horizon", "1e308"]),
+        ({"name": "slow", "A": [[0.01]], "B": [[1]], "C": [[1]]},
+         ["are", "--initial-horizon", "0.25", "--max-doublings", "1"]),
+    ], ids=["float-range", "unsettled"])
+    def test_are_history_is_empty(self, tmp_path, capsys, payload, argv):
+        # the horizon doubling keeps no per-pass errors
+        error = self.refusal(tmp_path, capsys, payload, argv, 4)
+        assert list(error) == ["type", "message", "history"]
+        assert error["type"] == "ConvergenceError" and error["history"] == []
+
+    def test_linearization_min_eigenvalue(self, tmp_path, capsys):
+        assert run(["steer-nl", "--field", "pendulum", "--t1", "1e-300", "--x0", "3.15,0",
+                    "--x1", "3.14,0", "--out-dir", str(tmp_path)]) == 3
+        (error,) = json.loads(capsys.readouterr().out)["errors"]
+        assert list(error) == ["type", "message", "min_eigenvalue"]
+        assert error["type"] == "LinearTestInapplicableError"
+        assert abs(error["min_eigenvalue"]) <= 1e-12
+
     @pytest.mark.parametrize("exc, code, field, want", [
         (DecayRateTooSmallError("no rate", minimal_rate=math.nan), 3, "minimal_rate", "NaN"),
         (DivergenceError("diverged", history=[0.5, math.inf, -math.inf]), 4, "history",
@@ -1103,6 +1122,19 @@ class TestExitCodes:
                     "--config", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "bad tolerance values" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["rank_rtol", "residual_tol", "ode_step",
+                                       "fixed_point_tol"])
+    def test_infinite_tolerance_is_2(self, tmp_path, capsys, field):
+        # JSON's 1e999 parses as inf; a rank_rtol of inf made analyze exit 0
+        # with kalman_rank 0, a fixed_point_tol of inf made steer-nl "converge"
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"{field}": 1e999}}')
+        assert run(["analyze", write(tmp_path, PEND), "--config", str(path),
+                    "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad tolerance values" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*__*"))
 
     @pytest.mark.parametrize("where", ["system", "config"])
     def test_integer_past_the_digit_limit_is_2(self, tmp_path, capsys, where):

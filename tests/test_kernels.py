@@ -632,6 +632,12 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["rank_rtol", "residual_tol", "ode_step",
+                                       "fixed_point_tol"])
+    def test_rejects_an_infinite_tolerance(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            ToleranceConfig(**{field: math.inf})
+
     def test_accepts_a_numpy_integer_count(self):
         assert ToleranceConfig(max_iter=np.int64(3)).max_iter == 3
 

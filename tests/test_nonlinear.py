@@ -651,6 +651,14 @@ class TestEquilibriumPath:
         steer_nonlinear(vf, hand, x0, x1)
         assert calls["fx"] > 1000 and calls["fu"] > 1000
 
+    def test_e_to_the_hA_is_formed_once_over_the_passes(self, pend_field, upright_ref,
+                                                        monkeypatch):
+        # one expm for the flow triple, one for the adjoint's squarings
+        calls = helpers.count_calls(monkeypatch, expm=(kernels, "expm"))
+        res = steer_nonlinear(pend_field, upright_ref, [PI + 0.05, 0.0], [PI - 0.05, 0.0])
+        assert res.converged and res.iterations > 1
+        assert calls == {"expm": 2}
+
     def test_finite_difference_jacobians(self, pend_field, upright_ref):
         bare = VectorField(2, 1, pend_field.f)  # no fx, no fu
         ref = equilibrium_reference(bare, [PI, 0.0], [0.0], 0.0, 1.0)

@@ -233,6 +233,13 @@ class TestControlSignal:
         assert np.array_equal(v.at(times), [[v.u_of(t) for t in row] for row in times])
         assert v.u_of(0.25).shape == (2,)
 
+    def test_no_times_give_no_samples(self):
+        u = ControlSignal(0.0, 1.0, 2, lambda t: np.array([math.sin(t), t]))
+        v = ControlSignal.vectorized(0.0, 1.0, 2,
+                                     lambda t: np.stack([np.sin(t), np.asarray(t)], axis=-1))
+        for control in (u, v):
+            assert control.at(np.array([])).shape == (0, 2)
+
 
 class TestTrajectory:
     def test_grid_must_increase(self):
