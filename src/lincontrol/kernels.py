@@ -385,9 +385,15 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Substeps per block of coefficient samples in linear_path: the samples
-# of one block are a few hundred (n, n) matrices, not the whole path.
+# Samples per block of the per-step arrays of a long path: the Riccati
+# slopes of `lqr`, the time-varying Gramian's backward pass, and the fewest
+# substeps of a `linear_path` chunk. A block holds a few hundred (n, n)
+# matrices, not the whole path.
 PATH_CHUNK = 256
+
+# Entries per `linear_path` chunk, counted as n max(n, k) a substep for an
+# (n, k) state: a short path at small n is one chunk, so one scan.
+PATH_CHUNK_ENTRIES = 2 ** 16
 
 # Cap on the float64 entries of the per-substep or per-node arrays of one
 # path, and of the Riccati samples and transitions of `lqr.riccati_finite`:
@@ -580,7 +586,7 @@ def affine_states(M: np.ndarray, c, x0) -> np.ndarray:
                     np.matmul(Mb[:, j], d[j - 1], out=d[j])
                     d[j] += cb[:, j]
             for b in range(q - 1):
-                np.dot(P[-1, b], y[b], out=y[b + 1])
+                P[-1, b].dot(y[b], y[b + 1])
                 if d is not None:
                     y[b + 1] += d[-1, b]
             S = P @ y
@@ -589,13 +595,14 @@ def affine_states(M: np.ndarray, c, x0) -> np.ndarray:
         if np.isfinite(S).all():
             out[1:q * L + 1].reshape(q, L, n, k)[:] = S.swapaxes(0, 1)
             done = q * L
+    # the bound ndarray.dot is np.dot's C routine without its dispatch
     steps = zip(M[done:], out[done:-1], out[done + 1:])
     if c is None:
         for Ms, x, y in steps:
-            np.dot(Ms, x, out=y)
+            Ms.dot(x, y)
     else:
         for (Ms, x, y), cs in zip(steps, c[done:]):
-            np.dot(Ms, x, out=y)
+            Ms.dot(x, y)
             y += cs
     return out.reshape((count + 1,) + x0.shape)
 
@@ -603,15 +610,17 @@ def affine_states(M: np.ndarray, c, x0) -> np.ndarray:
 def linear_path(coefficients: Callable, x0, stages: Rk4Stages) -> np.ndarray:
     """Magnus steps for the linear system x' = A(t) x + b(t), x a vector or a matrix.
 
-    Takes the substeps of `stages` (see `rk4_stages`) in blocks of
-    PATH_CHUNK. For each block, `coefficients(sl)` returns (A, b) sampled
-    at `stages.gauss[sl]`: A of shape (c, 2, n, n), or one (n, n) matrix
-    when it is constant, and b of shape (c, 2) + x0.shape, or None for
-    b = 0. The block's step maps are batched (`_magnus_step_maps`) and
-    applied by `affine_states`, which composes them where that is cheaper;
-    the grid points' states are picked out of its states. Returns the
-    states at the grid points that `stages` was built on, the first one x0
-    exactly.
+    Takes the substeps of `stages` (see `rk4_stages`) in chunks of
+    max(PATH_CHUNK, PATH_CHUNK_ENTRIES // (n max(n, k))) for a state of
+    shape (n,) or (n, k): each chunk's arrays hold a bounded number of
+    entries, and a 1,000-substep path at n <= 8 is one chunk. For each
+    chunk, `coefficients(sl)` returns (A, b) sampled at `stages.gauss[sl]`:
+    A of shape (c, 2, n, n), or one (n, n) matrix when it is constant, and
+    b of shape (c, 2) + x0.shape, or None for b = 0. The chunk's step maps
+    are batched (`_magnus_step_maps`) and applied by `affine_states`, which
+    composes them where that is cheaper; the grid points' states are
+    picked out of its states. Returns the states at the grid points that
+    `stages` was built on, the first one x0 exactly.
     """
     x = np.array(x0, dtype=float)
     col = x.reshape(x.shape[0], -1)
@@ -620,8 +629,9 @@ def linear_path(coefficients: Callable, x0, stages: Rk4Stages) -> np.ndarray:
     lengths, which = np.unique(stages.h, return_inverse=True)
     table = None
     count = stages.h.size
-    for lo in range(0, count, PATH_CHUNK):
-        sl = slice(lo, min(lo + PATH_CHUNK, count))
+    chunk = max(PATH_CHUNK, PATH_CHUNK_ENTRIES // (col.shape[0] * max(col.shape)))
+    for lo in range(0, count, chunk):
+        sl = slice(lo, min(lo + chunk, count))
         A, b = coefficients(sl)
         if b is not None:
             b = np.reshape(b, b.shape[:2] + col.shape)
@@ -739,7 +749,9 @@ class SampledMatrixFunction:
         (shape t.shape + the trailing shape of the values)."""
         K = self.values.shape[0] - 1
         u = (np.asarray(t, dtype=float) - self.t0) / self.h
-        k = np.clip(np.floor(u), 0, K - 1).astype(int)
+        # the ufuncs and ndarray.take, not np.clip and np.take, whose Python
+        # wrappers cost more than the arithmetic on a 16-row call
+        k = np.minimum(np.maximum(np.floor(u), 0), K - 1).astype(int)
         th = (u - k)[(...,) + (None,) * (self.values.ndim - 1)]
         th2 = th * th
         th3 = th2 * th
@@ -747,16 +759,16 @@ class SampledMatrixFunction:
         h10 = th3 - 2.0 * th2 + th
         h01 = -2.0 * th3 + 3.0 * th2
         h11 = th3 - th2
-        # np.take copies, so the four terms accumulate in place in three
+        # take copies, so the four terms accumulate in place in three
         # arrays the size of the result
-        out = np.take(self.values, k, axis=0)
+        out = self.values.take(k, axis=0)
         out *= h00
-        term = np.take(self.values, k + 1, axis=0)
+        term = self.values.take(k + 1, axis=0)
         term *= h01
         out += term
-        slope = np.take(self.derivs, k, axis=0)
+        slope = self.derivs.take(k, axis=0)
         slope *= h10
-        np.take(self.derivs, k + 1, axis=0, out=term, mode="clip")  # unbuffered
+        self.derivs.take(k + 1, axis=0, out=term, mode="clip")  # unbuffered
         term *= h11
         slope += term
         slope *= self.h

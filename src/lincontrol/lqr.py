@@ -370,7 +370,7 @@ def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> Lqr
     # an overflow is a state that is not finite, or a cost off the value
     with np.errstate(over="ignore", invalid="ignore"):
         for M, x, y in zip(ric.transitions[first:], states[:-1], states[1:]):
-            np.dot(M, x, y)
+            M.dot(x, y)  # np.dot's C routine, without its dispatch
         finite = np.isfinite(states).all(axis=1)
         if not finite.all():
             raise NumericalError(

@@ -198,7 +198,7 @@ _ESTIMATES = np.stack([dop853.E5, dop853.E3, dop853.B])
 
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of v, rescaled where its sum of squares overflows."""
-    square = float(np.dot(v, v))
+    square = float(v.dot(v))
     return math.sqrt(square) if square < math.inf else kernels._scaled_norm(v)
 
 
@@ -273,7 +273,7 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
                 rejected = True
             t_new = t_end if last else t + h
             K[12] = _derivative(f, x_new, U[12], n)
-            stop = int(np.searchsorted(grid, t_new))
+            stop = int(grid.searchsorted(t_new))
             if stop > row:  # grid points inside the step: dense output
                 for s in range(13, 16):
                     K[s] = _derivative(f, x + h * (_ROWS[s] @ K[:s]), U[s], n)

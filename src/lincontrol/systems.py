@@ -164,10 +164,14 @@ class Trajectory:
 
     def subsample(self, points: int) -> "Trajectory":
         """Every k-th sample from the first, k = max(1, (K - 1) // (points - 1))
-        for K samples, so about `points` (at least two) of them remain."""
+        for K samples, and the last, so about `points` (at least two) of
+        them remain and the subsample ends where the trajectory does."""
         if points < 2:
             raise DomainError("a subsample needs at least two points")
-        idx = np.arange(0, self.grid.size, max(1, (self.grid.size - 1) // (points - 1)))
+        K = self.grid.size
+        idx = np.arange(0, K, max(1, (K - 1) // (points - 1)))
+        if idx[-1] != K - 1:
+            idx = np.append(idx, K - 1)
         return Trajectory(grid=self.grid[idx], states=self.states[idx],
                           controls=None if self.controls is None else self.controls[idx])
 

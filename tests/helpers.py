@@ -14,7 +14,9 @@ Simpson sum over such samples that the Gramian once was.
 the time-varying samples that the one backward pass replaced.
 `affine_states_by_loop` and `transition_loop` apply step maps one at a
 time, the order `kernels.affine_states` composes and `lqr_trajectory`
-keeps.
+keeps. `hermite_reference` is the cubic Hermite of
+`kernels.SampledMatrixFunction` through np.clip and np.take, the numpy
+wrappers its call leaves out.
 """
 
 import dataclasses
@@ -377,6 +379,24 @@ def transition_loop(transitions, xi):
     for k in range(len(transitions)):
         states[k + 1] = transitions[k] @ states[k]
     return states
+
+
+def hermite_reference(f, t):
+    """f(t) for a `kernels.SampledMatrixFunction` f: the cubic Hermite on
+    the sample gap that holds t, clamped to the first and last gaps, with
+    the terms summed in the order of f's in-place accumulation."""
+    K = f.values.shape[0] - 1
+    u = (np.asarray(t, dtype=float) - f.t0) / f.h
+    k = np.clip(np.floor(u), 0, K - 1).astype(int)
+    th = (u - k)[(...,) + (None,) * (f.values.ndim - 1)]
+    th2 = th * th
+    th3 = th2 * th
+    h00 = 2.0 * th3 - 3.0 * th2 + 1.0
+    h10 = th3 - 2.0 * th2 + th
+    h01 = -2.0 * th3 + 3.0 * th2
+    h11 = th3 - th2
+    return (np.take(f.values, k, axis=0) * h00 + np.take(f.values, k + 1, axis=0) * h01
+            + (np.take(f.derivs, k, axis=0) * h10 + np.take(f.derivs, k + 1, axis=0) * h11) * f.h)
 
 
 def assert_steering_is_sampled(control, w, B, ubar, rng):

@@ -496,6 +496,31 @@ class TestCommands:
         data = json.loads((tmp_path / "cubic__steer-nl.json").read_text())
         assert data["results"]["converged"] is True
 
+    def test_lqr_subsample_ends_at_the_horizon(self, tmp_path, capsys):
+        # every 333rd of 2,001 samples stops at t = 0.999, short of P(T) = P0 = 0
+        path = write(tmp_path, SCALAR)
+        assert run(["lqr", path, "--horizon", "1", "--xi", "1", "--points", "7",
+                    "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for name in ("scalar__lqr_value.csv", "scalar__lqr_trajectory.csv"):
+            rows = (tmp_path / name).read_text().strip().split("\n")[1:]
+            times = [float(r.split(",")[0]) for r in rows]
+            assert times == pytest.approx([0.0, 0.1665, 0.333, 0.4995, 0.666, 0.8325, 0.999, 1.0])
+            assert times[-1] == 1.0
+        last = (tmp_path / "scalar__lqr_value.csv").read_text().strip().split("\n")[-1]
+        assert float(last.split(",")[1]) == 0.0
+
+    def test_steer_nl_subsample_ends_at_the_target(self, tmp_path, capsys):
+        # every 166th of 1,001 grid points stops at t = 0.996, 4.9e-7 off x1
+        assert run(["steer-nl", "--field", "pendulum", "--x0", "3.15,0", "--x1", "3.14,0",
+                    "--points", "7", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "pendulum__steer-nl.csv").read_text().strip().split("\n")
+        assert len(rows) == 1 + 8
+        t, x1, x2, _ = (float(v) for v in rows[-1].split(","))
+        assert t == 1.0
+        assert abs(x1 - 3.14) <= 1e-9 and abs(x2) <= 1e-9
+
 
 class TestVerdictIsTheReport:
     """The results of are, place, observer and gramian-stab are the fields

@@ -500,6 +500,19 @@ class TestStageSampling:
         assert np.array_equal(f(times.reshape(-1, 1))[:, 0], batch)
         assert np.array_equal(values, kept[0]) and np.array_equal(derivs, kept[1])
 
+    @pytest.mark.parametrize("trailing", [(3,), (4, 4)], ids=["p", "n-by-n"])
+    def test_hermite_bits_equal_the_reference(self, rng, trailing):
+        values = rng.standard_normal((9,) + trailing)
+        derivs = rng.standard_normal((9,) + trailing)
+        f = SampledMatrixFunction(0.5, 0.125, values, derivs)
+        # nodes, interior points, the two ends, and points past both (clamped)
+        times = np.concatenate([0.5 + 0.125 * np.arange(9), rng.uniform(0.5, 1.5, 16),
+                                [0.3, 0.49, 1.51, 1.7]])
+        for t in [*times.tolist(), times, times[:, None]]:
+            got, want = f(t), helpers.hermite_reference(f, t)
+            assert got.shape == want.shape == np.shape(t) + trailing
+            assert got.tobytes() == want.tobytes()
+
     def test_sample_at_calls_once_per_distinct_time(self):
         calls = []
         times = np.array([[0.0, 0.5, 1.0], [1.0, 1.5, 2.0], [2.0, 0.5, 3.0]])

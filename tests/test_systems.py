@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,6 +202,51 @@ class TestLinearPath:
         assert np.abs(traj.states - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
         assert_allclose(traj.controls, [u.u_of(t) for t in self.GRID], rtol=0, atol=0)
 
+    @pytest.mark.parametrize("n, scans", [(2, 1), (8, 1), (16, 4)])
+    @pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
+    def test_a_short_path_is_one_scan(self, rng, monkeypatch, n, scans, driven):
+        # 1,000 substeps in chunks of max(PATH_CHUNK, PATH_CHUNK_ENTRIES // n^2):
+        # one up to n = 8, four of 256 at n = 16
+        sys = helpers.random_system(rng, n, 1)
+        u = ControlSignal.vectorized(0.0, 1.0, 1, lambda t: np.sin(3.0 * t)[..., None])
+        x0 = rng.uniform(-1.0, 1.0, n)
+        maps, step_maps = [], kernels._magnus_step_maps
+
+        def recorded(*args):
+            maps.append(step_maps(*args))
+            return maps[-1]
+
+        monkeypatch.setattr(kernels, "_magnus_step_maps", recorded)
+        counts = helpers.count_calls(monkeypatch, scan=(kernels, "affine_states"))
+        got = simulate(sys, x0, u if driven else None, np.linspace(0.0, 1.0, 1001)).states
+        assert counts["scan"] == len(maps) == scans
+        M = np.concatenate([m for m, _ in maps])
+        c = np.concatenate([d for _, d in maps])[..., 0] if driven else None
+        want = helpers.affine_states_by_loop(M, c, x0)
+        assert got.shape == want.shape == (1001, n)
+        assert np.array_equal(got[0], x0)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_a_long_path_keeps_the_peak_of_short_chunks(self, rng, monkeypatch, n):
+        # 2^18 substeps: chunks of 16,384 at n = 2 against the 256 of PATH_CHUNK;
+        # the per-substep stage arrays dominate both peaks
+        sys = helpers.random_system(rng, n, 1)
+        cfg = ToleranceConfig(ode_step=2.0 ** -18)
+        simulate(sys, np.ones(n), None, [0.0, 1.0])  # loads scipy.linalg outside the trace
+
+        def peak():
+            tracemalloc.start()
+            try:
+                simulate(sys, np.ones(n), None, [0.0, 1.0], cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunked = peak()
+        monkeypatch.setattr(kernels, "PATH_CHUNK_ENTRIES", 0)
+        assert chunked <= 1.1 * peak()
+
     def test_user_control_called_once_per_stage_time(self, double_integrator):
         calls = []
         u = ControlSignal(0.0, 1.0, 1, lambda t: calls.append(t) or np.array([math.sin(t)]))
@@ -258,6 +304,13 @@ class TestTrajectory:
         assert_allclose(sub.states[:, 0], grid[::2] ** 2)
         assert_allclose(sub.controls[:, 0], -grid[::2])
         assert Trajectory(grid=grid, states=grid[:, None]).subsample(50).grid.size == 11
+
+    def test_subsample_keeps_the_last_sample(self):
+        # every 3rd of 11 samples stops at t = 0.9; the last is kept too
+        grid = np.linspace(0.0, 1.0, 11)
+        sub = Trajectory(grid=grid, states=grid[:, None] ** 2).subsample(4)
+        assert np.array_equal(sub.grid, grid[[0, 3, 6, 9, 10]])
+        assert np.array_equal(sub.states[:, 0], grid[[0, 3, 6, 9, 10]] ** 2)
 
     @pytest.mark.parametrize("points", [1, 0, -3])
     def test_subsample_to_fewer_than_two_points_is_refused(self, points):
