@@ -170,6 +170,10 @@ def _analyze_one(sys_obj: LtiSystem, cfg: ToleranceConfig) -> dict:
     ctrl = reachability.kalman_test(sys_obj, cfg)
     hautus = reachability.hautus_test(sys_obj, cfg)
     obs = observability.observability_test(sys_obj.A, sys_obj.C, 1.0, cfg)
+    if ctrl.controllable != hautus.controllable:
+        raise NumericalInconsistencyError(
+            f"Kalman verdict ({ctrl.controllable}) and Hautus verdict "
+            f"({hautus.controllable}) disagree; the pair is too ill-conditioned to classify")
     omega = max(r.eigenvalue.real for r in hautus.records)  # the spectral abscissa
     return {
         "dimensions": {"n": sys_obj.n, "p": sys_obj.p, "m": sys_obj.m},

@@ -95,6 +95,19 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return x
 
 
+def as_state(v, n: int, name: str) -> np.ndarray:
+    x = as_vector(v, name)
+    if x.size != n:
+        raise DimensionError(f"{name} must have length {n}, got {x.size}")
+    return x
+
+
+def require_interval(t0, t1) -> None:
+    """Refuse (`DomainError`) an interval [t0, t1] unless t0 < t1; a nan end too."""
+    if not t0 < t1:
+        raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
+
+
 def require_square(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     A = as_matrix(A, name)
     if A.shape[0] != A.shape[1]:
@@ -104,6 +117,15 @@ def require_square(A: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def is_symmetric(M: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.all(np.abs(M - M.T) <= tol * (1.0 + np.abs(M).max(initial=0.0))))
+
+
+def require_symmetric_psd(M: np.ndarray, name: str, error: type) -> None:
+    """Refuse (`error`) an M that is not symmetric, or not PSD to 1e-10 (1 + ||M||_2)."""
+    if not is_symmetric(M, 1e-10):
+        raise error(f"{name} must be symmetric")
+    eigs = np.linalg.eigvalsh(M)
+    if eigs[0] < -1e-10 * (1.0 + max(-eigs[0], eigs[-1])):
+        raise error(f"{name} must be positive semidefinite")
 
 
 def _fetched_on_first_call(name: str, module: str, routine: str):

@@ -78,11 +78,7 @@ class LqrProblem:
         P0 = np.zeros((n, n)) if self.P0 is None else kernels.require_square(self.P0, "P0")
         if P0.shape[0] != n:
             raise DimensionError(f"P0 must be {n} x {n}, got {P0.shape}")
-        if not kernels.is_symmetric(P0, 1e-10):
-            raise DimensionError("P0 must be symmetric")
-        eigs = np.linalg.eigvalsh(P0)  # ||P0||_2 is the largest |eigenvalue|
-        if eigs[0] < -1e-10 * (1.0 + max(-eigs[0], eigs[-1])):
-            raise DimensionError("P0 must be positive semidefinite")
+        kernels.require_symmetric_psd(P0, "P0", DimensionError)
         object.__setattr__(self, "P0", 0.5 * (P0 + P0.T))
         if not self.horizon > 0.0:
             raise DomainError("horizon must be positive")
@@ -356,9 +352,7 @@ def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> Lqr
     a later sample is then the tail of the full run bit for bit.
     The cost, Simpson's rule over the run, must match the value xi^T P(t0) xi.
     """
-    xi = kernels.as_vector(xi, "xi")
-    if xi.size != prob.sys.n:
-        raise DimensionError(f"xi must have length {prob.sys.n}")
+    xi = kernels.as_state(xi, prob.sys.n, "xi")
     m, h = ric.grid.size - 1, ric.grid[1]
     steps = np.arange(m + 1.0) if grid is None else time_grid(grid) / h
     rows = np.rint(steps)

@@ -111,8 +111,7 @@ class ReferenceTrajectory:
     _equilibrium: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.t0 < self.t1:
-            raise ValueError("need t0 < t1")
+        kernels.require_interval(self.t0, self.t1)
         if self._equilibrium is not None:  # checked by equilibrium_reference
             return
         _check_lengths(self.vf, self.xbar(self.t0), self.ubar(self.t0),
@@ -225,11 +224,9 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
     derivative that is not finite reports the flow as not finite, and when
     it attempts more than MAX_FLOW_STEPS steps.
     """
-    x0 = kernels.as_vector(x0, "x0")
-    grid = np.asarray(grid, float)
     f, n = vf.f, vf.state_dim
-    if x0.size != n:
-        raise DimensionError(f"x0 must have length {n}, got {x0.size}")
+    x0 = kernels.as_state(x0, n, "x0")
+    grid = np.asarray(grid, float)
     tol = 1e-3 * cfg.fixed_point_tol
     controls = np.asarray(u.at(grid), dtype=float)
     states = np.empty((grid.size, n))
@@ -360,11 +357,8 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     """
     if not delta > 0.0:
         raise DomainError(f"trust radius must be positive, got {delta}")
-    x0 = kernels.as_vector(x0, "x0")
-    x1 = kernels.as_vector(x1, "x1")
-    if x0.size != vf.state_dim or x1.size != vf.state_dim:
-        raise DimensionError(
-            f"x0 and x1 must have length {vf.state_dim}, got {x0.size} and {x1.size}")
+    x0 = kernels.as_state(x0, vf.state_dim, "x0")
+    x1 = kernels.as_state(x1, vf.state_dim, "x1")
     t0, t1 = ref.t0, ref.t1
     xbar0 = np.asarray(ref.xbar(t0), dtype=float)
     xbar1 = np.asarray(ref.xbar(t1), dtype=float)

@@ -28,10 +28,9 @@ import numpy as np
 from . import kernels
 from .errors import (
     ConditioningError,
-    DimensionError,
-    DomainError,
     NumericalError,
     NumericalInconsistencyError,
+    UncontrollableError,
     UncontrollableIntervalError,
 )
 from .kernels import DEFAULT_TOLERANCES, ToleranceConfig
@@ -109,6 +108,12 @@ def is_controllable(A: np.ndarray, B: np.ndarray,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """The controllability gate: rank [B, AB, ..., A^{n-1}B] = n."""
     return kernels.numerical_rank(kalman_matrix(A, B), cfg) == A.shape[0]
+
+
+def require_controllable(A, B, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> None:
+    """Refuse (`UncontrollableError`) a pair that fails the gate."""
+    if not is_controllable(A, B, cfg):
+        raise UncontrollableError("(A, B) is not controllable")
 
 
 def _range_split(M: np.ndarray, cfg: ToleranceConfig):
@@ -249,8 +254,7 @@ def _gramian(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     R(t1, t0) that overflows is refused (`NumericalError`), without a
     floating-point warning.
     """
-    if not t0 < t1:
-        raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
+    kernels.require_interval(t0, t1)
     m = kernels.simpson_intervals(t1 - t0, cfg.ode_step)
     h = (t1 - t0) / m
     overflow = NumericalError(
@@ -336,11 +340,8 @@ def min_energy_control(sys: Union[LtiSystem, LtvSystem], t0: float, t1: float,
     minimum of int ||u||^2 over all steering controls, built by `_steering`
     as in `nonlinear.steer_nonlinear`.
     """
-    x0 = kernels.as_vector(x0, "x0")
-    x1 = kernels.as_vector(x1, "x1")
-    if x0.size != sys.n or x1.size != sys.n:
-        raise DimensionError(
-            f"x0 and x1 must have length {sys.n}, got {x0.size} and {x1.size}")
+    x0 = kernels.as_state(x0, sys.n, "x0")
+    x1 = kernels.as_state(x1, sys.n, "x1")
     report, R10, adjoint = _gramian(sys, t0, t1, cfg)
     if not report.invertible:
         raise UncontrollableIntervalError(

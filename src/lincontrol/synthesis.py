@@ -132,19 +132,20 @@ def _expand(eigs: np.ndarray) -> MonicPolynomial:
 
 
 def controller_form(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ControllerForm:
-    """Similarity onto the companion realization (A#, e_n).
+    """Similarity onto the companion realization (A#, e_n) of a single-input
+    pair, which is decided controllable here (`_companion_similarity`)."""
+    A = kernels.require_square(A, "A")
+    b = kernels.as_state(b, A.shape[0], "b")
+    reachability.require_controllable(A, b[:, None], cfg)
+    return _companion_similarity(A, b)
 
+
+def _companion_similarity(A: np.ndarray, b: np.ndarray) -> ControllerForm:
+    """`controller_form` of a pair already decided controllable:
     T = K(A, b) K(A#, b#)^{-1} built from the two Krylov matrices, so
     T^{-1} A T = A# and T^{-1} b = b#. Both identities are verified to
-    1e-8 before returning. A single-input pair is decided controllable here.
-    """
-    A = kernels.require_square(A, "A")
-    b = kernels.as_vector(b, "b")
+    1e-8 before returning."""
     n = A.shape[0]
-    if b.size != n:
-        raise DimensionError(f"b must have length {n}")
-    if not reachability.is_controllable(A, b[:, None], cfg):
-        raise UncontrollableError("(A, B) is not controllable")
     # the companion matrix: superdiagonal ones and last row (a_1 ... a_n)
     A_sharp = np.eye(n, k=1)
     A_sharp[-1] = characteristic_polynomial(A).alphas
@@ -199,10 +200,9 @@ def pole_place(A, B, target: MonicPolynomial,
     pair. Several inputs are decided here, and a preliminary gain F1 built
     on an independence chain reduces to the single-input problem for
     (A + B F1, Bv); the result is F = F1 + v f. A reduced pair that fails
-    the controller form's gate is refused with ConditioningError: that
-    pair was built here, not given. Coefficients expanded from
-    the achieved spectrum are verified against the target to
-    PLACEMENT_TOL relative accuracy.
+    the gate is refused with ConditioningError: that pair was built here,
+    not given. Coefficients expanded from the achieved spectrum are
+    verified against the target to PLACEMENT_TOL relative accuracy.
     """
     A = kernels.require_square(A, "A")
     B = kernels.as_matrix(B, "B")
@@ -211,24 +211,21 @@ def pole_place(A, B, target: MonicPolynomial,
         raise DimensionError(f"target degree {target.degree} must equal n={n}")
     # an overflow shows as a non-finite closed loop and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        F1, v, A1 = np.zeros((1, n)), np.ones(1), A  # one input: the pair itself
-        if p > 1:
-            if not reachability.is_controllable(A, B, cfg):
-                raise UncontrollableError("(A, B) is not controllable")
+        F1, v = np.zeros((1, n)), np.ones(1)  # one input: the pair itself
+        if p == 1:
+            form = controller_form(A, B @ v, cfg)
+        else:
+            reachability.require_controllable(A, B, cfg)
             norms = np.linalg.norm(B, axis=0)
             good = np.nonzero(norms > 1e-12 * (1.0 + norms.max()))[0]
             v = np.eye(p)[:, good[0]]
             X, U = _heymann_chain(A, B, v)
             F1 = U @ np.linalg.inv(X)
-            A1 = A + B @ F1
-        try:
-            form = controller_form(A1, B @ v, cfg)
-        except UncontrollableError:
-            if p == 1:
-                raise
-            raise ConditioningError(
-                "the single-input reduction (A + B F1, B v) lost controllability "
-                "to rounding") from None
+            A1, b1 = A + B @ F1, B @ v
+            if not reachability.is_controllable(A1, b1[:, None], cfg):
+                raise ConditioningError("the single-input reduction (A + B F1, B v) "
+                                        "lost controllability to rounding")
+            form = _companion_similarity(A1, b1)
         # A# + b# f# replaces the last row (a_k) by the target row exactly.
         F = F1 + np.outer(v, (target.alphas - form.A_sharp[-1]) @ form.T_inv)
         closed = A + B @ F
@@ -276,9 +273,9 @@ class ObserverLoop:
     def simulate(self, x0, xhat0, grid,
                  cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         """Returns (trajectory of x with controls u = K xhat, xhat samples)."""
-        x0 = kernels.as_vector(x0, "x0")
-        xhat0 = kernels.as_vector(xhat0, "xhat0")
         n = self.A.shape[0]
+        x0 = kernels.as_state(x0, n, "x0")
+        xhat0 = kernels.as_state(xhat0, n, "xhat0")
         z0 = np.concatenate([x0, xhat0 - x0])
         aug_sys = LtiSystem(self.augmented, np.zeros((2 * n, 1)))
         traj = simulate(aug_sys, z0, None, grid, cfg)
@@ -336,8 +333,7 @@ def gramian_stabilizer(A, B, decay_rate: float,
     """
     A = kernels.require_square(A, "A")
     B = kernels.as_matrix(B, "B")
-    if not reachability.is_controllable(A, B, cfg):
-        raise UncontrollableError("(A, B) is not controllable")
+    reachability.require_controllable(A, B, cfg)
     return _gramian_stabilizer(A, B, lambda minimal: decay_rate, cfg)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError, NumericalError
-from .kernels import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, as_vector
+from .kernels import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class LtvSystem:
     B_of: Callable[[float], np.ndarray]
 
     def __post_init__(self):
-        if not self.t0 < self.t1:
-            raise DomainError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
+        kernels.require_interval(self.t0, self.t1)
         A0 = kernels.require_square(self.A_of(self.t0), "A(t0)")
         B0 = as_matrix(self.B_of(self.t0), "B(t0)")
         if B0.shape[0] != A0.shape[0]:
@@ -186,10 +185,11 @@ class Trajectory:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header line and numeric rows at 17 significant digits."""
+    """Write a header line and numeric rows at 17 significant digits, a
+    negative zero as 0."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in np.asarray(rows, dtype=float) + 0.0:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
@@ -222,12 +222,9 @@ def simulate(sys, x0, u: Optional[ControlSignal], grid,
     time where it is not finite.
     """
     grid = time_grid(grid)
-    x0 = as_vector(x0, "x0")
-
     if not isinstance(sys, (LtiSystem, LtvSystem)):
         raise TypeError(f"cannot simulate object of type {type(sys).__name__}")
-    if x0.size != sys.n:
-        raise DimensionError(f"x0 must have length {sys.n}")
+    x0 = kernels.as_state(x0, sys.n, "x0")
     if isinstance(sys, LtvSystem):
         kernels.check_within(grid[0], grid[-1], sys.t0, sys.t1, "grid")
     p = sys.p

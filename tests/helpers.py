@@ -92,6 +92,40 @@ def planted_detection_pair(rng, n, hidden=None):
     return A, C
 
 
+def _second_difference(k):
+    """tridiag(1, -2, 1) of size k."""
+    return -2.0 * np.eye(k) + np.eye(k, k=1) + np.eye(k, k=-1)
+
+
+def heat_pair(n):
+    """The 1-D heat equation on n interior nodes with boundary control:
+    A = (n + 1)^2 tridiag(1, -2, 1), B = (n + 1)^2 e_n, C = (n + 1) e_1^T.
+    Controllable and observable at every n, with eigenvalues
+    -4 (n + 1)^2 sin^2(k pi / (2 (n + 1)))."""
+    h2 = float((n + 1) ** 2)
+    B = np.zeros((n, 1))
+    B[-1, 0] = h2
+    C = np.zeros((1, n))
+    C[0, 0] = n + 1
+    return LtiSystem(h2 * _second_difference(n), B, C)
+
+
+def wave_pair(n):
+    """The 1-D wave equation on m = n / 2 interior nodes, state (y, y'):
+    A = [[0, I], [D, 0]] with D = (m + 1)^2 tridiag(1, -2, 1),
+    B = (m + 1)^2 e_{2m}, C = -(m + 1) e_m^T. Controllable and observable
+    at every even n."""
+    m = n // 2
+    A = np.zeros((2 * m, 2 * m))
+    A[:m, m:] = np.eye(m)
+    A[m:, :m] = (m + 1) ** 2 * _second_difference(m)
+    B = np.zeros((2 * m, 1))
+    B[-1, 0] = (m + 1) ** 2
+    C = np.zeros((1, 2 * m))
+    C[0, m - 1] = -(m + 1)
+    return LtiSystem(A, B, C)
+
+
 def riccati_sweep(prob, h):
     """Riccati samples on the grid of spacing h = T / m, carried back from
     P(T) = P0 one grid step at a time by the flow triple of one step.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lincontrol
-from lincontrol import cli, kernels
+from lincontrol import cli, kernels, reachability
 from lincontrol.cli import main
 from lincontrol.errors import DecayRateTooSmallError, DivergenceError
 from lincontrol.fields import pendulum
@@ -31,6 +31,10 @@ PEND = {
 SCALAR = {"name": "scalar", "A": [[0]], "B": [[1]], "C": [[1]]}
 DI = {"name": "di", "A": [[0, 1], [0, 0]], "B": [[0], [1]]}
 UNCONTROLLABLE = {"name": "stuck", "A": [[1, 0], [0, 2]], "B": [[1], [0]]}
+CHAIN = [[0, 1, 0], [0, 0, 1], [-1, 0, 0]]
+TWO_INPUTS = {"name": "two-inputs", "A": CHAIN, "B": [[1, 0], [0, 0], [0, 1]]}
+TWO_OUTPUTS = {"name": "two-outputs", "A": CHAIN, "B": [[0], [0], [1]],
+               "C": [[1, 0, 0], [0, 0, 1]]}
 
 
 def write(tmp_path, payload, name="sys.json"):
@@ -127,7 +131,41 @@ def test_a_run_decides_once(tmp_path, capsys, monkeypatch, argv, expected):
     assert tuple(counts.values()) == expected
 
 
+@pytest.mark.parametrize("payload, argv", [
+    (DI, ["place", "--roots=-1,-2"]),
+    (TWO_INPUTS, ["place", "--roots=-1,-2,-3"]),
+    (PEND, ["observer", "--roots=-2,-3"]),
+    (TWO_OUTPUTS, ["observer", "--roots=-1,-2,-3"]),
+    (PEND, ["gramian-stab", "--lambda", "2"]),
+], ids=["place-p1", "place-p2", "observer-m1", "observer-m2", "gramian-stab"])
+def test_the_controllability_gate_runs_once_per_call(tmp_path, capsys, monkeypatch,
+                                                     payload, argv):
+    # several inputs' reduced pair (A + B F1, B v) is checked by is_controllable,
+    # not by the gate: its failure is a ConditioningError, not the input's fault
+    counts = helpers.count_calls(monkeypatch, gate=(reachability, "require_controllable"))
+    command, *rest = argv
+    assert run([command, write(tmp_path, payload), *rest, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert counts == {"gate": 1}
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("family, n", [("heat", 8), ("heat", 16), ("heat", 32),
+                                           ("wave", 16), ("wave", 32), ("wave", 48)])
+    def test_semi_discrete_pdes_are_refused_not_contradicted(self, tmp_path, capsys, family, n):
+        # controllable pairs whose Kalman rank drops while every PBH rank is
+        # full; heat n = 8 and wave n = 16 fail the observability cross-check
+        sys_obj = getattr(helpers, f"{family}_pair")(n)
+        path = write(tmp_path, {"name": f"{family}{n}", "A": sys_obj.A.tolist(),
+                                "B": sys_obj.B.tolist(), "C": sys_obj.C.tolist()})
+        assert run(["analyze", path, "--out-dir", str(tmp_path)]) == 4
+        error, = json.loads(capsys.readouterr().out)["errors"]
+        assert error["type"] == "NumericalInconsistencyError"
+        if (family, n) not in (("heat", 8), ("wave", 16)):
+            assert error["message"] == ("Kalman verdict (False) and Hautus verdict (True) "
+                                        "disagree; the pair is too ill-conditioned to classify")
+        assert not list(tmp_path.glob("*__analyze.json"))
+
     def test_pendulum_report(self, tmp_path, capsys):
         path = write(tmp_path, PEND)
         code = run(["analyze", path, "--out-dir", str(tmp_path)])
@@ -424,6 +462,15 @@ class TestCommands:
         assert data["results"]["cost"] == pytest.approx(math.tanh(1.0), abs=1e-6)
         assert (tmp_path / "scalar__lqr_value.csv").exists()
         assert (tmp_path / "scalar__lqr_trajectory.csv").exists()
+
+    def test_lqr_writes_no_negative_zero(self, tmp_path, capsys):
+        # the last control of the README run, -P(T) x(T) with P(T) = 0, read -0
+        path = write(tmp_path, SCALAR)
+        assert run(["lqr", path, "--horizon", "1", "--xi", "1",
+                    "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        last = (tmp_path / "scalar__lqr_trajectory.csv").read_text().split("\n")[-2]
+        assert last == "1,0.64805427366395296,0"
 
     def test_lqr_reports_the_value_beside_the_cost(self, tmp_path, capsys):
         path = write(tmp_path, SCALAR)

@@ -1,16 +1,20 @@
 """Refusals are plain data: every library error pickles and copies with its
-witnesses, so one raised in a worker process reaches the caller intact."""
+witnesses, so one raised in a worker process reaches the caller intact.
+A precondition shared by several routines is refused in one message form."""
 
 import copy
+import math
 import multiprocessing
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from lincontrol import errors, reachability, synthesis
-from lincontrol.systems import LtiSystem
+from lincontrol import ControlSignal, errors, lqr, nonlinear, reachability, synthesis, systems
+from lincontrol.fields import pendulum
+from lincontrol.systems import LtiSystem, LtvSystem
 
 # the witness each refusal carries where it is raised; any other error has none
 WITNESSES = {
@@ -61,3 +65,51 @@ def test_refusals_cross_a_process_pool():
         with pytest.raises(errors.DecayRateTooSmallError) as exc:
             stabilize.result(timeout=120)
         assert exc.value.minimal_rate == pytest.approx(3.0, abs=1e-5)
+
+
+def _pendulum_steer(x0, x1):
+    ref = nonlinear.equilibrium_reference(pendulum(), [math.pi, 0.0], [0.0], 0.0, 1.0)
+    return nonlinear.steer_nonlinear(pendulum(), ref, x0, x1)
+
+
+def _scalar_lqr_run(xi):
+    prob = lqr.LqrProblem(LtiSystem([[0.0]], [[1.0]], [[1.0]]), None, 1.0)
+    return lqr.lqr_trajectory(prob, lqr.riccati_finite(prob), xi)
+
+
+DOUBLE_INTEGRATOR = LtiSystem([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
+
+
+# each state a routine takes is refused by `kernels.as_state`, under its own name
+@pytest.mark.parametrize("call, message", [
+    (lambda: reachability.min_energy_control(DOUBLE_INTEGRATOR, 0.0, 1.0, [0.0, 0.0],
+                                             [1.0, 0.0, 0.0]), "x1 must have length 2, got 3"),
+    (lambda: nonlinear.integrate_field(pendulum(), [0.1], ControlSignal.zero(1, 0.0, 1.0),
+                                       np.linspace(0.0, 1.0, 11)),
+     "x0 must have length 2, got 1"),
+    (lambda: _pendulum_steer([3.2, 0.0, 0.0], [3.1, 0.0]), "x0 must have length 2, got 3"),
+    (lambda: systems.simulate(DOUBLE_INTEGRATOR, [1.0, 0.0, 0.0], None, [0.0, 1.0]),
+     "x0 must have length 2, got 3"),
+    (lambda: _scalar_lqr_run([1.0, 2.0]), "xi must have length 1, got 2"),
+    (lambda: synthesis.controller_form(DOUBLE_INTEGRATOR.A, [0.0, 1.0, 0.0]),
+     "b must have length 2, got 3"),
+], ids=["min_energy_control", "integrate_field", "steer_nonlinear", "simulate",
+        "lqr_trajectory", "controller_form"])
+def test_a_state_of_the_wrong_length_names_itself(call, message):
+    with pytest.raises(errors.DimensionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# every interval is refused by `kernels.require_interval`, as a DomainError
+@pytest.mark.parametrize("t1", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda t1: reachability.controllability_gramian(DOUBLE_INTEGRATOR, 0.0, t1),
+    lambda t1: LtvSystem(0.0, t1, lambda t: np.zeros((1, 1)), lambda t: np.ones((1, 1))),
+    lambda t1: nonlinear.ReferenceTrajectory(pendulum(), 0.0, t1,
+                                             lambda t: np.array([math.pi, 0.0]),
+                                             lambda t: np.array([0.0])),
+], ids=["controllability_gramian", "LtvSystem", "ReferenceTrajectory"])
+def test_an_empty_interval_is_a_domain_error_naming_it(build, t1):
+    message = f"need t0 < t1, got [0.0, {t1}]"
+    with pytest.raises(errors.DomainError, match=f"^{re.escape(message)}$"):
+        build(t1)

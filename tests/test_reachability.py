@@ -138,6 +138,25 @@ class TestHautus:
         assert_allclose(sorted(r.eigenvalue.imag for r in failed), [-2.0, 2.0], atol=1e-10)
         assert unstabilizable_mode(Q @ A0 @ Q.T, Q @ B0) is not None
 
+    @pytest.mark.parametrize("family, n", [("heat", 8), ("heat", 32), ("wave", 16),
+                                           ("wave", 48)])
+    def test_semi_discrete_pdes_pass_at_every_closed_form_eigenvalue(self, family, n):
+        # heat: -4 (n + 1)^2 sin^2(k pi / (2 (n + 1))); wave, m = n / 2 nodes:
+        # +-i 2 (m + 1) sin(k pi / (2 (m + 1)))
+        sys = getattr(helpers, f"{family}_pair")(n)
+        m = n if family == "heat" else n // 2
+        k = np.arange(1, m + 1)
+        s = 2.0 * (m + 1) * np.sin(k * math.pi / (2.0 * (m + 1)))
+        expected = -s ** 2 if family == "heat" else np.concatenate([s, -s]) * 1j
+        rep = hautus_test(sys)
+        lams = np.array([r.eigenvalue for r in rep.records])
+        # heat's spectrum is real and wave's imaginary
+        part, other = (np.real, np.imag) if family == "heat" else (np.imag, np.real)
+        scale = np.abs(expected).max()
+        assert_allclose(np.sort(part(lams)), np.sort(part(expected)), rtol=0, atol=1e-9 * scale)
+        assert np.abs(other(lams)).max() <= 1e-9 * scale
+        assert rep.controllable
+
     def test_agreement_with_kalman_on_random_draws(self, rng):
         for _ in range(40):
             n, p = int(rng.integers(1, 7)), int(rng.integers(1, 4))
