@@ -70,10 +70,54 @@ def _encode(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str) -> str:
+    """`value` laid out as `json.dumps(value, indent=2, default=_encode)` lays
+    it out at nesting `indent`; dict keys are strings, and a non-finite
+    float raises ValueError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} is not finite")
+        return float.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # a row of floats, as ndarray.tolist() gives, in one join
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:
+            body = sep.join([_json(v, inner) for v in value])
+        else:
+            if "n" in body:  # "inf" or "nan"; no finite repr has an n
+                raise ValueError("a row holds a non-finite float")
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_quote(k)}: {_json(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return _json(_encode(value), indent)
+
+
 def dumps(value) -> str:
-    """Indented JSON with floats in their shortest round-trip form."""
+    """Indented JSON, byte for byte `json.dumps(value, indent=2,
+    allow_nan=False, default=_encode)`, with floats in their shortest
+    round-trip form."""
     try:
-        return json.dumps(value, indent=2, allow_nan=False, default=_encode) + "\n"
+        return _json(value, "") + "\n"
     except ValueError as exc:
         raise NumericalError("verdict payload overflowed to a non-finite value") from exc
 
@@ -482,6 +526,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _write_fresh(path: Path, write) -> None:
+    """write(path) into a new file: whatever is at path, a file or a link, is
+    unlinked first, so a rerun replaces an old output instead of truncating
+    it (and writes through no link)."""
+    try:
+        path.unlink(missing_ok=True)
+        write(path)
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -503,7 +558,10 @@ def main(argv=None) -> int:
         cfg, extra_fields = load_config(
             Path(args.config) if args.config else None)
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParseFailure(f"cannot write {out_dir}: {exc}") from exc
         name, results, csvs = HANDLERS[args.command](args, cfg, extra_fields)
         stem = f"{name}__{args.command}"
         verdict_path = out_dir / f"{stem}.json"
@@ -518,8 +576,8 @@ def main(argv=None) -> int:
         # (exit 4) leaves no file behind
         verdict = dumps(payload)
         for path, write in files:
-            write(path)
-        verdict_path.write_text(verdict)
+            _write_fresh(path, write)
+        _write_fresh(verdict_path, lambda path: path.write_text(verdict))
         manifest["outputs"] = [str(p) for p in [verdict_path, *(path for path, _ in files)]]
         manifest["verdicts"] = {"ok": True}
     except (ParseFailure, DimensionError, DomainError) as exc:

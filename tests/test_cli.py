@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lincontrol
 from lincontrol import cli, kernels, reachability
@@ -218,6 +219,43 @@ class TestDeterminism:
             pairs.append((out / "scalar__are.json").read_bytes()
                          + (out / "di__steer.csv").read_bytes())
         assert pairs[0] == pairs[1]
+
+    def test_a_rerun_replaces_its_outputs(self, tmp_path, capsys):
+        path = write(tmp_path, SCALAR)
+        out = tmp_path / "out"
+        argv = ["simulate", path, "--t1", "1", "--points", "5", "--x0", "1",
+                "--out-dir", str(out)]
+        files = [out / "scalar__simulate.json", out / "scalar__simulate.csv"]
+        assert run(argv) == 0
+        first = [f.read_bytes() for f in files]
+        links = [tmp_path / f.name for f in files]
+        for f, link in zip(files, links):
+            os.link(f, link)
+        assert run(argv) == 0
+        assert [f.read_bytes() for f in files] == first
+        assert all(f.stat().st_ino != link.stat().st_ino for f, link in zip(files, links))
+        write(tmp_path, {**SCALAR, "A": [[-1]]})
+        assert run(argv) == 0
+        capsys.readouterr()
+        # a truncating rewrite would have changed the linked bytes too
+        assert [link.read_bytes() for link in links] == first
+        assert all(f.read_bytes() != old for f, old in zip(files, first))
+
+    def test_a_link_at_an_output_path_is_replaced_not_followed(self, tmp_path, capsys):
+        path = write(tmp_path, SCALAR)
+        out = tmp_path / "out"
+        out.mkdir()
+        files = [out / "scalar__simulate.json", out / "scalar__simulate.csv"]
+        targets = [tmp_path / f"target-{f.name}" for f in files]
+        for f, target in zip(files, targets):
+            target.write_text("keep")
+            f.symlink_to(target)
+        assert run(["simulate", path, "--t1", "1", "--points", "5", "--x0", "1",
+                    "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert not any(f.is_symlink() for f in files)
+        assert json.loads(files[0].read_text())["command"] == "simulate"
+        assert [target.read_text() for target in targets] == ["keep", "keep"]
 
     def test_parser_built_once_per_process(self, tmp_path, capsys, monkeypatch):
         built = []
@@ -628,6 +666,64 @@ class TestFloatTypes:
             cli.dumps({"x": np.array([1.0, np.inf])})
 
 
+@dataclasses.dataclass
+class Report:
+    gain: object
+    spectrum: object
+
+
+def stdlib_dumps(value):
+    """The layout `cli.dumps` reproduces, by the standard `json` encoder."""
+    return json.dumps(value, indent=2, allow_nan=False, default=cli._encode) + "\n"
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, 1e308, 0.1]))
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), FINITE, st.text(),
+    st.sampled_from(["\u00e9\u2211\U0001f600", "\x00\x1f\"\\\n\t\x7f"]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+               elements=FINITE),
+)
+PAYLOADS = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(), children, max_size=4),
+    st.builds(Report, children, children),
+), max_leaves=24)
+NON_FINITE = st.builds(
+    lambda x, form: form(x), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([float, np.float64, np.float32, np.array, lambda x: complex(0.0, x),
+                     lambda x: np.array([[0.5, x]]), lambda x: [0.5, x],
+                     lambda x: Report(x, 1)]))
+# a payload holding one non-finite value at any depth
+OVERFLOWED = st.recursive(NON_FINITE, lambda inner: st.one_of(
+    st.builds(lambda left, bad, right: [*left, bad, *right],
+              st.lists(PAYLOADS, max_size=2), inner, st.lists(PAYLOADS, max_size=2)),
+    st.builds(lambda d, key, bad: {**d, key: bad},
+              st.dictionaries(st.text(), PAYLOADS, max_size=2), st.text(), inner),
+), max_leaves=4)
+
+
+class TestEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(value=PAYLOADS)
+    def test_dumps_is_the_stdlib_layout(self, value):
+        assert cli.dumps(value) == stdlib_dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=OVERFLOWED)
+    def test_a_non_finite_value_is_refused(self, value):
+        with pytest.raises(ValueError):
+            stdlib_dumps(value)
+        with pytest.raises(cli.NumericalError, match="overflowed to a non-finite value"):
+            cli.dumps(value)
+
+
 class TestExitCodes:
     def test_malformed_json_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -894,6 +990,25 @@ class TestExitCodes:
                     "--out-dir", str(out)]) == 4
         assert json.loads(capsys.readouterr().out)["outputs"] == []
         assert list(out.iterdir()) == []
+
+    def test_out_dir_that_is_a_file_is_2(self, tmp_path, capsys):
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run(["analyze", path, "--out-dir", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}: ")
+
+    @pytest.mark.parametrize("argv, output", [
+        (["analyze"], "scalar__analyze.json"),
+        (["simulate", "--t1", "1", "--points", "5", "--x0", "1"], "scalar__simulate.csv"),
+    ])
+    def test_a_directory_at_an_output_path_is_2(self, tmp_path, capsys, argv, output):
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        blocker = tmp_path / output
+        blocker.mkdir()
+        assert run([argv[0], path, *argv[1:], "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}: ")
+        assert blocker.is_dir()
 
     @pytest.mark.parametrize("A, argv", [
         ([[5, 1], [0, 4]], ["gramian", "--t1", "200"]),
