@@ -59,7 +59,6 @@ from .observability import (
     DetectabilityReport,
     ObservabilityReport,
     detectability_test,
-    duality_check,
     observability_test,
 )
 from .reachability import (

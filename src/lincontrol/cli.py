@@ -10,6 +10,7 @@ with no timestamps. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -526,14 +527,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _write_fresh(path: Path, write) -> None:
-    """write(path) into a new file: whatever is at path, a file or a link, is
-    unlinked first, so a rerun replaces an old output instead of truncating
-    it (and writes through no link)."""
+def _write_fresh(outputs) -> None:
+    """write(path) into a new file for each (path, write) of outputs: whatever
+    is at path, a file or a link, is unlinked first, so a rerun replaces an
+    old output instead of truncating it (and writes through no link). When
+    one cannot be written, the files already written are removed, so that
+    no output is left without the verdict that lists it."""
+    written = []
     try:
-        path.unlink(missing_ok=True)
-        write(path)
+        for path, write in outputs:
+            path.unlink(missing_ok=True)
+            written.append(path)
+            write(path)
     except OSError as exc:
+        for done in written:
+            with contextlib.suppress(OSError):
+                done.unlink(missing_ok=True)
         raise ParseFailure(f"cannot write {path}: {exc}") from exc
 
 
@@ -575,9 +584,7 @@ def main(argv=None) -> int:
         # serialized before any file is written: an overflowed verdict
         # (exit 4) leaves no file behind
         verdict = dumps(payload)
-        for path, write in files:
-            _write_fresh(path, write)
-        _write_fresh(verdict_path, lambda path: path.write_text(verdict))
+        _write_fresh([*files, (verdict_path, lambda path: path.write_text(verdict))])
         manifest["outputs"] = [str(p) for p in [verdict_path, *(path for path, _ in files)]]
         manifest["verdicts"] = {"ok": True}
     except (ParseFailure, DimensionError, DomainError) as exc:

@@ -347,7 +347,8 @@ def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> Lqr
     the sampled optimal control, the adjoint y = P x, and the cost.
 
     The transitions of `ric` carry xi through every sample to T, so each
-    grid point must be a sample time; the rows returned are the grid's.
+    grid point must be a sample time; the rows returned are the grid's
+    (without a grid, every sample's, as formed, none of them ric's arrays).
     They are applied one by one, in order, and never composed: a run from
     a later sample is then the tail of the full run bit for bit.
     The cost, Simpson's rule over the run, must match the value xi^T P(t0) xi.
@@ -370,7 +371,7 @@ def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> Lqr
             raise NumericalError(
                 f"closed-loop state is not finite at t = {ric.grid[first + np.argmin(finite)]:.6g}")
         adjoint = np.einsum("kij,kj->ki", ric.P_samples[first:], states)
-        controls = -np.einsum("ij,kj->ki", prob.sys.B.T, adjoint)
+        controls = adjoint @ -prob.sys.B
         cost = evaluate_cost(prob, Trajectory(ric.grid[first:], states, controls))
         value = float(xi @ ric.P_samples[first] @ xi)
     if not (math.isfinite(cost) and math.isfinite(value)):
@@ -380,6 +381,9 @@ def lqr_trajectory(prob: LqrProblem, ric: RiccatiSolution, xi, grid=None) -> Lqr
         raise NumericalInconsistencyError(
             f"cost {cost:.6g} misses the value identity xi^T P(t0) xi = {value:.6g}: "
             f"the Riccati spacing {h:.6g} does not resolve the closed loop")
+    if grid is None:  # every sample: no row copy
+        full = Trajectory(ric.grid.copy(), states, controls)
+        return LqrRun(trajectory=full, adjoint=adjoint, cost=cost, value=value)
     rows = rows.astype(int) - first
     full = Trajectory(ric.grid[first:][rows], states[rows], controls[rows])
     return LqrRun(trajectory=full, adjoint=adjoint[rows], cost=cost, value=value)

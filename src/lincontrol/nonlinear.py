@@ -18,7 +18,9 @@ triple, as for any LtiSystem; each pass's control u_e + B^T w(s) is one
 sampled signal, the Hermite dense output of its node values. Any other
 reference is linearized as a time-varying system, sampled at the Gauss
 times and nodes of the Gramian's Magnus steps. The nonlinear flow is the
-adaptive DOP853 pair with dense output (`integrate_field`), and a
+adaptive DOP853 pair (`integrate_field`): its steps (`_flow_steps`) do not
+depend on the output grid, which its dense output fills in afterwards
+(`_fill`). A steer fills the grid for the pass it returns only, and a
 converged steer carries the gap to a flow at 1/100 of its tolerance as
 its `flow_error`.
 """
@@ -212,31 +214,42 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
     DOP853 (`dop853`) with Hairer's step-size control and initial step
     (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.6), at
     rtol = atol = 1e-3 cfg.fixed_point_tol: the steps are the method's own,
-    not the grid's, and the states at the grid points come from the
-    seventh-order dense output of the step that holds them (the last one
-    is the step's end). cfg.ode_step plays no part. u is sampled once per
-    attempted step, in one array at its 16 stage times, and once at the
-    grid points; the stages call vf.f directly and check what it returns
-    as `VectorField.__call__` does.
+    not the grid's (`_flow_steps`, which sees only grid[0] and grid[-1]),
+    and the states at the grid points come from the seventh-order dense
+    output of the step that holds them (`_fill`; the last one is the
+    step's end). cfg.ode_step plays no part. u is sampled at grid[0],
+    once per attempted step, in one array at its 16 stage times, and once
+    at the grid points; the stages call vf.f directly and check what it
+    returns as `VectorField.__call__` does.
 
     The flow is refused (`NumericalError`, naming the time t it reached)
     when its step falls below 10 ulp of t, where a trial state or
     derivative that is not finite reports the flow as not finite, and when
     it attempts more than MAX_FLOW_STEPS steps.
     """
-    f, n = vf.f, vf.state_dim
-    x0 = kernels.as_state(x0, n, "x0")
+    x0 = kernels.as_state(x0, vf.state_dim, "x0")
     grid = np.asarray(grid, float)
+    steps, _ = _flow_steps(vf, x0, u, grid[0], grid[-1], cfg)
+    return _fill(vf, x0, u, grid, steps)
+
+
+def _flow_steps(vf: VectorField, x0: np.ndarray, u: ControlSignal, t: float,
+                t_end: float, cfg: ToleranceConfig) -> tuple:
+    """The accepted DOP853 steps of the flow from x0 at t to t_end, and its
+    state at t_end.
+
+    Each step is kept as (t, t_new, h, x, x_new, K, U): K holds its 13
+    stage slopes (rows 13-15 are left for `_fill`), U the control at its
+    16 stage times. Nothing here depends on an output grid.
+    """
+    f, n = vf.f, vf.state_dim
     tol = 1e-3 * cfg.fixed_point_tol
-    controls = np.asarray(u.at(grid), dtype=float)
-    states = np.empty((grid.size, n))
-    states[0] = x = x0
-    t, t_end = float(grid[0]), float(grid[-1])
+    t, t_end, x = float(t), float(t_end), x0
     K = np.empty((16, n))
-    row, steps = 1, 0
+    steps, attempts = [], 0
     # a state or derivative that is not finite is rejected below, never warned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        K[0] = _derivative(f, x, controls[0], n)
+        K[0] = _derivative(f, x, u.at(np.array([t]))[0], n)
         finite = bool(np.isfinite(K[0]).all())
         h = _initial_step(f, n, x, K[0], u, t, t_end - t, tol)
         while t < t_end:
@@ -245,8 +258,8 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
                 if not h >= 10.0 * (math.nextafter(t, math.inf) - t):
                     what = "state is not finite" if not finite else "step fell below 10 ulp"
                     raise NumericalError(f"flow {what} at t = {t:.6g}")
-                steps += 1
-                if steps > MAX_FLOW_STEPS:
+                attempts += 1
+                if attempts > MAX_FLOW_STEPS:
                     raise NumericalError(
                         f"flow took over MAX_FLOW_STEPS = {MAX_FLOW_STEPS} steps "
                         f"by t = {t:.6g}")
@@ -270,8 +283,30 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
                 rejected = True
             t_new = t_end if last else t + h
             K[12] = _derivative(f, x_new, U[12], n)
+            steps.append((t, t_new, h, x, x_new, K, U))
+            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.125)
+            h *= min(1.0, factor) if rejected else factor
+            t, x = t_new, x_new
+            K_next = np.empty((16, n))
+            K_next[0] = K[12]
+            K = K_next
+    return steps, x
+
+
+def _fill(vf: VectorField, x0: np.ndarray, u: ControlSignal, grid: np.ndarray,
+          steps: list) -> Trajectory:
+    """The trajectory of the flow `steps` (from `_flow_steps`, started at
+    x0 at grid[0]) at the grid points: a step that holds grid points forms
+    its stages 13-15 and their seventh-order dense output (`_dense`), and
+    a grid point at a step's end takes that step's state."""
+    f, n = vf.f, vf.state_dim
+    states = np.empty((grid.size, n))
+    states[0] = x0
+    row = 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t, t_new, h, x, x_new, K, U in steps:
             stop = int(grid.searchsorted(t_new))
-            if stop > row:  # grid points inside the step: dense output
+            if stop > row:  # grid points inside the step
                 for s in range(13, 16):
                     K[s] = _derivative(f, x + h * (_ROWS[s] @ K[:s]), U[s], n)
                 states[row:stop] = _dense(x, x_new, K, h, (grid[row:stop] - t) / h)
@@ -279,11 +314,7 @@ def integrate_field(vf: VectorField, x0, u: ControlSignal, grid,
                 states[stop] = x_new
                 stop += 1
             row = stop
-            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.125)
-            h *= min(1.0, factor) if rejected else factor
-            t, x = t_new, x_new
-            K[0] = K[12]
-    return Trajectory(grid=grid, states=states, controls=controls)
+    return Trajectory(grid=grid, states=states, controls=np.asarray(u.at(grid), dtype=float))
 
 
 def _initial_step(f, n, x, f0, u, t, span, tol) -> float:
@@ -343,16 +374,18 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     `linearize_along`, its control evaluating f_u and ubar at each time
     it is sampled.
 
-    Each pass flows by `integrate_field` at rtol = atol =
-    1e-3 fixed_point_tol, floored at FLOW_TOL_FLOOR. On the converged pass
-    the same control is flowed again at 1/100 of that tolerance, and the
-    gap between the two endpoints is returned as `flow_error`; a gap that
-    is not below fixed_point_tol is refused (`FlowAccuracyError`), since
-    the terminal error would then be measured against a flow less
-    accurate than the claim. That certificate flow is asked only for the
-    endpoints of the grid: its steps do not depend on the grid, so its
-    endpoint is the full-grid one bit for bit, and no step forms the
-    dense output (stages 13-15 and `_dense`) that only fills in the grid.
+    Each pass flows by the steps of `integrate_field` (`_flow_steps`) at
+    rtol = atol = 1e-3 fixed_point_tol, floored at FLOW_TOL_FLOOR, and
+    reads only their endpoint. On the converged pass the same control is
+    flowed again at 1/100 of that tolerance, and the gap between the two
+    endpoints is returned as `flow_error`; a gap that is not below
+    fixed_point_tol is refused (`FlowAccuracyError`), since the terminal
+    error would then be measured against a flow less accurate than the
+    claim. The steps do not depend on the grid, so neither the passes nor
+    the certificate form the dense output (stages 13-15 and `_dense`) that
+    only fills in the grid: `_fill` forms it once, for the pass returned
+    (the converged one, or the last when max_iter runs out), whose
+    trajectory is then `integrate_field` of its control bit for bit.
     A trust radius that is not positive is refused (`DomainError`).
     """
     if not delta > 0.0:
@@ -403,16 +436,13 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
     fine_cfg = replace(cfg, fixed_point_tol=flow_cfg.fixed_point_tol / 100.0)
     phi = x1.copy()
     errors = []
-    traj = None
-    control = None
     for iteration in range(1, cfg.max_iter + 1):
         control = control_for(phi)
-        traj = integrate_field(vf, x0, control, grid, flow_cfg)
-        endpoint = traj.final_state()
+        steps, endpoint = _flow_steps(vf, x0, control, grid[0], grid[-1], flow_cfg)
         err = float(np.linalg.norm(endpoint - x1))
         errors.append(err)
         if err <= cfg.fixed_point_tol:
-            fine = integrate_field(vf, x0, control, grid[[0, -1]], fine_cfg).final_state()
+            fine = _flow_steps(vf, x0, control, grid[0], grid[-1], fine_cfg)[1]
             flow_error = float(np.linalg.norm(endpoint - fine))
             if not flow_error < cfg.fixed_point_tol:
                 raise FlowAccuracyError(
@@ -420,14 +450,15 @@ def steer_nonlinear(vf: VectorField, ref: ReferenceTrajectory, x0, x1,
                     f"{cfg.fixed_point_tol:.1e}: the terminal error "
                     f"{err:.3e} is not resolved", flow_error=flow_error)
             return SteeringResult(
-                trajectory=traj, control=control, iterations=iteration,
-                terminal_error=err, converged=True, error_history=tuple(errors),
-                flow_error=flow_error)
+                trajectory=_fill(vf, x0, control, grid, steps), control=control,
+                iterations=iteration, terminal_error=err, converged=True,
+                error_history=tuple(errors), flow_error=flow_error)
         phi = phi - endpoint + x1
         if not np.linalg.norm(phi - x1) <= 10.0 * delta:  # a nan iterate diverged too
             raise DivergenceError(
                 f"iterate left the trust ball after {iteration} passes",
                 history=tuple(errors))
     return SteeringResult(
-        trajectory=traj, control=control, iterations=cfg.max_iter,
-        terminal_error=errors[-1], converged=False, error_history=tuple(errors))
+        trajectory=_fill(vf, x0, control, grid, steps), control=control,
+        iterations=cfg.max_iter, terminal_error=errors[-1], converged=False,
+        error_history=tuple(errors))

@@ -74,16 +74,6 @@ def observability_test(A, C, horizon: float = 1.0,
     )
 
 
-def duality_check(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Whether the observability verdict of (A, C) matches the
-    controllability verdict of (A^T, C^T)."""
-    A = kernels.require_square(A, "A")
-    C = kernels.as_matrix(C, "C")
-    obs = observability_test(A, C, 1.0, cfg).observable
-    ctrl = reachability.kalman_test(LtiSystem(A.T, C.T), cfg).controllable
-    return obs == ctrl
-
-
 def detectability_test(A, C, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> DetectabilityReport:
     """PBH test on the closed right half plane, with an explicit witness.
 

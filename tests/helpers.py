@@ -16,7 +16,9 @@ the time-varying samples that the one backward pass replaced.
 time, the order `kernels.affine_states` composes and `lqr_trajectory`
 keeps. `hermite_reference` is the cubic Hermite of
 `kernels.SampledMatrixFunction` through np.clip and np.take, the numpy
-wrappers its call leaves out.
+wrappers its call leaves out. `duality_check` states the paper's
+duality: the observability verdict of (A, C) is the controllability
+verdict of (A^T, C^T).
 """
 
 import dataclasses
@@ -25,11 +27,21 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from lincontrol import ControlSignal, DimensionError, LtiSystem, LtvSystem, kalman_test
+from lincontrol import (ControlSignal, DimensionError, LtiSystem, LtvSystem, kalman_test,
+                        observability_test)
 from lincontrol import kernels, reachability
 from lincontrol.kernels import DEFAULT_TOLERANCES, _flow_triple
 from lincontrol.lqr import BLOWUP_NORM
 from lincontrol.reachability import _transition_samples
+
+
+def duality_check(A, C, cfg=DEFAULT_TOLERANCES) -> bool:
+    """Whether the observability verdict of (A, C) matches the
+    controllability verdict of (A^T, C^T)."""
+    A = kernels.require_square(A, "A")
+    C = kernels.as_matrix(C, "C")
+    obs = observability_test(A, C, 1.0, cfg).observable
+    return obs == kalman_test(LtiSystem(A.T, C.T), cfg).controllable
 
 
 def random_system(rng, n, p, shift=0.0):

@@ -73,7 +73,7 @@ def test_criterion_03_duality():
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         A = rng.uniform(-1, 1, (n, n))
         C = rng.uniform(-1, 1, (m, n))
-        if not lc.duality_check(A, C):
+        if not helpers.duality_check(A, C):
             failures.append(f"draw {i}: verdicts disagree")
     conclude(3, "observability-controllability duality", failures)
 

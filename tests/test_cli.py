@@ -1010,6 +1010,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}: ")
         assert blocker.is_dir()
 
+    def test_an_unwritable_verdict_leaves_no_csv(self, tmp_path, capsys):
+        # the CSV is written before the verdict, and removed when the
+        # verdict cannot be written
+        path = str(Path(__file__).parents[1] / "scripts" / "data" / "scalar.json")
+        blocker = tmp_path / "scalar__simulate.json"
+        blocker.mkdir()
+        assert run(["simulate", path, "--t1", "1", "--x0", "1", "--points", "5",
+                    "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker}: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.is_dir()
+
     @pytest.mark.parametrize("A, argv", [
         ([[5, 1], [0, 4]], ["gramian", "--t1", "200"]),
         ([[5, 1], [0, 4]], ["steer", "--t1", "200", "--x0", "1,0", "--x1", "0,0"]),

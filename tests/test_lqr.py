@@ -298,6 +298,27 @@ class TestLqrGrid:
         assert np.array_equal(head.trajectory.states, full.trajectory.states[[0, 500, 1000]])
         assert head.cost == full.cost
 
+    def test_no_grid_is_the_riccati_grid_byte_for_byte(self, setup):
+        # without a grid the run returns the arrays it formed, and shares no
+        # memory with the Riccati solution
+        prob, ric, xi = setup
+        run = lqr_trajectory(prob, ric, xi)
+        on_grid = lqr_trajectory(prob, ric, xi, ric.grid)
+        arrays = [run.trajectory.grid, run.trajectory.states, run.control, run.adjoint]
+        for got, want in zip(arrays, [on_grid.trajectory.grid, on_grid.trajectory.states,
+                                      on_grid.control, on_grid.adjoint]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert (run.cost, run.value) == (on_grid.cost, on_grid.value)
+        # u = -B^T y row by row, to the rounding of a sum of n products
+        B = prob.sys.B
+        reference = np.array([-(B.T @ y) for y in run.adjoint])
+        scale = np.abs(B).max() * np.abs(run.adjoint).max()
+        assert np.abs(run.control - reference).max() <= 4 * B.shape[0] * np.finfo(float).eps * scale
+        for got in arrays:
+            for kept in (ric.grid, ric.P_samples, ric.transitions):
+                assert not np.shares_memory(got, kept)
+
     def test_non_finite_state_is_refused_with_its_time(self):
         # C = 0, so P = 0 and x = 1e300 e^{50 t}, which overflows once
         # 50 t > ln(1.8e8), at the sample t = 0.3805

@@ -19,7 +19,6 @@ from lincontrol import (
     LtiSystem,
     NumericalError,
     ToleranceConfig,
-    Trajectory,
     TrustRegionError,
     VectorField,
     equilibrium_reference,
@@ -512,13 +511,17 @@ class TestSteering:
         assert not res.converged and res.flow_error is None
 
     def test_nan_iterate_is_divergence(self, pend_field, upright_ref, monkeypatch):
-        def nan_flow(vf, x0, u, grid, cfg):
-            return Trajectory(grid=grid, states=np.full((grid.size, 2), np.nan))
+        fills = []
 
-        monkeypatch.setattr(nonlinear, "integrate_field", nan_flow)
+        def nan_flow(vf, x0, u, t0, t1, cfg):
+            return [], np.full(2, np.nan)
+
+        monkeypatch.setattr(nonlinear, "_flow_steps", nan_flow)
+        monkeypatch.setattr(nonlinear, "_fill", lambda *args: fills.append(args))
         with pytest.raises(DivergenceError) as exc:
             steer_nonlinear(pend_field, upright_ref, [PI + 0.05, 0.0], [PI - 0.05, 0.0])
         assert len(exc.value.history) == 1
+        assert fills == []  # a refused steer fills no grid
 
     def test_uncontrollable_linearization_rejected(self):
         vf = VectorField(2, 1,
@@ -594,35 +597,68 @@ class TestEndpointFlow:
 
     @pytest.mark.parametrize("case", sorted(ENDPOINT_FIELDS))
     def test_the_certificate_flow_forms_no_dense_output(self, case, monkeypatch):
+        # neither a pass nor the certificate forms dense output; only the
+        # returned pass's grid is filled, once
         build, x0 = ENDPOINT_FIELDS[case]
         vf = build()
         x0 = np.array(x0)
         x_e = np.array([PI, 0.0]) if case == "pendulum" else np.zeros(x0.size)
         ref = equilibrium_reference(vf, x_e, [0.0], 0.0, 1.0)
-        dense, flow = nonlinear._dense, nonlinear.integrate_field
-        dense_calls, flows = [0], []
+        dense, flow, fill = nonlinear._dense, nonlinear._flow_steps, nonlinear._fill
+        dense_calls, flows, fills = [0], [], []
 
         def counted_dense(*args):
             dense_calls[0] += 1
             return dense(*args)
 
-        def recorded(vf, x0, u, grid, cfg):
+        def recorded_flow(vf, x0, u, t0, t1, cfg):
             before = dense_calls[0]
-            traj = flow(vf, x0, u, grid, cfg)
-            flows.append((grid.size, dense_calls[0] - before))
+            out = flow(vf, x0, u, t0, t1, cfg)
+            flows.append((cfg.fixed_point_tol, dense_calls[0] - before))
+            return out
+
+        def recorded_fill(vf, x0, u, grid, steps):
+            before = dense_calls[0]
+            traj = fill(vf, x0, u, grid, steps)
+            fills.append((grid.size, dense_calls[0] - before))
             return traj
 
         monkeypatch.setattr(nonlinear, "_dense", counted_dense)
-        monkeypatch.setattr(nonlinear, "integrate_field", recorded)
+        monkeypatch.setattr(nonlinear, "_flow_steps", recorded_flow)
+        monkeypatch.setattr(nonlinear, "_fill", recorded_fill)
         x1 = x_e + 0.5 * (x_e - x0)
+        tol = ToleranceConfig().fixed_point_tol
         if case == "x' = 20 x + u":  # converges, and its certificate refuses the flow
             with pytest.raises(FlowAccuracyError):
                 steer_nonlinear(vf, ref, x0, x1)
+            assert fills == []
         else:
             assert steer_nonlinear(vf, ref, x0, x1).converged
+            assert len(fills) == 1 and fills[0][0] == 1001 and fills[0][1] > 0
         *passes, certificate = flows
-        assert passes and all(size == 1001 and calls > 0 for size, calls in passes)
-        assert certificate == (2, 0)
+        assert passes and all(flow == (tol, 0) for flow in passes)
+        assert certificate == (tol / 100.0, 0)
+
+    @pytest.mark.parametrize("case, max_iter", [
+        ("pendulum", 50), ("duffing", 50), ("pendulum", 1)])
+    def test_the_returned_pass_is_its_control_s_full_grid_flow(self, case, max_iter):
+        # the returned pass's steps, filled once, are integrate_field of its
+        # control; with max_iter = 1 that pass is the last of an unconverged
+        # steer
+        build, (xe, ue), (x0, x1) = EQUILIBRIUM_CASES[case]
+        vf = build()
+        ref = equilibrium_reference(vf, xe, ue, 0.0, 1.0)
+        cfg = ToleranceConfig(max_iter=max_iter)
+        res = steer_nonlinear(vf, ref, x0, x1, cfg)
+        if max_iter == 1:
+            assert not res.converged and res.iterations == 1
+        else:
+            assert res.converged and res.iterations >= 2
+        grid = np.linspace(0.0, 1.0, 1001)
+        flow = integrate_field(vf, x0, res.control, grid, cfg)
+        assert np.array_equal(res.trajectory.grid, grid)
+        assert np.array_equal(res.trajectory.states, flow.states)
+        assert np.array_equal(res.trajectory.controls, flow.controls)
 
 
 class TestEquilibriumPath:

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from lincontrol import (
     LtiSystem,
     detectability_test,
-    duality_check,
     kalman_test,
     observability_test,
     spectral_abscissa,
@@ -48,21 +47,21 @@ class TestObservabilityTest:
 class TestDuality:
     def test_identity_output_both_positive(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
-        assert duality_check(A, np.eye(3))
+        assert helpers.duality_check(A, np.eye(3))
 
     def test_deficient_pair_both_negative(self):
         A = np.diag([1.0, 2.0])
         C = np.array([[1.0, 0.0]])
         assert not observability_test(A, C).observable
         assert not kalman_test(LtiSystem(A.T, C.T)).controllable
-        assert duality_check(A, C)
+        assert helpers.duality_check(A, C)
 
     def test_random_draws_agree(self, rng):
         for _ in range(60):
             n, m = int(rng.integers(1, 6)), int(rng.integers(1, 3))
             A = rng.uniform(-1, 1, (n, n))
             C = rng.uniform(-1, 1, (m, n))
-            assert duality_check(A, C)
+            assert helpers.duality_check(A, C)
 
 
 class TestGramianEquivalences:
